@@ -10,7 +10,6 @@
 //!   versus an arithmetic-only subset, on a program the subset can express.
 //! * **D — verification width sweep**: how the semantic width scales
 //!   synthesis time.
-//! * **E — sequential versus parallel grid-depth search**.
 
 use std::hint::black_box;
 
@@ -119,26 +118,6 @@ fn main() {
             let out = cegis::synthesize(black_box(&prog), &sketch, &cegis_opts(width, Some(5)))
                 .expect("feasible");
             black_box(out.stats.counterexamples)
-        });
-    }
-
-    // E — sequential versus parallel grid-depth search. Sequential stops at
-    // the first (minimal) depth; parallel launches every depth at once and
-    // keeps the shallowest success — it wins when early depths are
-    // infeasible and their UNSAT proofs are slow.
-    let mut g = bench.group("ablation_parallel_sweep");
-    g.sample_size(10);
-    let b_ = by_name("blue-increase").expect("corpus");
-    let prog = b_.program();
-    for (label, parallel) in [("sequential", false), ("parallel", true)] {
-        g.bench(label, || {
-            let mut opts = chipmunk::CompilerOptions::new(b_.template.spec(4));
-            opts.stateless = StatelessAluSpec::banzai(4);
-            opts.max_stages = 3;
-            opts.cegis = cegis_opts(8, Some(5));
-            opts.parallel = parallel;
-            let out = chipmunk::compile(black_box(&prog), &opts).expect("feasible");
-            black_box(out.resources)
         });
     }
 }

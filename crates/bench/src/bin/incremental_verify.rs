@@ -2,30 +2,25 @@
 //! "Incremental verification" table).
 //!
 //! A full CEGIS run is a noisy yardstick for the verifier alone: the two
-//! modes return different (equally valid) counterexamples, so the loops
-//! diverge after the first query and stop doing comparable work. This
-//! binary therefore measures the verifier on an *identical* workload —
-//! replay — and the end-to-end loop separately:
+//! verifiers return different (equally valid) counterexamples, so CEGIS
+//! loops driven by them diverge after the first query and stop doing
+//! comparable work. This binary therefore measures the verifier on an
+//! *identical* workload — replay. Per benchmark: compile once, then build
+//! a fixed candidate list (the winner plus seeded single-bit
+//! perturbations) and answer every query twice —
 //!
-//! 1. **Replay (the CI gate).** Per benchmark: compile once, then build a
-//!    fixed candidate list (the winner plus seeded single-bit
-//!    perturbations) and answer every query twice —
+//! ```text
+//! rebuild       verify_at per candidate: blast a fresh miter with the
+//!               hole values baked in as constants (the pre-incremental
+//!               behavior of every iteration)
+//! incremental   one persistent Verifier (construction included in its
+//!               time): miter blasted once, holes free, each candidate
+//!               pinned by solve-under-assumptions
+//! ```
 //!
-//!    ```text
-//!    rebuild       verify_at per candidate: blast a fresh miter with
-//!                  the hole values baked in as constants (the
-//!                  pre-incremental behavior of every iteration)
-//!    incremental   one persistent Verifier (construction included in
-//!                  its time): miter blasted once, holes free, each
-//!                  candidate pinned by solve-under-assumptions
-//!    ```
-//!
-//!    Verdicts must agree on every query. The binary exits non-zero if
-//!    incremental loses to rebuild on corpus-total replay time.
-//! 2. **End-to-end (informational).** Each program is also compiled with
-//!    `CHIPMUNK_FRESH_VERIFY=1` (the kill switch) and both wall-clocks
-//!    are reported; depths must match, but no time gate — counterexample
-//!    trajectories differ by design.
+//! Verdicts must agree on every query. The binary exits non-zero if
+//! incremental loses to rebuild on corpus-total replay time. The compile
+//! wall-clock is reported alongside, for information only.
 //!
 //! Usage:
 //!   incremental_verify [--width BITS] [--max-stages K] [--timeout SECS]
@@ -98,7 +93,6 @@ fn options(b: &Benchmark, cfg: &Config) -> CompilerOptions {
             ..CegisOptions::default()
         },
         timeout: Some(Duration::from_secs(cfg.timeout_secs)),
-        parallel: false,
         portfolio: false,
     }
 }
@@ -119,8 +113,7 @@ struct Row {
     inequivalent: usize,
     rebuild_secs: f64,
     incremental_secs: f64,
-    e2e_inc_secs: f64,
-    e2e_fresh_secs: f64,
+    compile_secs: f64,
 }
 
 fn main() {
@@ -138,30 +131,15 @@ fn main() {
     );
 
     let mut rows = Vec::new();
-    let (mut tot_rebuild, mut tot_inc) = (0.0, 0.0);
-    let (mut tot_e2e_inc, mut tot_e2e_fresh) = (0.0, 0.0);
+    let (mut tot_rebuild, mut tot_inc, mut tot_compile) = (0.0, 0.0, 0.0);
     for name in &names {
         let b = corpus().into_iter().find(|b| b.name == *name).unwrap();
         let prog = b.program();
         let opts = options(&b, &cfg);
 
-        // Compile once per mode — the end-to-end (informational) split.
-        std::env::remove_var("CHIPMUNK_FRESH_VERIFY");
         let t0 = Instant::now();
-        let out = compile(&prog, &opts)
-            .unwrap_or_else(|e| panic!("{name} [incremental]: compile failed: {e}"));
-        let e2e_inc_secs = t0.elapsed().as_secs_f64();
-
-        std::env::set_var("CHIPMUNK_FRESH_VERIFY", "1");
-        let t0 = Instant::now();
-        let fresh = compile(&prog, &opts)
-            .unwrap_or_else(|e| panic!("{name} [rebuild]: compile failed: {e}"));
-        let e2e_fresh_secs = t0.elapsed().as_secs_f64();
-        std::env::remove_var("CHIPMUNK_FRESH_VERIFY");
-        assert_eq!(
-            out.resources.stages_used, fresh.resources.stages_used,
-            "{name}: verification mode changed the winning depth"
-        );
+        let out = compile(&prog, &opts).unwrap_or_else(|e| panic!("{name}: compile failed: {e}"));
+        let compile_secs = t0.elapsed().as_secs_f64();
 
         // The replay workload: winner + seeded single-bit perturbations.
         let sketch = Sketch::new(
@@ -201,7 +179,7 @@ fn main() {
             .iter()
             .map(|hv| {
                 verifier
-                    .check(&prog, &sketch, hv, None, None)
+                    .check(hv, None, None)
                     .expect("incremental verify")
                     .is_none()
             })
@@ -215,18 +193,16 @@ fn main() {
         let inequivalent = inc_verdicts.iter().filter(|v| !**v).count();
         eprintln!(
             "  {name}: replay {:.3}s incremental vs {:.3}s rebuild \
-             ({} queries, {} inequivalent; e2e {:.2}s vs {:.2}s)",
+             ({} queries, {} inequivalent; compile {:.2}s)",
             incremental_secs,
             rebuild_secs,
             candidates.len(),
             inequivalent,
-            e2e_inc_secs,
-            e2e_fresh_secs
+            compile_secs
         );
         tot_rebuild += rebuild_secs;
         tot_inc += incremental_secs;
-        tot_e2e_inc += e2e_inc_secs;
-        tot_e2e_fresh += e2e_fresh_secs;
+        tot_compile += compile_secs;
         rows.push(Row {
             name: name.to_string(),
             stages: out.resources.stages_used,
@@ -234,19 +210,18 @@ fn main() {
             inequivalent,
             rebuild_secs,
             incremental_secs,
-            e2e_inc_secs,
-            e2e_fresh_secs,
+            compile_secs,
         });
     }
 
     println!(
         "| program | stages | queries (ineq.) | incremental (s) | rebuild (s) | \
-         speedup | e2e incremental (s) | e2e rebuild (s) |"
+         speedup | compile (s) |"
     );
-    println!("|---|---|---|---|---|---|---|---|");
+    println!("|---|---|---|---|---|---|---|");
     for r in &rows {
         println!(
-            "| {} | {} | {} ({}) | {:.3} | {:.3} | {:.1}× | {:.2} | {:.2} |",
+            "| {} | {} | {} ({}) | {:.3} | {:.3} | {:.1}× | {:.2} |",
             r.name,
             r.stages,
             r.queries,
@@ -254,18 +229,17 @@ fn main() {
             r.incremental_secs,
             r.rebuild_secs,
             r.rebuild_secs / r.incremental_secs.max(1e-9),
-            r.e2e_inc_secs,
-            r.e2e_fresh_secs
+            r.compile_secs
         );
     }
     println!(
         "| **total** | | | **{tot_inc:.3}** | **{tot_rebuild:.3}** | **{:.1}×** | \
-         **{tot_e2e_inc:.2}** | **{tot_e2e_fresh:.2}** |",
+         **{tot_compile:.2}** |",
         tot_rebuild / tot_inc.max(1e-9)
     );
     eprintln!(
         "corpus-total replay: incremental {tot_inc:.3}s, rebuild {tot_rebuild:.3}s \
-         (e2e compile: {tot_e2e_inc:.2}s vs {tot_e2e_fresh:.2}s)"
+         (compile: {tot_compile:.2}s)"
     );
     if tot_inc > tot_rebuild {
         eprintln!("FAIL: incremental verification lost to rebuild-per-query");

@@ -90,7 +90,6 @@ fn options(b: &Benchmark, cfg: &Config) -> CompilerOptions {
             ..CegisOptions::default()
         },
         timeout: Some(Duration::from_secs(cfg.timeout_secs)),
-        parallel: false,
         portfolio: false,
     }
 }

@@ -239,7 +239,6 @@ fn run_chipmunk(b: &Benchmark, prog: &Program, cfg: &ExperimentConfig) -> Compil
             ..CegisOptions::default()
         },
         timeout: Some(Duration::from_secs(cfg.timeout_secs)),
-        parallel: false,
         portfolio: false,
     };
     let t0 = Instant::now();

@@ -11,24 +11,12 @@
 //! template (`raw`, unconditional read-add-write, which cannot express
 //! their predicated state updates) to keep the whole corpus exercising
 //! the proof pipeline.
-//!
-//! Both verification modes are covered: the incremental default and the
-//! `CHIPMUNK_FRESH_VERIFY=1` rebuild-per-query kill switch. The env
-//! toggle is process-global, so the two tests serialize on a lock.
-
-use std::sync::Mutex;
 
 use chipmunk::{
     compile, CegisOptions, Certificate, CheckBudget, CodegenError, CompilerOptions, InfeasibleCert,
 };
 use chipmunk_bench::corpus::{corpus, Benchmark, TemplateKind};
 use chipmunk_pisa::StatelessAluSpec;
-
-static ENV_LOCK: Mutex<()> = Mutex::new(());
-
-fn lock() -> std::sync::MutexGuard<'static, ()> {
-    ENV_LOCK.lock().unwrap_or_else(|p| p.into_inner())
-}
 
 /// The `incremental_verify` CI binary's options (`--width 8
 /// --max-stages 3`): 4-bit immediates — wide enough for every corpus
@@ -50,7 +38,6 @@ fn bench_options(b: &Benchmark) -> CompilerOptions {
             ..CegisOptions::default()
         },
         timeout: None,
-        parallel: false,
         portfolio: false,
     }
 }
@@ -92,23 +79,23 @@ fn assert_proof_checked(b: &Benchmark, what: &str, cert: &InfeasibleCert) {
     );
 }
 
-/// Run the corpus sweep in the *current* verification mode: for each
-/// benchmark find its minimal depth k, then certify the depth-(k−1)
-/// UNSAT (k ≥ 2) or the restricted-template UNSAT (k == 1).
-fn sweep(mode: &str) {
+/// For each benchmark find its minimal depth k, then certify the
+/// depth-(k−1) UNSAT (k ≥ 2) or the restricted-template UNSAT (k == 1).
+#[test]
+fn corpus_minimal_depth_infeasibility_is_proof_checked() {
     for b in corpus() {
         // Debug builds keep tier-1 fast with one benchmark per depth
-        // class; the release CI step covers all eight in both modes.
+        // class; the release CI step covers all eight.
         if cfg!(debug_assertions) && !matches!(b.name, "sampling" | "blue-increase") {
             continue;
         }
         let t0 = std::time::Instant::now();
         let opts = bench_options(&b);
         let out = compile(&b.program(), &opts)
-            .unwrap_or_else(|e| panic!("{} ({mode}): corpus must compile: {e}", b.name));
+            .unwrap_or_else(|e| panic!("{}: corpus must compile: {e}", b.name));
         let k = out.resources.stages_used;
         eprintln!(
-            "{} ({mode}): k={k} found in {:.2}s",
+            "{}: k={k} found in {:.2}s",
             b.name,
             t0.elapsed().as_secs_f64()
         );
@@ -117,8 +104,8 @@ fn sweep(mode: &str) {
             // The exact minimality claim of Table 2: UNSAT at k−1.
             let mut shallow = opts.clone();
             shallow.max_stages = k - 1;
-            let cert = expect_infeasible(&b, &shallow, mode);
-            assert_proof_checked(&b, mode, &cert);
+            let cert = expect_infeasible(&b, &shallow, "depth k-1");
+            assert_proof_checked(&b, "depth k-1", &cert);
         } else {
             // Depth-0 infeasibility is vacuous (no solver runs), so the
             // proof pipeline is exercised by an ALU that cannot express
@@ -126,28 +113,13 @@ fn sweep(mode: &str) {
             let mut restricted = opts.clone();
             restricted.stateful = TemplateKind::Raw.spec(4);
             restricted.max_stages = 1;
-            let cert = expect_infeasible(&b, &restricted, mode);
-            assert_proof_checked(&b, mode, &cert);
+            let cert = expect_infeasible(&b, &restricted, "raw template");
+            assert_proof_checked(&b, "raw template", &cert);
         }
         eprintln!(
-            "{} ({mode}): infeasible certified in {:.2}s",
+            "{}: infeasible certified in {:.2}s",
             b.name,
             t1.elapsed().as_secs_f64()
         );
     }
-}
-
-#[test]
-fn corpus_minimal_depth_infeasibility_is_proof_checked_incremental() {
-    let _g = lock();
-    std::env::remove_var("CHIPMUNK_FRESH_VERIFY");
-    sweep("incremental");
-}
-
-#[test]
-fn corpus_minimal_depth_infeasibility_is_proof_checked_fresh_verify() {
-    let _g = lock();
-    std::env::set_var("CHIPMUNK_FRESH_VERIFY", "1");
-    sweep("fresh-verify");
-    std::env::remove_var("CHIPMUNK_FRESH_VERIFY");
 }

@@ -4,7 +4,7 @@
 //!
 //! Three properties per benchmark:
 //!
-//! 1. **Schedule identity.** The default (non-portfolio, non-parallel)
+//! 1. **Schedule identity.** The default (non-portfolio)
 //!    [`CompilePlan`] is exactly the historic schedule: one solo
 //!    canonical-allocation step per depth, 1..=max_stages in order, each
 //!    carrying the caller's solver budget — and the plan fingerprint is

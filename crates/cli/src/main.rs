@@ -1,7 +1,7 @@
 //! `chipmunkc` — the command-line front end of the chipmunk-rs workspace.
 //!
 //! ```text
-//! chipmunkc compile  <file> [--template T] [--imm N] [--width W] [--max-stages K] [--timeout S] [--parallel] [--portfolio] [--slots N] [--json] [--check-proofs] [--trace OUT.jsonl]
+//! chipmunkc compile  <file> [--template T] [--imm N] [--width W] [--max-stages K] [--timeout S] [--portfolio] [--slots N] [--json] [--check-proofs] [--trace OUT.jsonl]
 //! chipmunkc check-proof <file>
 //! chipmunkc plan     <file> [same compile flags] [--explain] [--json]
 //! chipmunkc domino   <file> [--template T] [--imm N] [--width W]
@@ -11,13 +11,16 @@
 //! chipmunkc run      <file> [--template T] [--packets N] [--width W] [--trace CSV]
 //! chipmunkc trace-report <file.jsonl>
 //! chipmunkc serve    [--addr H:P] [--workers N] [--queue-cap N] [--cache-dir DIR] [--cache-max-entries N] [--max-conns N] [--idle-timeout S] [--metrics-addr H:P] [--slow-ms N] [--default-deadline-ms N] [--deadline-grace-ms N] [--brownout-p95-ms N] [--shed-below-priority P] [--watchdog-escalate-ms N] [--trace OUT.jsonl]
-//! chipmunkc submit   <file> [--addr H:P] [--template T] [--imm N] [--width W] [--max-stages K] [--timeout S] [--deadline-ms N] [--parallel] [--portfolio] [--priority P] [--trace ID] [--json]
+//! chipmunkc submit   <file> [--addr H:P] [--template T] [--imm N] [--width W] [--max-stages K] [--timeout S] [--deadline-ms N] [--portfolio] [--priority P] [--trace ID] [--json]
 //! chipmunkc submit   --batch <file>... [--addr H:P] [shared compile flags] [--progress] [--json]
 //! chipmunkc submit   --status | --stats | --shutdown | --shutdown-now [--addr H:P]
 //! chipmunkc cache    [--stats | --compact | --clear] [--addr H:P]
 //! chipmunkc trace    --job <trace-id> [--addr H:P] [--json]
 //! chipmunkc top      [--addr H:P] [--watch SECS] [--json]
 //! ```
+//!
+//! Flags are checked before any subcommand runs: an unknown flag is an
+//! error that names it.
 //!
 //! `compile --trace OUT.jsonl` records a structured execution trace of the
 //! whole synthesis stack (CEGIS iterations, SAT solves, bit-blasting,
@@ -87,6 +90,63 @@ struct Args {
     positional: Vec<String>,
 }
 
+/// Flags that take no value.
+const BOOL_FLAGS: &[&str] = &[
+    "batch",
+    "check-proofs",
+    "clear",
+    "compact",
+    "explain",
+    "full-alu",
+    "json",
+    "portfolio",
+    "progress",
+    "shutdown",
+    "shutdown-now",
+    "stats",
+    "status",
+];
+
+/// Flags that take one value. Any flag in neither list is an error: were
+/// it guessed value-taking, a typo would silently swallow the next flag.
+const VALUE_FLAGS: &[&str] = &[
+    "addr",
+    "brownout-p95-ms",
+    "budget-bytes",
+    "budget-conflicts",
+    "budget-propagations",
+    "cache-dir",
+    "cache-max-entries",
+    "deadline-grace-ms",
+    "deadline-ms",
+    "default-deadline-ms",
+    "depth",
+    "idle-timeout",
+    "imm",
+    "job",
+    "journal-dir",
+    "max-conns",
+    "max-len",
+    "max-stages",
+    "metrics-addr",
+    "n",
+    "packets",
+    "priority",
+    "queue-cap",
+    "retries",
+    "seed",
+    "shed-below-priority",
+    "slots",
+    "slow-ms",
+    "template",
+    "timeout",
+    "trace",
+    "watch",
+    "watchdog-escalate-ms",
+    "width",
+    "workers",
+];
+
 impl Args {
     fn parse(raw: impl Iterator<Item = String>) -> Result<Args, String> {
         let mut flags = Vec::new();
@@ -94,30 +154,15 @@ impl Args {
         let mut raw = raw.peekable();
         while let Some(a) = raw.next() {
             if let Some(name) = a.strip_prefix("--") {
-                // Boolean flags take no value; everything else takes one.
-                if matches!(
-                    name,
-                    "json"
-                        | "full-alu"
-                        | "parallel"
-                        | "portfolio"
-                        | "explain"
-                        | "status"
-                        | "stats"
-                        | "shutdown"
-                        | "shutdown-now"
-                        | "batch"
-                        | "compact"
-                        | "clear"
-                        | "progress"
-                        | "check-proofs"
-                ) {
+                if BOOL_FLAGS.contains(&name) {
                     flags.push((name.to_string(), String::new()));
-                } else {
+                } else if VALUE_FLAGS.contains(&name) {
                     let v = raw
                         .next()
                         .ok_or_else(|| format!("--{name} needs a value"))?;
                     flags.push((name.to_string(), v));
+                } else {
+                    return Err(format!("unknown flag `--{name}`\n{}", usage()));
                 }
             } else {
                 positional.push(a);
@@ -175,7 +220,6 @@ fn compile_options_from_args(args: &Args) -> Result<CompilerOptions, String> {
     opts.timeout = Some(Duration::from_secs(
         args.num("timeout", CompilerOptions::SERVICE_TIMEOUT_MS / 1000)?,
     ));
-    opts.parallel = args.has("parallel");
     opts.portfolio = args.has("portfolio");
     Ok(opts)
 }
@@ -530,7 +574,6 @@ fn submit_options(args: &Args) -> Result<Json, String> {
                     .unwrap_or(CompilerOptions::SERVICE_TEMPLATE),
             ),
         ),
-        ("parallel", Json::Bool(args.has("parallel"))),
         ("portfolio", Json::Bool(args.has("portfolio"))),
     ];
     if let Some(slots) = args.get("slots") {

@@ -92,3 +92,22 @@ fn budgeted_plan_matches_golden() {
         ),
     );
 }
+
+/// Flags are checked before any subcommand runs: the removed `--parallel`
+/// and a typo of it are both rejected by name, rather than guessed
+/// value-taking so that they swallow the `--width` after them.
+#[test]
+fn unknown_flags_are_rejected_by_name() {
+    for flag in ["--parallel", "--paralel"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_chipmunkc"))
+            .args(["compile", "never-read.dom", flag, "--width", "6"])
+            .output()
+            .expect("chipmunkc runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{flag} was accepted: {stderr}");
+        assert!(
+            stderr.contains(&format!("unknown flag `{flag}`")),
+            "{flag}: {stderr}"
+        );
+    }
+}

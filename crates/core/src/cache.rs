@@ -18,9 +18,9 @@
 //! 4. the sketch and CEGIS options that affect the *result* (widths,
 //!    sampling, iteration cap, seed, approximation domain).
 //!
-//! Deliberately excluded: `timeout`, `deadline` and `parallel`. They bound
-//! *how long* the answer may take, not *what* it is — a configuration
-//! synthesized under one budget is equally valid under another.
+//! Deliberately excluded: `timeout` and `deadline`. They bound *how long*
+//! the answer may take, not *what* it is — a configuration synthesized
+//! under one budget is equally valid under another.
 
 use std::fmt::Write as _;
 
@@ -179,7 +179,6 @@ mod tests {
         let opts = CompilerOptions::small_for_tests();
         let mut budgeted = opts.clone();
         budgeted.timeout = Some(std::time::Duration::from_secs(5));
-        budgeted.parallel = true;
         // Solver resource ceilings are budget knobs too: a config
         // synthesized under a tight conflict or memory budget is equally
         // valid under a loose one, so they must not fragment the cache.

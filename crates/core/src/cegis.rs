@@ -29,15 +29,14 @@ use chipmunk_lang::spec::compile_spec;
 use chipmunk_lang::{Interpreter, PacketState, Program};
 use chipmunk_pisa::Pipeline;
 use chipmunk_sat::{
-    BudgetAccount, Certificate, CheckBudget, CheckOutcome, Lit, ResourceBudget, SolveResult, Solver,
+    BudgetAccount, CheckBudget, CheckOutcome, Lit, ResourceBudget, SolveResult, Solver,
 };
 
 use crate::sketch::{DecodedConfig, Sketch};
 
 /// Hard byte budget for the synthesis solver's DRAT proof log. Overflow
 /// degrades to an explicitly-flagged unchecked verdict — never a panic,
-/// never silent. Overridable via `CHIPMUNK_PROOF_BYTES` (`0` disables
-/// proof logging entirely, e.g. for overhead measurements).
+/// never silent.
 const DEFAULT_PROOF_BYTES: u64 = 64 << 20;
 
 /// Propagation ceiling for one DRAT-checker pass, layered under the
@@ -159,28 +158,28 @@ pub struct Synthesized {
 /// How trustworthy an [`SynthesisError::Infeasible`] verdict is, and why.
 ///
 /// The terminal UNSAT behind every Infeasible is certified by pulling a
-/// DRAT [`Certificate`] off the synthesis solver and validating it with
-/// the in-repo checker. The degrade ladder (DESIGN §16) is:
+/// DRAT [`Certificate`](chipmunk_sat::Certificate) off the synthesis
+/// solver and validating it with the in-repo checker. The degrade ladder
+/// (DESIGN §16) is:
 ///
 /// 1. **certified** — the proof validated; `proof` carries the transcript
 ///    (when small enough to ship).
 /// 2. **quarantined** — the incremental proof failed its check, so the
 ///    verdict itself was impeached and re-derived by one from-scratch
 ///    solve (`fresh_resolve`), whose own proof is then checked.
-/// 3. **unchecked** — no certificate exists (byte-budget overflow sets
-///    `truncated`; logging disabled) or the check ran out of budget;
-///    `reason` says which. Explicitly flagged, never silent.
+/// 3. **unchecked** — no certificate exists (the proof log overflowed its
+///    byte budget: `truncated`) or the check ran out of budget; `reason`
+///    says which. Explicitly flagged, never silent.
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct InfeasibleCert {
     /// The DRAT certificate for the terminal UNSAT was validated by
-    /// [`Certificate::check`].
+    /// [`Certificate::check`](chipmunk_sat::Certificate::check).
     pub certified: bool,
     /// The first (incremental) certificate failed its check; the verdict
     /// was quarantined and re-derived from scratch.
     pub quarantined: bool,
-    /// The verdict comes from a fresh from-scratch solve rather than the
-    /// incremental synthesis solver (quarantine retry, or the
-    /// `CHIPMUNK_FRESH_INFEASIBLE=1` kill switch).
+    /// The verdict comes from a fresh from-scratch solve (the quarantine
+    /// retry) rather than the incremental synthesis solver.
     pub fresh_resolve: bool,
     /// Proof logging overflowed its byte budget, so no certificate
     /// exists for this solve.
@@ -191,7 +190,7 @@ pub struct InfeasibleCert {
     pub proof_bytes: u64,
     /// Why the verdict is unchecked, when it is.
     pub reason: Option<String>,
-    /// The DRAT certificate text ([`Certificate::to_text`]), present when
+    /// The DRAT certificate text ([`Certificate::to_text`](chipmunk_sat::Certificate::to_text)), present when
     /// validated and at most [`PROOF_TEXT_MAX_BYTES`] long.
     pub proof: Option<String>,
 }
@@ -212,7 +211,7 @@ impl InfeasibleCert {
 enum CertifyOutcome {
     /// Proof validated; the verdict is trustworthy.
     Certified,
-    /// No certificate existed (logging disabled or byte budget tripped).
+    /// No certificate exists: the proof log overflowed its byte budget.
     NoProof,
     /// The certificate failed validation — the verdict is impeached.
     CheckFailed,
@@ -231,8 +230,8 @@ pub enum SynthesisError {
     /// The deadline, iteration cap, or a resource budget was exhausted.
     Timeout,
     /// The run observed its cooperative cancellation flag and stopped —
-    /// raced out by a sibling search (portfolio/parallel sweep) or an
-    /// external abort. Distinct from [`SynthesisError::Timeout`] so a
+    /// raced out by a sibling strategy (portfolio race) or an external
+    /// abort. Distinct from [`SynthesisError::Timeout`] so a
     /// cancelled racing loser is never attributed as a budget failure.
     Cancelled,
     /// The options are self-inconsistent (e.g. a `verify_width` narrower
@@ -299,8 +298,7 @@ pub struct SynthControl {
 
 /// [`synthesize`] with a cooperative cancellation flag: when another
 /// thread sets it, the run stops at the next solver checkpoint and reports
-/// [`SynthesisError::Cancelled`]. Used by the parallel grid-depth sweep so
-/// a shallow success can stop the deeper (often much slower) searches.
+/// [`SynthesisError::Cancelled`].
 pub fn synthesize_with_cancel(
     prog: &Program,
     sketch: &Sketch,
@@ -417,10 +415,7 @@ pub fn synthesize_with_control(
     // same job-wide account, so `opts.budget` stays a cumulative ceiling.
     let build_synth = |inputs: &[PacketState]| -> (Solver, Lit, Vec<Vec<Lit>>) {
         let mut solver = Solver::new();
-        let proof_limit = proof_byte_limit();
-        if proof_limit > 0 {
-            solver.enable_proof(proof_limit);
-        }
+        solver.enable_proof(DEFAULT_PROOF_BYTES);
         solver.set_cancel_flag(cancel.clone());
         solver.set_budget(opts.budget);
         solver.set_budget_account(Some(account.clone()));
@@ -486,11 +481,8 @@ pub fn synthesize_with_control(
 
     // --- Verification instances, one per width, persistent across
     // iterations (the miter is blasted once; each candidate is checked by
-    // solving under assumptions that pin the hole bits). The env var
-    // CHIPMUNK_FRESH_VERIFY=1 restores the legacy rebuild-per-iteration
-    // path — the differential suite exercises both.
-    let fresh = fresh_verify_requested();
-    let mut full_verifier = Verifier::with_mode(prog, sketch, w, opts.domain_width, !fresh);
+    // solving under assumptions that pin the hole bits).
+    let mut full_verifier = Verifier::new(prog, sketch, w, opts.domain_width);
     full_verifier.set_budget(opts.budget);
     full_verifier.set_budget_account(Some(account.clone()));
     // The screen width is raised to the widest hole so selector codes
@@ -500,7 +492,7 @@ pub fn synthesize_with_control(
         .map(|sw| sw.max(sketch.max_hole_bits()))
         .filter(|&sw| sw < w)
         .map(|sw| {
-            let mut v = Verifier::with_mode(prog, sketch, sw, opts.domain_width, !fresh);
+            let mut v = Verifier::new(prog, sketch, sw, opts.domain_width);
             v.set_budget(opts.budget);
             v.set_budget_account(Some(account.clone()));
             v
@@ -551,30 +543,33 @@ pub fn synthesize_with_control(
                 // The terminal UNSAT justifies Infeasible; certify it so
                 // "does not fit" is as trustworthy as "here is a config".
                 let mut info = InfeasibleCert::default();
-                // From-scratch re-derivation: rebuild the whole instance
-                // (own solver, literals, proof log) over every input
-                // accumulated so far, solve once, certify that.
-                let fresh_certify = |info: &mut InfeasibleCert| -> Option<SynthesisError> {
+                let first = certify_unsat_solver(&solver, &account, &mut info);
+                if matches!(first, CertifyOutcome::CheckFailed) {
+                    // An invalid proof impeaches the verdict itself:
+                    // quarantine it and re-derive it once from scratch —
+                    // rebuild the whole instance (own solver, literals,
+                    // proof log) over every input accumulated so far,
+                    // solve once, certify that.
+                    info.quarantined = true;
                     info.fresh_resolve = true;
+                    chipmunk_trace::event!("cegis.infeasible_quarantined", iter = iter);
                     let mut all_inputs = initial.clone();
                     all_inputs.extend(cexes.iter().cloned());
                     let (mut fs, _tru, _bits) = build_synth(&all_inputs);
                     fs.set_deadline(opts.deadline);
                     match fs.solve(&[]) {
                         SolveResult::Unsat => {
-                            certify_unsat_solver(&fs, &account, false, info);
-                            None
+                            certify_unsat_solver(&fs, &account, &mut info);
                         }
                         SolveResult::Unknown => {
                             if cancel
                                 .as_ref()
                                 .is_some_and(|c| c.load(std::sync::atomic::Ordering::Relaxed))
                             {
-                                return Some(SynthesisError::Cancelled);
+                                return Err(SynthesisError::Cancelled);
                             }
                             info.reason =
                                 Some("fresh re-solve exhausted its deadline or budget".to_string());
-                            None
                         }
                         SolveResult::Sat => {
                             // Soundness alarm: the from-scratch solve
@@ -586,24 +581,6 @@ pub fn synthesize_with_control(
                                  incremental verdict not trusted"
                                     .to_string(),
                             );
-                            None
-                        }
-                    }
-                };
-                if fresh_infeasible_requested() {
-                    // Kill switch: never trust the incremental solve.
-                    if let Some(e) = fresh_certify(&mut info) {
-                        return Err(e);
-                    }
-                } else {
-                    let first = certify_unsat_solver(&solver, &account, true, &mut info);
-                    if matches!(first, CertifyOutcome::CheckFailed) {
-                        // An invalid proof impeaches the verdict itself:
-                        // quarantine and retry once from scratch.
-                        info.quarantined = true;
-                        chipmunk_trace::event!("cegis.infeasible_quarantined", iter = iter);
-                        if let Some(e) = fresh_certify(&mut info) {
-                            return Err(e);
                         }
                     }
                 }
@@ -642,7 +619,7 @@ pub fn synthesize_with_control(
         let t1 = Instant::now();
         let mut verify_sp = chipmunk_trace::span!("cegis.verify", iter = iter);
         if let Some(sv) = screen_verifier.as_mut() {
-            let screen_res = sv.check(prog, sketch, &hole_values, opts.deadline, cancel.clone());
+            let screen_res = sv.check(&hole_values, opts.deadline, cancel.clone());
             if let Some(cex) = screen_res? {
                 // Only sound to feed back if it also distinguishes at
                 // the full width.
@@ -668,7 +645,7 @@ pub fn synthesize_with_control(
             }
         }
         // Full-width verification (the paper's Z3 role).
-        let cex = full_verifier.check(prog, sketch, &hole_values, opts.deadline, cancel.clone());
+        let cex = full_verifier.check(&hole_values, opts.deadline, cancel.clone());
         stats.verify_time += t1.elapsed();
         fold_solver_stats(
             &mut stats,
@@ -710,76 +687,22 @@ pub fn synthesize_with_control(
     Err(SynthesisError::Timeout)
 }
 
-/// Has the legacy rebuild-per-iteration verification path been requested
-/// via the `CHIPMUNK_FRESH_VERIFY=1` kill switch?
-fn fresh_verify_requested() -> bool {
-    std::env::var_os("CHIPMUNK_FRESH_VERIFY").is_some_and(|v| v == "1")
-}
-
-/// Kill switch mirroring `CHIPMUNK_FRESH_VERIFY`: with
-/// `CHIPMUNK_FRESH_INFEASIBLE=1`, every Infeasible verdict is re-derived
-/// by a from-scratch solve before being certified — the incremental
-/// solver's own proof is never trusted.
-fn fresh_infeasible_requested() -> bool {
-    std::env::var_os("CHIPMUNK_FRESH_INFEASIBLE").is_some_and(|v| v == "1")
-}
-
-/// Test hook (`CHIPMUNK_CORRUPT_INFEASIBLE_PROOF=1`): deliberately damage
-/// the incremental path's certificate before checking it, so the
-/// quarantine-and-re-solve ladder can be exercised end to end. Never
-/// applied to fresh re-solve certificates.
-fn corrupt_infeasible_proof_requested() -> bool {
-    std::env::var_os("CHIPMUNK_CORRUPT_INFEASIBLE_PROOF").is_some_and(|v| v == "1")
-}
-
-/// Byte budget for the synthesis solver's proof log
-/// (`CHIPMUNK_PROOF_BYTES` override; `0` disables logging).
-fn proof_byte_limit() -> u64 {
-    std::env::var("CHIPMUNK_PROOF_BYTES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(DEFAULT_PROOF_BYTES)
-}
-
-/// Damage a certificate in a way the checker must catch: flip one literal
-/// of the first lemma, or, for a search-free proof, append a deletion of
-/// a clause that was never added.
-fn corrupt_certificate(cert: &mut Certificate) {
-    for step in &mut cert.steps {
-        if let chipmunk_sat::ProofStep::Add(lits) = step {
-            if let Some(l) = lits.first_mut() {
-                *l = !*l;
-                return;
-            }
-        }
-    }
-    cert.steps.push(chipmunk_sat::ProofStep::Delete(Vec::new()));
-}
-
 /// Pull the DRAT certificate off an UNSAT solver and validate it,
-/// recording the outcome into `info`. `corruptible` arms the
-/// [`corrupt_infeasible_proof_requested`] test hook (incremental path
-/// only). Checker work is charged to the job-wide `account` and capped by
-/// [`CHECK_PROPAGATION_LIMIT`].
+/// recording the outcome into `info`. Checker work is charged to the
+/// job-wide `account` and capped by [`CHECK_PROPAGATION_LIMIT`].
 fn certify_unsat_solver(
     solver: &Solver,
     account: &Arc<BudgetAccount>,
-    corruptible: bool,
     info: &mut InfeasibleCert,
 ) -> CertifyOutcome {
     info.truncated = solver.proof_truncated();
     info.proof_bytes = solver.proof_bytes();
-    let Some(mut cert) = solver.certificate() else {
-        info.reason = Some(if info.truncated {
-            "proof log overflowed its byte budget".to_string()
-        } else {
-            "proof logging disabled".to_string()
-        });
+    let Some(cert) = solver.certificate() else {
+        info.reason = Some("proof log overflowed its byte budget".to_string());
         return CertifyOutcome::NoProof;
     };
-    if corruptible && corrupt_infeasible_proof_requested() {
-        corrupt_certificate(&mut cert);
-    }
+    #[cfg(test)]
+    let cert = tests::corrupt_if_armed(cert);
     info.lemmas = cert.num_lemmas() as u64;
     let budget = CheckBudget {
         propagations: Some(CHECK_PROPAGATION_LIMIT),
@@ -849,9 +772,10 @@ fn fold_solver_stats(
 /// set, only inputs with every field and state below `2^domain_width` are
 /// quantified over (approximate synthesis, §5.2).
 ///
-/// This is the from-scratch path: the miter is blasted into a fresh
-/// solver for this one query. Loops that check many candidates should
-/// hold a persistent [`Verifier`] instead.
+/// This is the one-shot path: the miter is blasted into a fresh solver
+/// for this one query, with the holes collapsed to constants — the
+/// reference the differential suites hold [`Verifier`] to. Loops that
+/// check many candidates should hold a persistent [`Verifier`] instead.
 pub fn verify_at(
     prog: &Program,
     sketch: &Sketch,
@@ -860,13 +784,26 @@ pub fn verify_at(
     domain_width: Option<u8>,
     deadline: Option<Instant>,
 ) -> Result<Option<PacketState>, SynthesisError> {
-    Verifier::with_mode(prog, sketch, width, domain_width, false).check(
-        prog,
-        sketch,
-        hole_values,
-        deadline,
-        None,
-    )
+    let m = build_miter(prog, sketch, width, domain_width);
+    let mut solver = Solver::new();
+    solver.set_deadline(deadline);
+    let tru = chipmunk_bv::mk_true(&mut solver);
+    let mut b = Blaster::new(&mut solver, tru);
+    for (i, &t) in m.hole_terms.iter().enumerate() {
+        b.bind(m.circuit.input_id(t), Binding::Const(hole_values[i]));
+    }
+    let (field_bits, state_bits) = m.assert_differs(&mut b);
+    drop(b);
+    match solver.solve(&[]) {
+        SolveResult::Unsat => Ok(None),
+        SolveResult::Unknown => Err(SynthesisError::Timeout),
+        SolveResult::Sat => Ok(Some(decode_input(
+            &mut solver,
+            tru,
+            &field_bits,
+            &state_bits,
+        ))),
+    }
 }
 
 /// The sketch-vs-spec miter circuit at one width, plus the terms needed to
@@ -878,6 +815,41 @@ struct Miter {
     state_terms: Vec<TermId>,
     diffs: Vec<TermId>,
     domain_constraints: Vec<TermId>,
+}
+
+impl Miter {
+    /// With the holes already bound, assert that some output differs
+    /// (inside the domain, if restricted) and realize every program input
+    /// so counterexamples are total. Returns the field and state bits.
+    fn assert_differs(&self, b: &mut Blaster<'_>) -> (Vec<Vec<Lit>>, Vec<Vec<Lit>>) {
+        b.assert_any(&self.circuit, &self.diffs);
+        for &dc in &self.domain_constraints {
+            b.assert_term(&self.circuit, dc);
+        }
+        let mut realize = |terms: &[TermId]| -> Vec<Vec<Lit>> {
+            terms.iter().map(|&t| b.blast(&self.circuit, t)).collect()
+        };
+        (realize(&self.field_terms), realize(&self.state_terms))
+    }
+}
+
+/// Decode a counterexample input from a SAT model.
+fn decode_input(
+    solver: &mut Solver,
+    tru: Lit,
+    field_bits: &[Vec<Lit>],
+    state_bits: &[Vec<Lit>],
+) -> PacketState {
+    let dec = Blaster::new(solver, tru);
+    let decode = |bits: &[Vec<Lit>]| -> Vec<u64> {
+        bits.iter()
+            .map(|b| dec.decode(b).expect("total model"))
+            .collect()
+    };
+    PacketState {
+        fields: decode(field_bits),
+        states: decode(state_bits),
+    }
 }
 
 fn build_miter(prog: &Program, sketch: &Sketch, width: u8, domain_width: Option<u8>) -> Miter {
@@ -929,39 +901,25 @@ fn build_miter(prog: &Program, sketch: &Sketch, width: u8, domain_width: Option<
     }
 }
 
-/// The persistent, incremental half of a [`Verifier`]: the miter blasted
-/// once with the holes realized as *free* literals, so each candidate is a
-/// `solve` under assumptions and learned clauses, VSIDS activity, and
-/// saved phases survive across CEGIS iterations.
-struct PersistentMiter {
+/// A persistent, incremental verification instance at one width.
+///
+/// The sketch-vs-spec miter is built and bit-blasted once, with hole
+/// inputs left as free literals; [`Verifier::check`] then pins the hole
+/// bits to a candidate's decoded values with solver assumptions, so
+/// successive queries share one solver and its learned clauses, VSIDS
+/// activity, and saved phases survive across CEGIS iterations.
+///
+/// The verifier accumulates its solver work, honors a [`ResourceBudget`]
+/// and an optional job-wide [`BudgetAccount`], and returns `Ok(None)` for
+/// equivalence or `Ok(Some(cex))` with a distinguishing input.
+pub struct Verifier {
     solver: Solver,
     tru: Lit,
     hole_bits: Vec<Vec<Lit>>,
     field_bits: Vec<Vec<Lit>>,
     state_bits: Vec<Vec<Lit>>,
-}
-
-/// A verification instance at one width.
-///
-/// In the default incremental mode the sketch-vs-spec miter is built and
-/// bit-blasted once, with hole inputs left as free literals;
-/// [`Verifier::check`] then pins the hole bits to a candidate's decoded
-/// values with solver assumptions, so successive queries share one solver
-/// and its learned state. The legacy mode (`CHIPMUNK_FRESH_VERIFY=1`, or
-/// [`verify_at`]) rebuilds the miter into a fresh solver per query with
-/// holes bound as constants.
-///
-/// Either way the verifier accumulates its solver work, honors a
-/// [`ResourceBudget`] and an optional job-wide [`BudgetAccount`], and
-/// returns `Ok(None)` for equivalence or `Ok(Some(cex))` with a
-/// distinguishing input.
-pub struct Verifier {
-    width: u8,
-    domain_width: Option<u8>,
     budget: ResourceBudget,
     account: Option<Arc<BudgetAccount>>,
-    /// `Some` in incremental mode, `None` in rebuild-per-query mode.
-    inc: Option<PersistentMiter>,
     conflicts: u64,
     propagations: u64,
     budget_trips: u64,
@@ -973,57 +931,26 @@ impl Verifier {
     /// The miter is blasted now; each [`Verifier::check`] is one
     /// assumption-pinned solve on the same solver.
     pub fn new(prog: &Program, sketch: &Sketch, width: u8, domain_width: Option<u8>) -> Verifier {
-        Verifier::with_mode(prog, sketch, width, domain_width, true)
-    }
-
-    pub(crate) fn with_mode(
-        prog: &Program,
-        sketch: &Sketch,
-        width: u8,
-        domain_width: Option<u8>,
-        incremental: bool,
-    ) -> Verifier {
-        let inc = incremental.then(|| {
-            let m = build_miter(prog, sketch, width, domain_width);
-            let mut solver = Solver::new();
-            let tru = chipmunk_bv::mk_true(&mut solver);
-            let mut b = Blaster::new(&mut solver, tru);
-            // Holes stay free: `fresh_hole_bits` allocates each hole at its
-            // declared width and `bind_holes` zero-pads to the circuit
-            // width, mirroring the synthesis encoding — so a decoded hole
-            // value always fits its assumption vector.
-            let hole_bits = sketch.fresh_hole_bits(&mut b);
-            sketch.bind_holes(&m.circuit, &m.hole_terms, &hole_bits, &mut b);
-            b.assert_any(&m.circuit, &m.diffs);
-            for &dc in &m.domain_constraints {
-                b.assert_term(&m.circuit, dc);
-            }
-            // Realize all program inputs so counterexamples are total.
-            let field_bits: Vec<Vec<Lit>> = m
-                .field_terms
-                .iter()
-                .map(|&t| b.blast(&m.circuit, t))
-                .collect();
-            let state_bits: Vec<Vec<Lit>> = m
-                .state_terms
-                .iter()
-                .map(|&t| b.blast(&m.circuit, t))
-                .collect();
-            drop(b);
-            PersistentMiter {
-                solver,
-                tru,
-                hole_bits,
-                field_bits,
-                state_bits,
-            }
-        });
+        let m = build_miter(prog, sketch, width, domain_width);
+        let mut solver = Solver::new();
+        let tru = chipmunk_bv::mk_true(&mut solver);
+        let mut b = Blaster::new(&mut solver, tru);
+        // Holes stay free: `fresh_hole_bits` allocates each hole at its
+        // declared width and `bind_holes` zero-pads to the circuit width,
+        // mirroring the synthesis encoding — so a decoded hole value
+        // always fits its assumption vector.
+        let hole_bits = sketch.fresh_hole_bits(&mut b);
+        sketch.bind_holes(&m.circuit, &m.hole_terms, &hole_bits, &mut b);
+        let (field_bits, state_bits) = m.assert_differs(&mut b);
+        drop(b);
         Verifier {
-            width,
-            domain_width,
+            solver,
+            tru,
+            hole_bits,
+            field_bits,
+            state_bits,
             budget: ResourceBudget::UNLIMITED,
             account: None,
-            inc,
             conflicts: 0,
             propagations: 0,
             budget_trips: 0,
@@ -1048,12 +975,11 @@ impl Verifier {
     }
 
     /// The failed-assumption core behind the most recent equivalence
-    /// verdict (`Ok(None)` from an incremental [`Verifier::check`]): the
-    /// subset of pinned hole-bit assumptions the solver actually needed
-    /// to prove no distinguishing input exists. Makes the verdict
-    /// self-describing — hole bits absent from the core did not matter.
-    /// Empty after a counterexample, a rebuild-mode check, or before any
-    /// check has run.
+    /// verdict (`Ok(None)` from [`Verifier::check`]): the subset of pinned
+    /// hole-bit assumptions the solver actually needed to prove no
+    /// distinguishing input exists. Makes the verdict self-describing —
+    /// hole bits absent from the core did not matter. Empty after a
+    /// counterexample or before any check has run.
     pub fn last_core(&self) -> &[Lit] {
         &self.last_core
     }
@@ -1063,102 +989,37 @@ impl Verifier {
     /// restricted); `Ok(Some(input))` is a distinguishing input.
     pub fn check(
         &mut self,
-        prog: &Program,
-        sketch: &Sketch,
         hole_values: &[u64],
         deadline: Option<Instant>,
         cancel: Option<Arc<AtomicBool>>,
     ) -> Result<Option<PacketState>, SynthesisError> {
         self.last_core.clear();
-        match &mut self.inc {
-            Some(pm) => {
-                pm.solver.set_deadline(deadline);
-                pm.solver.set_cancel_flag(cancel.clone());
-                pm.solver.set_budget(self.budget);
-                pm.solver.set_budget_account(self.account.clone());
-                let mut assumptions = Vec::new();
-                for (bits, &v) in pm.hole_bits.iter().zip(hole_values) {
-                    assumptions.extend(chipmunk_bv::assumption_lits(bits, v));
-                }
-                let before = pm.solver.stats();
-                let res = pm.solver.solve(&assumptions);
-                let after = pm.solver.stats();
-                self.conflicts += after.conflicts - before.conflicts;
-                self.propagations += after.propagations - before.propagations;
-                self.budget_trips += after.budget_trips - before.budget_trips;
-                match res {
-                    SolveResult::Unsat => {
-                        self.last_core = pm.solver.failed_assumptions().to_vec();
-                        Ok(None)
-                    }
-                    SolveResult::Unknown => Err(interrupt_error(&cancel)),
-                    SolveResult::Sat => {
-                        let dec = Blaster::new(&mut pm.solver, pm.tru);
-                        let fields = pm
-                            .field_bits
-                            .iter()
-                            .map(|bits| dec.decode(bits).expect("total model"))
-                            .collect();
-                        let states = pm
-                            .state_bits
-                            .iter()
-                            .map(|bits| dec.decode(bits).expect("total model"))
-                            .collect();
-                        Ok(Some(PacketState { fields, states }))
-                    }
-                }
+        self.solver.set_deadline(deadline);
+        self.solver.set_cancel_flag(cancel.clone());
+        self.solver.set_budget(self.budget);
+        self.solver.set_budget_account(self.account.clone());
+        let mut assumptions = Vec::new();
+        for (bits, &v) in self.hole_bits.iter().zip(hole_values) {
+            assumptions.extend(chipmunk_bv::assumption_lits(bits, v));
+        }
+        let before = self.solver.stats();
+        let res = self.solver.solve(&assumptions);
+        let after = self.solver.stats();
+        self.conflicts += after.conflicts - before.conflicts;
+        self.propagations += after.propagations - before.propagations;
+        self.budget_trips += after.budget_trips - before.budget_trips;
+        match res {
+            SolveResult::Unsat => {
+                self.last_core = self.solver.failed_assumptions().to_vec();
+                Ok(None)
             }
-            None => {
-                // Legacy path: rebuild the miter into a fresh solver, with
-                // holes collapsed to constants at blast time.
-                let m = build_miter(prog, sketch, self.width, self.domain_width);
-                let mut solver = Solver::new();
-                solver.set_deadline(deadline);
-                solver.set_cancel_flag(cancel.clone());
-                solver.set_budget(self.budget);
-                solver.set_budget_account(self.account.clone());
-                let tru = chipmunk_bv::mk_true(&mut solver);
-                let mut b = Blaster::new(&mut solver, tru);
-                for (i, &t) in m.hole_terms.iter().enumerate() {
-                    b.bind(m.circuit.input_id(t), Binding::Const(hole_values[i]));
-                }
-                b.assert_any(&m.circuit, &m.diffs);
-                for &dc in &m.domain_constraints {
-                    b.assert_term(&m.circuit, dc);
-                }
-                let field_bits: Vec<Vec<Lit>> = m
-                    .field_terms
-                    .iter()
-                    .map(|&t| b.blast(&m.circuit, t))
-                    .collect();
-                let state_bits: Vec<Vec<Lit>> = m
-                    .state_terms
-                    .iter()
-                    .map(|&t| b.blast(&m.circuit, t))
-                    .collect();
-                drop(b);
-                let res = solver.solve(&[]);
-                let st = solver.stats();
-                self.conflicts += st.conflicts;
-                self.propagations += st.propagations;
-                self.budget_trips += st.budget_trips;
-                match res {
-                    SolveResult::Unsat => Ok(None),
-                    SolveResult::Unknown => Err(interrupt_error(&cancel)),
-                    SolveResult::Sat => {
-                        let dec = Blaster::new(&mut solver, tru);
-                        let fields = field_bits
-                            .iter()
-                            .map(|bits| dec.decode(bits).expect("total model"))
-                            .collect();
-                        let states = state_bits
-                            .iter()
-                            .map(|bits| dec.decode(bits).expect("total model"))
-                            .collect();
-                        Ok(Some(PacketState { fields, states }))
-                    }
-                }
-            }
+            SolveResult::Unknown => Err(interrupt_error(&cancel)),
+            SolveResult::Sat => Ok(Some(decode_input(
+                &mut self.solver,
+                self.tru,
+                &self.field_bits,
+                &self.state_bits,
+            ))),
         }
     }
 }
@@ -1278,6 +1139,33 @@ mod tests {
     use crate::sketch::SketchOptions;
     use chipmunk_pisa::stateful::library;
     use chipmunk_pisa::GridSpec;
+    use chipmunk_sat::Certificate;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Damage the next certificate [`certify_unsat_solver`] checks on
+        /// this thread, so the quarantine ladder can be driven end to end.
+        /// One-shot: the fresh re-solve that follows checks an intact proof.
+        static CORRUPT_NEXT_PROOF: Cell<bool> = const { Cell::new(false) };
+    }
+
+    /// The [`CORRUPT_NEXT_PROOF`] hook: flip one literal of the first
+    /// lemma. A search-free proof has no lemma to damage, so an armed
+    /// hook needs an instance whose refutation takes search.
+    pub(super) fn corrupt_if_armed(mut cert: Certificate) -> Certificate {
+        if CORRUPT_NEXT_PROOF.with(|c| c.replace(false)) {
+            let lemma = cert
+                .steps
+                .iter_mut()
+                .find_map(|step| match step {
+                    chipmunk_sat::ProofStep::Add(lits) if !lits.is_empty() => Some(lits),
+                    _ => None,
+                })
+                .expect("the armed proof has a lemma to damage");
+            lemma[0] = !lemma[0];
+        }
+        cert
+    }
 
     fn fast_opts() -> CegisOptions {
         CegisOptions {
@@ -1407,6 +1295,77 @@ mod tests {
         );
     }
 
+    /// A corrupted incremental proof is *rejected* by the checker, the
+    /// verdict is quarantined, and one fresh re-solve re-derives the
+    /// infeasibility with a proof that does validate — the caller still
+    /// gets a certified verdict, and the record shows the whole journey.
+    #[test]
+    fn corrupted_incremental_proof_is_quarantined_and_fresh_resolved() {
+        // A refutation that needs search, so the proof has lemmas to damage.
+        let prog = chipmunk_lang::parse("pkt.z = pkt.x * pkt.y;").unwrap();
+        let g = GridSpec::new(2, 3, library::if_else_raw(3), 3);
+        let sketch = Sketch::new(g, 3, 0, SketchOptions::default()).unwrap();
+        CORRUPT_NEXT_PROOF.with(|c| c.set(true));
+        let err = synthesize(&prog, &sketch, &fast_opts()).unwrap_err();
+        assert!(
+            !CORRUPT_NEXT_PROOF.with(Cell::get),
+            "the incremental proof was never checked"
+        );
+        let SynthesisError::Infeasible(cert) = err else {
+            panic!("expected Infeasible, got {err:?}");
+        };
+        assert!(cert.quarantined, "{cert:?}");
+        assert!(cert.fresh_resolve, "{cert:?}");
+        assert!(
+            cert.certified,
+            "the fresh re-solve must re-certify: {cert:?}"
+        );
+        let text = cert
+            .proof
+            .expect("the re-certified verdict ships its proof");
+        assert!(
+            Certificate::parse(&text)
+                .unwrap()
+                .check(&CheckBudget::default())
+                .is_valid(),
+            "shipped proof must re-validate independently"
+        );
+    }
+
+    /// A starved proof byte budget truncates the log; certification then
+    /// degrades to an explicitly unchecked verdict with the overflow
+    /// named — never a panic, never silent.
+    #[test]
+    fn truncated_proof_log_degrades_to_an_explicit_unchecked_verdict() {
+        use chipmunk_sat::Var;
+        // Five pigeons, four holes: UNSAT, and its 45 clauses alone
+        // overflow a 512-byte log.
+        let (pigeons, holes) = (5, 4);
+        let mut solver = Solver::new();
+        solver.enable_proof(512);
+        let vars: Vec<Var> = (0..pigeons * holes).map(|_| solver.new_var()).collect();
+        let p = |i: usize, j: usize| Lit::pos(vars[i * holes + j]);
+        for i in 0..pigeons {
+            solver.add_clause((0..holes).map(|j| p(i, j)));
+        }
+        for j in 0..holes {
+            for i1 in 0..pigeons {
+                for i2 in i1 + 1..pigeons {
+                    solver.add_clause([!p(i1, j), !p(i2, j)]);
+                }
+            }
+        }
+        assert_eq!(solver.solve(&[]), SolveResult::Unsat);
+        let mut info = InfeasibleCert::default();
+        let outcome = certify_unsat_solver(&solver, &Arc::new(BudgetAccount::new()), &mut info);
+        assert!(matches!(outcome, CertifyOutcome::NoProof));
+        assert!(info.truncated, "{info:?}");
+        assert!(!info.certified, "{info:?}");
+        assert!(info.proof.is_none(), "{info:?}");
+        let reason = info.reason.as_deref().expect("unchecked verdict says why");
+        assert!(reason.contains("overflow"), "reason: {reason}");
+    }
+
     #[test]
     fn budget_tripped_synthesis_is_timeout_never_infeasible() {
         // Regression (satellite of the certified-infeasibility work): a
@@ -1454,11 +1413,7 @@ mod tests {
         let opts = fast_opts();
         let out = synthesize(&prog, &sketch, &opts).expect("synthesis succeeds");
         let mut inc = Verifier::new(&prog, &sketch, opts.verify_width, None);
-        assert_eq!(
-            inc.check(&prog, &sketch, &out.hole_values, None, None)
-                .unwrap(),
-            None
-        );
+        assert_eq!(inc.check(&out.hole_values, None, None).unwrap(), None);
         // Equivalence was proved under pinned-hole assumptions, so the
         // failed-assumption core names the hole bits that mattered.
         assert!(
@@ -1468,11 +1423,7 @@ mod tests {
         // A counterexample verdict has no core.
         let mut bad = out.hole_values.clone();
         bad[0] ^= 1;
-        if inc
-            .check(&prog, &sketch, &bad, None, None)
-            .unwrap()
-            .is_some()
-        {
+        if inc.check(&bad, None, None).unwrap().is_some() {
             assert!(inc.last_core().is_empty());
         }
     }
@@ -1619,8 +1570,7 @@ mod tests {
 
         let mut inc = Verifier::new(&prog, &sketch, w, None);
         assert_eq!(
-            inc.check(&prog, &sketch, &out.hole_values, None, None)
-                .unwrap(),
+            inc.check(&out.hole_values, None, None).unwrap(),
             None,
             "winner must verify incrementally"
         );
@@ -1640,7 +1590,7 @@ mod tests {
             let bits = sketch.holes()[i].bits.max(1);
             hv[i] ^= 1 << (rng.next() % bits as u64);
             let fresh = verify_at(&prog, &sketch, &hv, w, None, None).unwrap();
-            let pinned = inc.check(&prog, &sketch, &hv, None, None).unwrap();
+            let pinned = inc.check(&hv, None, None).unwrap();
             assert_eq!(
                 fresh.is_none(),
                 pinned.is_none(),
@@ -1654,11 +1604,7 @@ mod tests {
             }
         }
         // Re-check the winner after all that: still equivalent.
-        assert_eq!(
-            inc.check(&prog, &sketch, &out.hole_values, None, None)
-                .unwrap(),
-            None
-        );
+        assert_eq!(inc.check(&out.hole_values, None, None).unwrap(), None);
     }
 
     #[test]

@@ -51,15 +51,11 @@ pub struct CompilerOptions {
     pub cegis: CegisOptions,
     /// Overall wall-clock budget for the whole search.
     pub timeout: Option<Duration>,
-    /// Try all grid depths concurrently on OS threads and return the
-    /// shallowest success (the search-space symmetry of §3 makes the runs
-    /// independent).
-    pub parallel: bool,
     /// Portfolio search: at each depth, race the hole-restriction
     /// strategies (opcode-restricted / canonical-allocation / full-ALU) on
     /// worker threads; the first **certified** win cancels the others. No
     /// single strategy dominates across benchmarks, so the race wins on
-    /// wall-clock. Takes precedence over `parallel`.
+    /// wall-clock.
     pub portfolio: bool,
 }
 
@@ -85,7 +81,6 @@ impl CompilerOptions {
             sketch: SketchOptions::default(),
             cegis: CegisOptions::default(),
             timeout: None,
-            parallel: false,
             portfolio: false,
         }
     }
@@ -141,7 +136,8 @@ pub struct CodegenSuccess {
     pub stats: CegisStats,
     /// Wall time of the whole search.
     pub elapsed: Duration,
-    /// Grid depths attempted (sequential mode: failures before success).
+    /// Grid depths attempted: the winning depth, since depths escalate
+    /// smallest-first.
     pub stages_tried: usize,
     /// The CEGIS counterexamples that shaped this result — replayed by
     /// [`crate::certify`] whenever the configuration is re-checked (e.g.
@@ -240,7 +236,6 @@ fn plan_for(resolved: &ResolvedProgram, opts: &CompilerOptions) -> CompilePlan {
     chipmunk_plan::plan(&PlanInputs {
         max_stages: opts.max_stages,
         slots: resolved.slots,
-        parallel: opts.parallel,
         portfolio: opts.portfolio,
         budget: opts.cegis.budget,
         canonical_fields: opts.sketch.canonical_fields,
@@ -393,7 +388,6 @@ pub fn compile_with_control(
     let mut search_sp = chipmunk_trace::span!(
         "search.compile",
         max_stages = opts.max_stages,
-        parallel = opts.parallel,
         portfolio = opts.portfolio,
     );
     let resolved = match resolve_program(prog, opts) {
@@ -855,57 +849,16 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_sequential_depth() {
-        let prog = parse("state s; s = s + 1; pkt.out = s;").unwrap();
-        let mut seq = CompilerOptions::small_for_tests();
-        seq.max_stages = 3;
-        let a = compile(&prog, &seq).expect("sequential");
-        let mut par = seq.clone();
-        par.parallel = true;
-        let b = compile(&prog, &par).expect("parallel");
-        assert_eq!(a.grid.stages, b.grid.stages);
-    }
-
-    #[test]
-    fn parallel_failure_diagnostics_match_sequential() {
-        // An infeasible program must produce the same diagnostic in both
-        // modes, every run — the racing executor must not let thread finish
-        // order (or cancellation artifacts) leak into the error.
-        let prog = parse("pkt.z = pkt.x * pkt.y;").unwrap();
-        let mut seq = CompilerOptions::small_for_tests();
-        seq.max_stages = 2;
-        let expected = compile(&prog, &seq).unwrap_err();
-        // Proof transcripts legitimately differ run to run (thread finish
-        // order shapes the counterexample pool and hence the refutation),
-        // so the determinism contract is on the verdict and its
-        // certification status, not the proof bytes.
-        let CodegenError::Infeasible(seq_cert) = &expected else {
-            panic!("expected Infeasible, got {expected:?}");
-        };
-        assert!(seq_cert.certified);
-        let mut par = seq.clone();
-        par.parallel = true;
-        for run in 0..4 {
-            let err = compile(&prog, &par).unwrap_err();
-            let CodegenError::Infeasible(cert) = &err else {
-                panic!("run {run}: expected Infeasible, got {err:?}");
-            };
-            assert!(cert.certified, "run {run}: unchecked: {:?}", cert.reason);
-        }
-    }
-
-    #[test]
     fn external_cancel_stops_all_modes() {
         let prog = parse("state s; s = s + pkt.x; pkt.y = s;").unwrap();
         let mut opts = CompilerOptions::small_for_tests();
-        for (parallel, portfolio) in [(false, false), (true, false), (false, true)] {
-            opts.parallel = parallel;
+        for portfolio in [false, true] {
             opts.portfolio = portfolio;
             let cancel = Arc::new(AtomicBool::new(true));
             assert_eq!(
                 compile_with_cancel(&prog, &opts, Some(cancel)).unwrap_err(),
                 CodegenError::Timeout,
-                "parallel={parallel} portfolio={portfolio}"
+                "portfolio={portfolio}"
             );
         }
     }
@@ -918,7 +871,7 @@ mod tests {
         assert_eq!(o.cegis.verify_width, 10);
         assert_eq!(o.max_stages, 4);
         assert_eq!(o.timeout, Some(Duration::from_millis(300_000)));
-        assert!(!o.parallel && !o.portfolio);
+        assert!(!o.portfolio);
     }
 
     #[test]

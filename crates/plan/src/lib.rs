@@ -108,10 +108,6 @@ pub struct PlanStep {
 pub enum RaceMode {
     /// A single step, run inline on the calling thread.
     Solo,
-    /// Steps at *different depths* race; a success cancels only deeper
-    /// steps (their answer could never be preferred) and the shallowest
-    /// success wins, so the result stays depth-minimal.
-    Depths,
     /// Steps at the *same depth* with different strategies race; the first
     /// **certified** win cancels every other step in the group, and so
     /// does an `Infeasible` verdict from a *complete* strategy — the
@@ -126,7 +122,6 @@ impl RaceMode {
     pub fn name(self) -> &'static str {
         match self {
             RaceMode::Solo => "solo",
-            RaceMode::Depths => "race-depths",
             RaceMode::Strategies => "race-strategies",
         }
     }
@@ -245,10 +240,7 @@ pub struct PlanInputs {
     /// Grid width (already resolved against the program's field/state
     /// counts by the caller).
     pub slots: usize,
-    /// Race all depths concurrently (the parallel grid sweep).
-    pub parallel: bool,
     /// Race strategies within each depth, first certified win takes all.
-    /// Takes precedence over `parallel`.
     pub portfolio: bool,
     /// Solver budget applied to every step.
     pub budget: ResourceBudget,
@@ -262,7 +254,6 @@ pub struct PlanInputs {
 ///
 /// * Default: one solo step per depth `1..=max_stages`, smallest first —
 ///   byte-for-byte the paper's escalation loop.
-/// * `parallel`: the same steps as one depth-racing group.
 /// * `portfolio`: per depth, a strategy-racing group of
 ///   opcode-restricted / canonical-allocation / full-ALU; depths still
 ///   escalate smallest-first so the result stays depth-minimal.
@@ -301,15 +292,6 @@ pub fn plan(inputs: &PlanInputs) -> CompilePlan {
                 steps,
             });
         }
-    } else if inputs.parallel {
-        let group = p.groups.len();
-        let steps = (1..=inputs.max_stages)
-            .map(|stages| push(&mut p, stages, default_strategy, group))
-            .collect();
-        p.groups.push(PlanGroup {
-            mode: RaceMode::Depths,
-            steps,
-        });
     } else {
         for stages in 1..=inputs.max_stages {
             let group = p.groups.len();
@@ -510,11 +492,11 @@ pub fn budget_for_remaining(remaining: Duration, explicit: ResourceBudget) -> Re
 /// Run `plan`. `runner` maps one step to a synthesis attempt; `certify`
 /// accepts or rejects a candidate win (its `Err` carries the reason).
 ///
-/// Certification placement follows the race mode: solo steps and
-/// depth-races certify the chosen winner once (a failure aborts the
-/// plan — the historical driver behavior), while strategy-races certify
-/// *inside* the race, so only a certified win cancels the other
-/// strategies and an uncertified candidate just drops out.
+/// Certification placement follows the race mode: a solo step certifies
+/// its win once (a failure aborts the plan, as the escalation loop always
+/// did), while strategy-races certify *inside* the race, so only a
+/// certified win cancels the other strategies and an uncertified
+/// candidate just drops out.
 pub fn execute<T, R, C>(
     plan: &CompilePlan,
     runner: R,
@@ -563,7 +545,6 @@ where
         }
         let verdict = match group.mode {
             RaceMode::Solo => run_solo(plan, group, &runner, &certify, &ctl)?,
-            RaceMode::Depths => run_depth_race(plan, group, &runner, &certify, &ctl)?,
             RaceMode::Strategies => {
                 if ctl.effective_race_threads() > 1 {
                     run_strategy_race(plan, group, &runner, &certify, &ctl)?
@@ -662,9 +643,9 @@ where
             // the planner for soundness.) A complete strategy's verdict
             // stands whether or not its proof certified: with no siblings
             // to cancel there is no authority question, and the caller
-            // receives the certification record explicitly flagged — an
-            // operator who disables proof logging degrades to an unchecked
-            // verdict, never a masqueraded timeout.
+            // receives the certification record explicitly flagged — a
+            // truncated proof log degrades to an unchecked verdict, never
+            // a masqueraded timeout.
             let _ = certified;
             if step.strategy.is_complete() {
                 Ok(GroupVerdict::Infeasible)
@@ -687,112 +668,12 @@ where
     }
 }
 
-/// Race all steps of `group` (distinct depths). A success cancels only
-/// *deeper* steps; the shallowest success wins; the winner is certified
-/// once after the race. Failure diagnostics are deterministic regardless
-/// of thread finish order: invalid-options beats timeout beats panic
-/// beats infeasible, and a cancelled step's Timeout is not counted.
-fn run_depth_race<T, R, C>(
-    plan: &CompilePlan,
-    group: &PlanGroup,
-    runner: &R,
-    certify: &C,
-    ctl: &ExecControl<'_>,
-) -> Result<GroupVerdict<T>, ExecError>
-where
-    T: Send,
-    R: Fn(&PlanStep, Option<Arc<AtomicBool>>) -> Result<T, StepError> + Sync,
-    C: Fn(&PlanStep, &T) -> Result<(), String> + Sync,
-{
-    let n = group.steps.len();
-    let flags: Vec<Arc<AtomicBool>> = (0..n).map(|_| Arc::new(AtomicBool::new(false))).collect();
-    let mut results: Vec<RaceResult<T>> =
-        scope_race(plan, group, runner, ctl, &flags, |pos, res, flags| {
-            // A depth that synthesized cancels every deeper depth.
-            if res.is_ok() {
-                for f in &flags[pos + 1..] {
-                    f.store(true, Ordering::Relaxed);
-                }
-            }
-            None
-        });
-    results.sort_by_key(|(pos, _)| *pos);
-    let externally_cancelled = ctl
-        .cancel
-        .as_ref()
-        .is_some_and(|c| c.load(Ordering::Relaxed));
-    let mut saw_timeout = false;
-    let mut panicked: Option<(usize, String)> = None;
-    let mut invalid: Option<String> = None;
-    let mut incomplete_infeasible = false;
-    let mut best: Option<(usize, T)> = None;
-    for (pos, res) in results {
-        let step = &plan.steps[group.steps[pos]];
-        match res {
-            Ok(Ok(value)) => {
-                if best.is_none() {
-                    best = Some((step.index, value));
-                }
-            }
-            Ok(Err(StepError::InvalidOptions(m))) => {
-                if invalid.is_none() {
-                    invalid = Some(m);
-                }
-            }
-            Ok(Err(StepError::Timeout)) => {
-                // A flagged step's Timeout is a cancellation artifact, not
-                // budget exhaustion (already attributed by the observer).
-                if !flags[pos].load(Ordering::Relaxed) {
-                    saw_timeout = true;
-                }
-            }
-            Ok(Err(StepError::Cancelled)) => {}
-            Ok(Err(StepError::Infeasible { certified: _ })) => {
-                // Certification is not consulted here: a depth race never
-                // lets infeasibility cancel work (only successes cancel
-                // deeper steps), and `saw_timeout` already outranks the
-                // infeasible classification below, so an unchecked verdict
-                // can only ever stand when every depth drained decisively
-                // — where it surfaces explicitly flagged, not erased.
-                if !step.strategy.is_complete() {
-                    incomplete_infeasible = true;
-                }
-            }
-            Err(msg) => {
-                if panicked.is_none() {
-                    panicked = Some((step.stages, msg));
-                }
-            }
-        }
-    }
-    match best {
-        Some((index, value)) => {
-            let step = &plan.steps[index];
-            match certify(step, &value) {
-                Ok(()) => Ok(GroupVerdict::Won(ExecSuccess { step: index, value })),
-                Err(why) => Err(ExecError::Uncertified(why)),
-            }
-        }
-        None if invalid.is_some() => Err(ExecError::InvalidOptions(invalid.unwrap())),
-        None if externally_cancelled => Err(ExecError::Cancelled),
-        None if saw_timeout => Ok(GroupVerdict::Timeout),
-        None => match panicked {
-            Some((stages, msg)) => Ok(GroupVerdict::Panicked(format!(
-                "search thread for depth {stages} panicked: {msg}"
-            ))),
-            // Every depth decided; if any verdict came from an incomplete
-            // strategy — or without a checked proof — the sweep is
-            // inconclusive rather than infeasible.
-            None if incomplete_infeasible => Ok(GroupVerdict::Timeout),
-            None => Ok(GroupVerdict::Infeasible),
-        },
-    }
-}
-
-/// Race all steps of `group` (same depth, distinct strategies). The first
-/// *certified* success cancels every other step; an uncertified candidate
-/// drops out and the race continues. Infeasibility at this depth is only
-/// concluded from a complete strategy's verdict.
+/// Race all steps of `group` (same depth, distinct strategies), one
+/// scoped thread per step with panic isolation; a monitor fans the
+/// external cancel flag out to every step's flag. The first *certified*
+/// success cancels every other step; an uncertified candidate drops out
+/// and the race continues. Infeasibility at this depth is only concluded
+/// from a complete strategy's verdict.
 fn run_strategy_race<T, R, C>(
     plan: &CompilePlan,
     group: &PlanGroup,
@@ -805,15 +686,54 @@ where
     R: Fn(&PlanStep, Option<Arc<AtomicBool>>) -> Result<T, StepError> + Sync,
     C: Fn(&PlanStep, &T) -> Result<(), String> + Sync,
 {
-    let n = group.steps.len();
-    let flags: Vec<Arc<AtomicBool>> = (0..n).map(|_| Arc::new(AtomicBool::new(false))).collect();
-    let winner: Mutex<Option<(usize, T)>> = Mutex::new(None);
+    let flags: Vec<Arc<AtomicBool>> = group
+        .steps
+        .iter()
+        .map(|_| Arc::new(AtomicBool::new(false)))
+        .collect();
+    let cancel_others = |pos: usize| {
+        for (i, f) in flags.iter().enumerate() {
+            if i != pos {
+                f.store(true, Ordering::Relaxed);
+            }
+        }
+    };
+    let winner: Mutex<Option<ExecSuccess<T>>> = Mutex::new(None);
     let uncertified: Mutex<Option<String>> = Mutex::new(None);
-    let mut results: Vec<RaceResult<T>> =
-        scope_race(plan, group, runner, ctl, &flags, |pos, res, flags| {
+    // One raced step. A synthesized candidate's value moves into `winner`
+    // (or is dropped), leaving `Ok(Ok(()))`; `Err` is a panic message.
+    let race = |pos: usize| -> Result<Result<(), StepError>, String> {
+        let step = &plan.steps[group.steps[pos]];
+        let started = Instant::now();
+        let res = catch_unwind(AssertUnwindSafe(|| runner(step, Some(flags[pos].clone()))))
+            .map_err(|payload| panic_text(payload.as_ref()));
+        let (res, outcome) = match res {
+            Err(msg) => (Err(msg), StepOutcome::Panicked),
             // Certify inside the race: only a certified win takes the
             // group, and it cancels everyone else.
-            let Ok(value) = res else {
+            Ok(Ok(value)) => match certify(step, &value) {
+                Ok(()) => {
+                    let mut w = winner.lock().unwrap_or_else(|e| e.into_inner());
+                    if w.is_none() {
+                        *w = Some(ExecSuccess {
+                            step: step.index,
+                            value,
+                        });
+                        cancel_others(pos);
+                    }
+                    // A later certified success that lost the race is
+                    // still a success for attribution purposes.
+                    (Ok(Ok(())), StepOutcome::Success)
+                }
+                Err(why) => {
+                    let mut u = uncertified.lock().unwrap_or_else(|e| e.into_inner());
+                    if u.is_none() {
+                        *u = Some(why);
+                    }
+                    (Ok(Ok(())), StepOutcome::Uncertified)
+                }
+            },
+            Ok(Err(e)) => {
                 // A *proof-certified* Infeasible verdict from a *complete*
                 // strategy settles the whole depth — no sibling can win a
                 // space the unrestricted (or symmetry-broken-only)
@@ -824,52 +744,54 @@ where
                 // already synthesized a candidate still certifies and
                 // wins: cancellation is cooperative, and a concrete
                 // certified artifact outranks any verdict.
-                if matches!(res, Err(StepError::Infeasible { certified: true }))
-                    && plan.steps[group.steps[pos]].strategy.is_complete()
+                if matches!(e, StepError::Infeasible { certified: true })
+                    && step.strategy.is_complete()
                 {
-                    for (i, f) in flags.iter().enumerate() {
-                        if i != pos {
+                    cancel_others(pos);
+                }
+                let outcome = match e {
+                    StepError::Infeasible { .. } => StepOutcome::Infeasible,
+                    StepError::Timeout if flags[pos].load(Ordering::Relaxed) => {
+                        StepOutcome::Cancelled
+                    }
+                    StepError::Timeout => StepOutcome::Timeout,
+                    StepError::Cancelled => StepOutcome::Cancelled,
+                    StepError::InvalidOptions(_) => StepOutcome::InvalidOptions,
+                };
+                (Ok(Err(e)), outcome)
+            }
+        };
+        observe(ctl, step, outcome, started);
+        res
+    };
+    let done = AtomicBool::new(false);
+    let results: Vec<_> = std::thread::scope(|scope| {
+        if let Some(external) = &ctl.cancel {
+            scope.spawn(|| {
+                while !done.load(Ordering::Relaxed) {
+                    if external.load(Ordering::Relaxed) {
+                        for f in &flags {
                             f.store(true, Ordering::Relaxed);
                         }
+                        return;
                     }
+                    std::thread::sleep(Duration::from_millis(2));
                 }
-                return None;
-            };
-            let step = &plan.steps[group.steps[pos]];
-            match certify(step, value) {
-                Ok(()) => {
-                    let mut w = winner.lock().unwrap_or_else(|e| e.into_inner());
-                    if w.is_none() {
-                        // Move the value out; the placeholder error is
-                        // never classified because the winner returns
-                        // before classification runs.
-                        if let Ok(v) = std::mem::replace(res, Err(StepError::Cancelled)) {
-                            *w = Some((step.index, v));
-                        }
-                        drop(w);
-                        for (i, f) in flags.iter().enumerate() {
-                            if i != pos {
-                                f.store(true, Ordering::Relaxed);
-                            }
-                        }
-                    }
-                    // A later certified success that lost the race is
-                    // still a success for attribution purposes.
-                    Some(StepOutcome::Success)
-                }
-                Err(why) => {
-                    let mut u = uncertified.lock().unwrap_or_else(|e| e.into_inner());
-                    if u.is_none() {
-                        *u = Some(why);
-                    }
-                    *res = Err(StepError::Timeout);
-                    Some(StepOutcome::Uncertified)
-                }
-            }
-        });
-    results.sort_by_key(|(pos, _)| *pos);
-    if let Some((index, value)) = winner.into_inner().unwrap_or_else(|e| e.into_inner()) {
-        return Ok(GroupVerdict::Won(ExecSuccess { step: index, value }));
+            });
+        }
+        let race = &race;
+        let handles: Vec<_> = (0..group.steps.len())
+            .map(|pos| scope.spawn(move || race(pos)))
+            .collect();
+        let out = handles
+            .into_iter()
+            .map(|h| h.join().expect("step threads isolate panics"))
+            .collect();
+        done.store(true, Ordering::Relaxed);
+        out
+    });
+    if let Some(success) = winner.into_inner().unwrap_or_else(|e| e.into_inner()) {
+        return Ok(GroupVerdict::Won(success));
     }
     let externally_cancelled = ctl
         .cancel
@@ -880,10 +802,10 @@ where
     let mut unproven_infeasible = false;
     let mut saw_timeout = false;
     let mut panicked: Option<(usize, String)> = None;
-    for (pos, res) in results {
+    for (pos, res) in results.into_iter().enumerate() {
         let step = &plan.steps[group.steps[pos]];
         match res {
-            Ok(Ok(_)) => {}
+            Ok(Ok(())) | Ok(Err(StepError::Cancelled)) => {}
             Ok(Err(StepError::InvalidOptions(m))) => {
                 if invalid.is_none() {
                     invalid = Some(m);
@@ -903,7 +825,6 @@ where
                     saw_timeout = true;
                 }
             }
-            Ok(Err(StepError::Cancelled)) => {}
             Err(msg) => {
                 if panicked.is_none() {
                     panicked = Some((step.stages, msg));
@@ -1082,105 +1003,6 @@ where
     }
 }
 
-/// One raced step's result: its position in the group, and either the
-/// runner's verdict or (outer `Err`) a panic message from its thread.
-type RaceResult<T> = (usize, Result<Result<T, StepError>, String>);
-
-/// Shared racing scaffold: one scoped thread per step with panic
-/// isolation, an external-cancel monitor fanning out to per-step flags,
-/// per-step observer reports, and a `coordinate` hook invoked (under no
-/// lock) right after each step completes so the race mode can implement
-/// its cancellation policy. `coordinate` may rewrite the step's result
-/// and return an outcome override for the observer report.
-fn scope_race<'p, T, R>(
-    plan: &'p CompilePlan,
-    group: &'p PlanGroup,
-    runner: &R,
-    ctl: &ExecControl<'_>,
-    flags: &[Arc<AtomicBool>],
-    coordinate: impl Fn(usize, &mut Result<T, StepError>, &[Arc<AtomicBool>]) -> Option<StepOutcome>
-        + Sync,
-) -> Vec<RaceResult<T>>
-where
-    T: Send,
-    R: Fn(&PlanStep, Option<Arc<AtomicBool>>) -> Result<T, StepError> + Sync,
-{
-    let done = Arc::new(AtomicBool::new(false));
-    let out = std::thread::scope(|scope| {
-        if let Some(external) = ctl.cancel.clone() {
-            let flags = flags.to_vec();
-            let done = done.clone();
-            scope.spawn(move || {
-                while !done.load(Ordering::Relaxed) {
-                    if external.load(Ordering::Relaxed) {
-                        for f in &flags {
-                            f.store(true, Ordering::Relaxed);
-                        }
-                        return;
-                    }
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-            });
-        }
-        let coordinate = &coordinate;
-        let handles: Vec<_> = group
-            .steps
-            .iter()
-            .enumerate()
-            .map(|(pos, &si)| {
-                let step = &plan.steps[si];
-                let my_flag = flags[pos].clone();
-                let ctl_observer = ctl.observer;
-                scope.spawn(move || {
-                    let started = Instant::now();
-                    let mut res = catch_unwind(AssertUnwindSafe(|| runner(step, Some(my_flag))))
-                        .map_err(|payload| panic_text(payload.as_ref()));
-                    let outcome = match &mut res {
-                        Ok(inner) => coordinate(pos, inner, flags).unwrap_or(match inner {
-                            Ok(_) => StepOutcome::Success,
-                            Err(StepError::Infeasible { .. }) => StepOutcome::Infeasible,
-                            Err(StepError::Timeout) => {
-                                if flags[pos].load(Ordering::Relaxed) {
-                                    StepOutcome::Cancelled
-                                } else {
-                                    StepOutcome::Timeout
-                                }
-                            }
-                            Err(StepError::Cancelled) => StepOutcome::Cancelled,
-                            Err(StepError::InvalidOptions(_)) => StepOutcome::InvalidOptions,
-                        }),
-                        Err(_) => StepOutcome::Panicked,
-                    };
-                    chipmunk_trace::event!(
-                        "plan.step",
-                        step = step.index as u64,
-                        stages = step.stages as u64,
-                        strategy = step.strategy.name(),
-                        outcome = outcome.name(),
-                    );
-                    if let Some(obs) = ctl_observer {
-                        obs(&StepReport {
-                            step: step.index,
-                            stages: step.stages,
-                            strategy: step.strategy,
-                            outcome,
-                            elapsed: started.elapsed(),
-                        });
-                    }
-                    (pos, res)
-                })
-            })
-            .collect();
-        let out: Vec<_> = handles
-            .into_iter()
-            .map(|h| h.join().expect("step threads isolate panics"))
-            .collect();
-        done.store(true, Ordering::Relaxed);
-        out
-    });
-    out
-}
-
 /// Short, bounded rendering of a `catch_unwind` payload.
 fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
     const MAX: usize = 200;
@@ -1210,7 +1032,6 @@ mod tests {
         PlanInputs {
             max_stages,
             slots: 3,
-            parallel: false,
             portfolio: false,
             budget: ResourceBudget::UNLIMITED,
             canonical_fields: true,
@@ -1247,21 +1068,9 @@ mod tests {
     }
 
     #[test]
-    fn parallel_plan_is_one_depth_race() {
-        let p = plan(&PlanInputs {
-            parallel: true,
-            ..inputs(3)
-        });
-        assert_eq!(p.groups.len(), 1);
-        assert_eq!(p.groups[0].mode, RaceMode::Depths);
-        assert_eq!(p.groups[0].steps.len(), 3);
-    }
-
-    #[test]
     fn portfolio_plan_races_strategies_per_depth() {
         let p = plan(&PlanInputs {
             portfolio: true,
-            parallel: true, // portfolio takes precedence
             ..inputs(2)
         });
         assert_eq!(p.groups.len(), 2);
@@ -1315,23 +1124,6 @@ mod tests {
         let p = plan(&inputs(4));
         let won = execute(&p, ok_at(3), certify_all, ExecControl::default()).expect("wins");
         assert_eq!(p.steps[won.step].stages, 3);
-    }
-
-    #[test]
-    fn depth_race_prefers_shallowest_success() {
-        let p = plan(&PlanInputs {
-            parallel: true,
-            ..inputs(4)
-        });
-        let runner = |step: &PlanStep, _: Option<Arc<AtomicBool>>| {
-            if step.stages >= 2 {
-                Ok(step.index)
-            } else {
-                Err(StepError::Infeasible { certified: true })
-            }
-        };
-        let won = execute(&p, runner, certify_all, ExecControl::default()).expect("wins");
-        assert_eq!(p.steps[won.step].stages, 2);
     }
 
     #[test]
@@ -1605,21 +1397,17 @@ mod tests {
     #[test]
     fn uncertified_infeasibility_still_surfaces_as_infeasible_when_all_drain() {
         // Degrade-ladder contract: when every step ends in an UNSAT that
-        // merely lacks a validated proof (proof logging disabled, log
-        // truncated, checker out of budget) and nothing timed out, the
-        // classification is still Infeasible in every mode — the caller
-        // receives the record explicitly flagged unchecked rather than a
-        // masqueraded Timeout, which would make disabling proof logging
-        // erase the verdict class entirely.
+        // merely lacks a validated proof (log truncated, checker out of
+        // budget) and nothing timed out, the classification is still
+        // Infeasible in every mode — the caller receives the record
+        // explicitly flagged unchecked rather than a masqueraded Timeout,
+        // which would make a truncated proof log erase the verdict class
+        // entirely.
         let runner = |_: &PlanStep, _: Option<Arc<AtomicBool>>| {
             Err::<usize, StepError>(StepError::Infeasible { certified: false })
         };
         let plans = [
             plan(&inputs(2)),
-            plan(&PlanInputs {
-                parallel: true,
-                ..inputs(2)
-            }),
             plan(&PlanInputs {
                 portfolio: true,
                 ..inputs(2)
@@ -1784,7 +1572,7 @@ mod tests {
     #[test]
     fn panicked_racing_step_is_reported_not_masked() {
         let p = plan(&PlanInputs {
-            parallel: true,
+            portfolio: true,
             ..inputs(3)
         });
         let runner = |step: &PlanStep, _: Option<Arc<AtomicBool>>| -> Result<usize, StepError> {
@@ -1793,20 +1581,25 @@ mod tests {
             }
             Err(StepError::Infeasible { certified: true })
         };
-        let err = execute(&p, runner, certify_all, ExecControl::default()).unwrap_err();
-        match err {
-            ExecError::Internal(msg) => {
-                assert!(msg.contains("depth 2"), "{msg}");
-                assert!(msg.contains("injected depth-2 panic"), "{msg}");
+        for race_threads in [Some(3), Some(1)] {
+            let ctl = ExecControl {
+                race_threads,
+                ..ExecControl::default()
+            };
+            match execute(&p, runner, certify_all, ctl).unwrap_err() {
+                ExecError::Internal(msg) => {
+                    assert!(msg.contains("depth 2"), "{msg}");
+                    assert!(msg.contains("injected depth-2 panic"), "{msg}");
+                }
+                other => panic!("race_threads {race_threads:?}: expected Internal, got {other:?}"),
             }
-            other => panic!("expected Internal, got {other:?}"),
         }
     }
 
     #[test]
-    fn panic_does_not_mask_timeout_in_depth_race() {
+    fn panic_does_not_mask_timeout_in_strategy_race() {
         let p = plan(&PlanInputs {
-            parallel: true,
+            portfolio: true,
             ..inputs(2)
         });
         let runner = |step: &PlanStep, _: Option<Arc<AtomicBool>>| -> Result<usize, StepError> {
@@ -1815,8 +1608,14 @@ mod tests {
             }
             Err(StepError::Timeout)
         };
-        let err = execute(&p, runner, certify_all, ExecControl::default()).unwrap_err();
-        assert_eq!(err, ExecError::Timeout);
+        for race_threads in [Some(3), Some(1)] {
+            let ctl = ExecControl {
+                race_threads,
+                ..ExecControl::default()
+            };
+            let err = execute(&p, runner, certify_all, ctl).unwrap_err();
+            assert_eq!(err, ExecError::Timeout, "race_threads {race_threads:?}");
+        }
     }
 
     #[test]

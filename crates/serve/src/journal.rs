@@ -642,7 +642,6 @@ mod tests {
             width: Some(8),
             max_stages: Some(2),
             timeout_ms: Some(5000),
-            parallel: Some(true),
             budget_conflicts: Some(1000),
             budget_propagations: Some(2000),
             budget_bytes: Some(1 << 20),
@@ -659,7 +658,6 @@ mod tests {
         assert_eq!(got.width, opts.width);
         assert_eq!(got.max_stages, opts.max_stages);
         assert_eq!(got.timeout_ms, opts.timeout_ms);
-        assert_eq!(got.parallel, opts.parallel);
         assert_eq!(got.budget_conflicts, opts.budget_conflicts);
         assert_eq!(got.budget_propagations, opts.budget_propagations);
         assert_eq!(got.budget_bytes, opts.budget_bytes);

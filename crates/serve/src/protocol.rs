@@ -21,8 +21,7 @@
 //!              "screen_width":<int>?,"synth_input_bits":<int>?,
 //!              "num_initial_inputs":<int>?,"max_iters":<int>?,"seed":<int>?,
 //!              "max_stages":<int>?,"slots":<int>?,"timeout_ms":<int>?,
-//!              "deadline_ms":<int>?,
-//!              "parallel":<bool>?,"portfolio":<bool>?,
+//!              "deadline_ms":<int>?,"portfolio":<bool>?,
 //!              "budget_conflicts":<int>?,
 //!              "budget_propagations":<int>?,"budget_bytes":<int>?}
 //! ```
@@ -90,6 +89,10 @@
 //! travelled), `proof_lemmas`/`proof_bytes`, a `proof` field holding the
 //! certificate text when one was retained, and `unchecked_reason` when
 //! it was not — see [`infeasible_response`].
+//!
+//! Unknown `options` keys are ignored, so a request or journal record
+//! from an older client — say, one carrying the removed `parallel`
+//! flag — still decodes and runs the default plan.
 //!
 //! The three `budget_*` options are hard solver resource ceilings
 //! (conflicts, unit propagations, learnt-clause/arena bytes); a job that
@@ -251,10 +254,8 @@ pub struct JobOptions {
     /// measured from admission. Server-defaulted when absent; excluded
     /// from the cache key. See the module doc's **Deadlines** section.
     pub deadline_ms: Option<u64>,
-    /// Run the grid-depth sweep on parallel threads.
-    pub parallel: Option<bool>,
     /// Race hole-restriction strategies per depth; the first certified
-    /// win cancels the rest. Takes precedence over `parallel`.
+    /// win cancels the rest.
     pub portfolio: Option<bool>,
     /// Hard ceiling on SAT conflicts per solver run.
     pub budget_conflicts: Option<u64>,
@@ -292,10 +293,6 @@ impl JobOptions {
             None | Some(Json::Null) => None,
             Some(v) => Some(v.as_str().ok_or("`template` must be a string")?.to_string()),
         };
-        let parallel = match obj.get("parallel") {
-            None | Some(Json::Null) => None,
-            Some(v) => Some(v.as_bool().ok_or("`parallel` must be a bool")?),
-        };
         let portfolio = match obj.get("portfolio") {
             None | Some(Json::Null) => None,
             Some(v) => Some(v.as_bool().ok_or("`portfolio` must be a bool")?),
@@ -313,7 +310,6 @@ impl JobOptions {
             slots: get_num(obj, "slots")?,
             timeout_ms: get_num(obj, "timeout_ms")?,
             deadline_ms: get_num(obj, "deadline_ms")?,
-            parallel,
             portfolio,
             budget_conflicts: get_num(obj, "budget_conflicts")?,
             budget_propagations: get_num(obj, "budget_propagations")?,
@@ -350,9 +346,6 @@ impl JobOptions {
         num("budget_bytes", self.budget_bytes);
         if let Some(t) = &self.template {
             pairs.push(("template".to_string(), Json::from(t.as_str())));
-        }
-        if let Some(p) = self.parallel {
-            pairs.push(("parallel".to_string(), Json::Bool(p)));
         }
         if let Some(p) = self.portfolio {
             pairs.push(("portfolio".to_string(), Json::Bool(p)));
@@ -402,7 +395,6 @@ impl JobOptions {
         if let Some(t) = self.timeout_ms {
             opts.timeout = Some(std::time::Duration::from_millis(t));
         }
-        opts.parallel = self.parallel.unwrap_or(false);
         opts.portfolio = self.portfolio.unwrap_or(false);
         Ok(opts)
     }
@@ -841,7 +833,10 @@ mod tests {
                 assert_eq!(co.cegis.verify_width, 6);
                 assert_eq!(co.max_stages, 2);
                 assert_eq!(co.timeout, Some(std::time::Duration::from_secs(5)));
-                assert!(co.parallel);
+                // `parallel` names a removed mode; requests from older
+                // clients that still carry it decode and run the default
+                // plan.
+                assert!(!co.portfolio);
             }
             other => panic!("wrong request: {other:?}"),
         }

@@ -88,21 +88,47 @@ fn u64_field(resp: &Json, key: &str) -> u64 {
         .unwrap_or_else(|| panic!("missing u64 field {key:?} in {resp}"))
 }
 
+/// `completed + failed + drained + panicked + expired + shed` from a
+/// stats doc: the jobs that reached a terminal state.
+fn terminal_jobs(stats: &Json) -> u64 {
+    [
+        "completed",
+        "failed",
+        "drained",
+        "panicked",
+        "expired",
+        "shed",
+    ]
+    .iter()
+    .map(|k| u64_field(stats, k))
+    .sum()
+}
+
 /// `submitted == completed + failed + drained + panicked + expired + shed`
 /// from a stats doc.
 fn assert_conservation(stats: &Json) {
-    let submitted = u64_field(stats, "submitted");
-    let completed = u64_field(stats, "completed");
-    let failed = u64_field(stats, "failed");
-    let drained = u64_field(stats, "drained");
-    let panicked = u64_field(stats, "panicked");
-    let expired = u64_field(stats, "expired");
-    let shed = u64_field(stats, "shed");
     assert_eq!(
-        submitted,
-        completed + failed + drained + panicked + expired + shed,
+        u64_field(stats, "submitted"),
+        terminal_jobs(stats),
         "job conservation violated: {stats}"
     );
+}
+
+/// Stats once every submitted job has reached a terminal state, for tests
+/// whose clients retry: a job whose client already got its answer through
+/// a retry may still be compiling, so `submitted` can lead the terminal
+/// counters for a while. Polls until the law holds; a leaked job never
+/// balances, so after the bounded wait the last snapshot is returned for
+/// [`assert_conservation`] to fail on.
+fn settled_stats(control: &mut Client) -> Json {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let stats = control.stats().unwrap();
+        if u64_field(&stats, "submitted") == terminal_jobs(&stats) || Instant::now() >= deadline {
+            return stats;
+        }
+        std::thread::sleep(Duration::from_millis(50));
+    }
 }
 
 /// Acceptance: an injected compile panic yields a structured `internal`
@@ -358,8 +384,7 @@ fn pipeline_retries_through_connection_reset() {
 
     faults::disarm();
     let mut control = Client::connect(handle.local_addr()).expect("control connects");
-    let stats = control.stats().unwrap();
-    assert_conservation(&stats);
+    assert_conservation(&settled_stats(&mut control));
     let ack = control.shutdown(false).unwrap();
     assert!(ok(&ack));
     handle.join();
@@ -455,7 +480,7 @@ fn chaos_load_conserves_jobs_and_server_survives() {
         std::thread::sleep(Duration::from_millis(20));
     }
 
-    let stats = control.stats().unwrap();
+    let stats = settled_stats(&mut control);
     assert_conservation(&stats);
     assert!(
         u64_field(&stats, "disk_errors") >= 1,

@@ -33,7 +33,6 @@ fn fast_chipmunk_opts(b: &chipmunk_suite::bench::Benchmark) -> CompilerOptions {
             budget: chipmunk_suite::sat::ResourceBudget::UNLIMITED,
         },
         timeout: Some(std::time::Duration::from_secs(240)),
-        parallel: false,
         portfolio: false,
     }
 }
