@@ -4,8 +4,11 @@
 //! recompiled result with the `poll` op. The conservation law
 //! (`submitted == completed + failed + drained + panicked`) must hold on
 //! the restarted daemon with the replayed job accounted as `recovered`.
+//! Every daemon is killed and reaped when its test ends, on every exit
+//! path ([`Daemon`]).
 
 use std::io::{BufRead, BufReader};
+use std::ops::{Deref, DerefMut};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
@@ -19,15 +22,39 @@ fn scratch(name: &str) -> PathBuf {
     d
 }
 
-/// Start `chipmunkc serve` on an ephemeral port and return the child
+/// A spawned daemon that is killed and reaped when dropped, so a failing
+/// assertion cannot leave it running.
+struct Daemon(Child);
+
+impl Deref for Daemon {
+    type Target = Child;
+    fn deref(&self) -> &Child {
+        &self.0
+    }
+}
+
+impl DerefMut for Daemon {
+    fn deref_mut(&mut self) -> &mut Child {
+        &mut self.0
+    }
+}
+
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+/// Start `chipmunkc serve` on an ephemeral port and return the daemon
 /// plus the address it announced on stderr.
-fn spawn_serve(dir: &Path, faults: Option<&str>) -> (Child, String) {
+fn spawn_serve(dir: &Path, faults: Option<&str>) -> (Daemon, String) {
     spawn_serve_traced(dir, faults, None)
 }
 
 /// [`spawn_serve`], optionally writing the daemon's structured trace to
 /// `trace` (JSON Lines) via `CHIPMUNK_TRACE`.
-fn spawn_serve_traced(dir: &Path, faults: Option<&str>, trace: Option<&Path>) -> (Child, String) {
+fn spawn_serve_traced(dir: &Path, faults: Option<&str>, trace: Option<&Path>) -> (Daemon, String) {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_chipmunkc"));
     cmd.args([
         "serve",
@@ -58,7 +85,7 @@ fn spawn_serve_traced(dir: &Path, faults: Option<&str>, trace: Option<&Path>) ->
             cmd.env_remove("CHIPMUNK_TRACE");
         }
     }
-    let mut child = cmd.spawn().expect("serve spawns");
+    let mut child = Daemon(cmd.spawn().expect("serve spawns"));
     let stderr = child.stderr.take().expect("stderr piped");
     let mut lines = BufReader::new(stderr).lines();
     let addr = loop {
@@ -196,6 +223,11 @@ fn sigkill_mid_plan_resumes_at_the_journaled_step_with_the_same_trace() {
     // chain would not work here: the solver collapses it to immediates
     // and fits it in one stage.
     let victim = "pkt.b = pkt.a + pkt.a; pkt.c = pkt.b + pkt.b; pkt.d = pkt.c + pkt.c;";
+    // A fresh debug-build compile of depth 3 takes about two minutes on a
+    // 2-core machine, so the job's timeout leaves wide headroom while the
+    // poll below, derived from it, still fits a 600 s limit on the whole
+    // test binary.
+    let timeout_ms = 400_000u64;
     let options = || {
         Json::obj([
             ("imm", Json::from(3u64)),
@@ -206,7 +238,7 @@ fn sigkill_mid_plan_resumes_at_the_journaled_step_with_the_same_trace() {
             ("max_iters", Json::from(64u64)),
             ("seed", Json::from(42u64)),
             ("max_stages", Json::from(3u64)),
-            ("timeout_ms", Json::from(120_000u64)),
+            ("timeout_ms", Json::from(timeout_ms)),
         ])
     };
     let trace_id = "mid-plan-trace";
@@ -253,7 +285,8 @@ fn sigkill_mid_plan_resumes_at_the_journaled_step_with_the_same_trace() {
     let trace_out = dir.join("trace-b.jsonl");
     let (mut daemon_b, addr_b) = spawn_serve_traced(&dir, None, Some(&trace_out));
     let mut client = Client::connect(&addr_b).expect("client connects to daemon B");
-    let deadline = Instant::now() + Duration::from_secs(120);
+    // The resumed step either answers or times out within `timeout_ms`.
+    let deadline = Instant::now() + Duration::from_millis(timeout_ms) + Duration::from_secs(30);
     loop {
         let resp = client.poll(victim, options()).expect("poll works");
         if resp.get("found").and_then(Json::as_bool) == Some(true) {

@@ -2,62 +2,40 @@
 //!
 //! Tier 1 is an in-memory LRU map from content hash (see
 //! [`chipmunk::cache_key`]) to the serialized result document. Tier 2 is
-//! an append-only JSONL file `results.jsonl` under the server's
-//! `--cache-dir`, loaded into tier 1 at startup — so a restarted daemon
-//! keeps its warm cache. Each line is `{"key":"<16 hex>","result":{…}}`.
+//! `results.jsonl` under the server's `--cache-dir`, a durable log
+//! ([`crate::durable`]) loaded into tier 1 at startup, so a restarted
+//! daemon keeps its warm cache. Each line is
+//! `{"key":"<16 hex>","result":{…}}`. The log owns the file mechanics:
+//! torn-line tolerance, crash-safe rewrites, and degrading to memory-only
+//! on a disk error, re-attaching later with nothing lost, since every
+//! entry still lives in tier 1.
 //!
 //! **Bounds.** With `max_entries` set, tier 1 holds at most that many
 //! results; inserting past the bound evicts the least-recently-used entry
-//! (every `get`/`peek` is a use). The disk tier stays append-only between
-//! compactions, so it can temporarily hold lines for evicted keys;
-//! [`ResultCache::compact`] rewrites `results.jsonl` from the retained
-//! in-memory set — dropping evicted, duplicate, and corrupt lines — by
-//! writing a temp file and renaming it over the old one, so a crash
-//! mid-compaction keeps the previous file intact. Compaction runs at
+//! (every `get`/`peek` is a use). The file stays append-only between
+//! compactions, so it can hold lines for evicted keys;
+//! [`ResultCache::compact`] rewrites it to the retained in-memory set,
+//! dropping evicted, duplicate, and corrupt lines. Compaction runs at
 //! startup when loading found anything worth dropping, automatically when
-//! the file grows past twice the entry bound, and on demand (the `cache`
+//! the file grows past twice the retained set, and on demand (the `cache`
 //! protocol op).
 //!
 //! **Write conflicts.** `put` is first-write-wins: a duplicate `put`
 //! under an existing key changes neither tier, so memory and disk cannot
 //! diverge when two workers race to finish twin jobs.
 //!
-//! **Degraded mode.** A disk error (ENOSPC, short write, failed rename)
-//! never propagates into the serving path: the cache detaches its disk
-//! tier and keeps serving from memory, counting the error
-//! ([`ResultCache::disk_errors`]) and reporting
-//! [`degraded`](ResultCache::degraded) in stats. Every
-//! [`REATTACH_EVERY`]th put while degraded retries a full rewrite of the
-//! retained set (a compaction); the first success re-attaches the disk
-//! tier with nothing lost — every entry still lives in tier 1.
-//!
 //! Only *successful* compilations are cached: failures may be budget
 //! artifacts (timeouts) and are cheap to re-derive when they are not
 //! (the infeasibility proof re-runs).
 
 use std::collections::{BTreeMap, HashMap};
-use std::fs::{File, OpenOptions};
-use std::io::{BufRead, BufReader, BufWriter, Write};
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use chipmunk_trace::json::Json;
 
-use crate::faults::{self, FaultKind};
-
-/// While degraded, every this-many-th `put` retries re-attaching the
-/// disk tier via a full compaction.
-pub const REATTACH_EVERY: u64 = 16;
-
-/// One injection point covers every disk operation of the cache tier.
-fn injected_io_fault() -> Option<std::io::Error> {
-    if faults::armed() && faults::fired(FaultKind::CacheIo) {
-        Some(std::io::Error::other("injected cache_io fault"))
-    } else {
-        None
-    }
-}
+use crate::durable::DurableLog;
 
 /// One retained result plus its recency stamp.
 struct Entry {
@@ -125,42 +103,21 @@ impl Mem {
     }
 }
 
-/// Tier 2: the JSONL file, its path (for compaction), and its line count.
-struct Disk {
-    path: PathBuf,
-    file: Mutex<File>,
-    /// Lines currently in `results.jsonl`, valid or not — the figure
-    /// compaction shrinks back to `len()`.
-    lines: AtomicU64,
-    /// Disk tier detached after an I/O error; appends are skipped and a
-    /// periodic compaction retry re-attaches it.
-    degraded: AtomicBool,
-    /// I/O errors absorbed by the disk tier (appends and compactions).
-    disk_errors: AtomicU64,
-    /// Puts skipped while degraded, for the re-attach cadence.
-    degraded_puts: AtomicU64,
-}
-
-impl Disk {
-    fn note_error(&self) {
-        self.disk_errors.fetch_add(1, Ordering::Relaxed);
-        if !self.degraded.swap(true, Ordering::Relaxed) {
-            chipmunk_trace::counter_add!("serve.cache.degraded", 1);
-        }
-    }
+/// One `results.jsonl` line.
+fn record(key: &str, result: &Json) -> Json {
+    Json::obj([("key", Json::from(key)), ("result", result.clone())])
 }
 
 /// A content-addressed result store: in-memory LRU map + optional JSONL
 /// file.
 pub struct ResultCache {
     mem: Mutex<Mem>,
-    disk: Option<Disk>,
+    log: Option<DurableLog>,
     /// Tier-1 entry bound (`None` = unbounded).
     max_entries: Option<usize>,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
-    compactions: AtomicU64,
 }
 
 impl ResultCache {
@@ -171,88 +128,40 @@ impl ResultCache {
 
     /// Open a cache holding at most `max_entries` results (`None` =
     /// unbounded). With a directory, existing entries in
-    /// `dir/results.jsonl` are loaded — first occurrence of a key wins,
-    /// matching `put` — and new entries appended; without, the cache is
-    /// memory-only. Corrupt lines (a crash mid-append) are skipped; an
-    /// *unreadable* line (I/O error, broken encoding) stops the load but
-    /// keeps everything parsed so far, and the file still opens for
-    /// append. If loading dropped anything — corrupt or unreadable lines,
-    /// duplicate keys, entries past the bound — the file is compacted
-    /// immediately so the damage is not reloaded forever.
+    /// `dir/results.jsonl` are loaded (first occurrence of a key wins,
+    /// matching `put`) and new entries appended; without, the cache is
+    /// memory-only. Damaged lines are skipped or end the load, as the
+    /// durable log ([`crate::durable`]) describes. If the file holds
+    /// anything the retained set does not (damage, duplicate keys,
+    /// entries past the bound), it is compacted at once so the waste is
+    /// not reloaded forever.
     pub fn open_bounded(
         dir: Option<&Path>,
         max_entries: Option<usize>,
     ) -> std::io::Result<ResultCache> {
         let mut mem = Mem::new();
-        let mut raw_lines = 0u64;
-        let mut load_evictions = 0u64;
-        // Does the file hold anything the retained set does not?
-        let mut dirty = false;
-        let disk = match dir {
+        let log = match dir {
             None => None,
-            Some(dir) => {
-                std::fs::create_dir_all(dir)?;
-                let path = dir.join("results.jsonl");
-                if let Ok(f) = File::open(&path) {
-                    for line in BufReader::new(f).lines() {
-                        let line = match line {
-                            Ok(l) => l,
-                            // An unreadable line breaks the reader's
-                            // position guarantees: stop loading, keep what
-                            // parsed, and let compaction rewrite the file.
-                            Err(_) => {
-                                dirty = true;
-                                break;
-                            }
-                        };
-                        raw_lines += 1;
-                        // Tolerate torn/corrupt lines (e.g. a crash
-                        // mid-append): skip them rather than refusing to
-                        // start.
-                        let mut ok = false;
-                        if let Ok(doc) = Json::parse(&line) {
-                            if let (Some(key), Some(result)) =
-                                (doc.get("key").and_then(Json::as_str), doc.get("result"))
-                            {
-                                // First-write-wins, like `put`: a
-                                // duplicate line is dead weight.
-                                ok = mem.insert_fresh(key, result);
-                            }
-                        }
-                        if !ok {
-                            dirty = true;
-                        }
-                    }
-                    if let Some(max) = max_entries {
-                        load_evictions = mem.evict_to(max);
-                        if load_evictions > 0 {
-                            dirty = true;
-                        }
-                    }
+            Some(dir) => Some(DurableLog::open(&dir.join("results.jsonl"), |doc| {
+                if let (Some(key), Some(result)) =
+                    (doc.get("key").and_then(Json::as_str), doc.get("result"))
+                {
+                    mem.insert_fresh(key, result);
                 }
-                let f = OpenOptions::new().create(true).append(true).open(&path)?;
-                Some(Disk {
-                    path,
-                    file: Mutex::new(f),
-                    lines: AtomicU64::new(raw_lines),
-                    degraded: AtomicBool::new(false),
-                    disk_errors: AtomicU64::new(0),
-                    degraded_puts: AtomicU64::new(0),
-                })
-            }
+            })?),
         };
+        let evictions = max_entries.map_or(0, |max| mem.evict_to(max));
         let cache = ResultCache {
             mem: Mutex::new(mem),
-            disk,
+            log,
             max_entries,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(load_evictions),
-            compactions: AtomicU64::new(0),
+            evictions: AtomicU64::new(evictions),
         };
-        if dirty {
-            // Startup compaction: best-effort (a failure leaves the old
-            // file, which is exactly what we loaded from).
+        if cache.disk_lines() > cache.len() as u64 {
+            // Best-effort: a failure degrades the log and leaves the old
+            // file, which is exactly what was loaded.
             let _ = cache.compact();
         }
         Ok(cache)
@@ -296,123 +205,47 @@ impl ResultCache {
     /// silently revert the answer, and key-equal results are equivalent
     /// by construction, so the first one is as good as any.
     pub fn put(&self, key: &str, result: &Json) {
-        let evicted = {
+        let (evicted, live) = {
             let mut mem = self.mem.lock().expect("cache poisoned");
             if !mem.insert_fresh(key, result) {
                 return;
             }
-            match self.max_entries {
-                Some(max) => mem.evict_to(max),
-                None => 0,
-            }
+            let evicted = self.max_entries.map_or(0, |max| mem.evict_to(max));
+            (evicted, mem.map.len())
         };
         if evicted > 0 {
             self.evictions.fetch_add(evicted, Ordering::Relaxed);
             chipmunk_trace::counter_add!("serve.cache.evicted", evicted);
         }
-        if let Some(disk) = &self.disk {
-            if disk.degraded.load(Ordering::Relaxed) {
-                // Memory-only degraded mode: skip the append (the entry is
-                // safe in tier 1) and periodically probe for recovery with
-                // a full rewrite — success re-attaches the tier with every
-                // retained entry on disk, including ones put while
-                // degraded.
-                let n = disk.degraded_puts.fetch_add(1, Ordering::Relaxed) + 1;
-                if n % REATTACH_EVERY == 0 {
-                    let _ = self.compact();
-                }
-                return;
-            }
-            let line = Json::obj([("key", Json::from(key)), ("result", result.clone())]);
-            let appended = (|| -> std::io::Result<()> {
-                if let Some(e) = injected_io_fault() {
-                    return Err(e);
-                }
-                let mut f = disk.file.lock().expect("cache file poisoned");
-                writeln!(f, "{}", line.to_compact())?;
-                f.flush()
-            })();
-            if appended.is_err() {
-                // A failed append (ENOSPC, short write) degrades to
-                // memory-only; never fatal, never propagated.
-                disk.note_error();
-                return;
-            }
-            let lines = disk.lines.fetch_add(1, Ordering::Relaxed) + 1;
-            // Auto-compact once evictions have left the file mostly dead
-            // weight, so a bounded cache also bounds the disk (at roughly
-            // twice the entry bound). The slack keeps tiny bounds from
-            // compacting on every put.
-            if let Some(max) = self.max_entries {
-                if lines > (2 * max as u64).max(16) {
-                    let _ = self.compact();
-                }
+        if let Some(log) = &self.log {
+            if log.append(&record(key, result), false, live) {
+                let _ = self.compact();
             }
         }
     }
 
     /// Rewrite `results.jsonl` to exactly the retained in-memory entries
     /// (in LRU order, oldest first), dropping evicted / duplicate /
-    /// corrupt lines. Crash-safe: the new contents go to a temp file
-    /// which is renamed over the old one, so an interrupted compaction
-    /// keeps the previous file. Returns `(lines_before, lines_after)`;
-    /// memory-only caches return `(0, 0)` without touching anything.
+    /// corrupt lines, with the durable log's crash safety. A
+    /// success also re-attaches a degraded disk tier; a failure degrades
+    /// it and is returned for the on-demand `cache --compact` op to
+    /// report. Returns `(lines_before, lines_after)`; memory-only caches
+    /// return `(0, 0)` without touching anything.
     pub fn compact(&self) -> std::io::Result<(u64, u64)> {
-        let Some(disk) = &self.disk else {
+        let Some(log) = &self.log else {
             return Ok((0, 0));
         };
-        let res = self.compact_inner(disk);
-        match &res {
-            Ok(_) => {
-                // A full successful rewrite is also the degraded-mode
-                // recovery path: the file now holds every retained entry,
-                // so the disk tier is healthy again.
-                disk.degraded.store(false, Ordering::Relaxed);
-                disk.degraded_puts.store(0, Ordering::Relaxed);
-            }
-            Err(_) => {
-                // Count and degrade, but let the (ignored-by-internal-
-                // callers) error through so the on-demand `cache --compact`
-                // op can still report what happened.
-                disk.note_error();
-            }
+        // Lock order everywhere: the map before the log.
+        let mem = self.mem.lock().expect("cache poisoned");
+        let res = log.rewrite(
+            mem.lru
+                .values()
+                .map(|key| record(key, &mem.map[key].result)),
+        );
+        if res.is_ok() {
+            chipmunk_trace::counter_add!("serve.cache.compacted", 1);
         }
         res
-    }
-
-    fn compact_inner(&self, disk: &Disk) -> std::io::Result<(u64, u64)> {
-        // Lock order everywhere: mem before disk.
-        let mem = self.mem.lock().expect("cache poisoned");
-        let mut file = disk.file.lock().expect("cache file poisoned");
-        let before = disk.lines.load(Ordering::Relaxed);
-        let tmp_path = disk.path.with_extension("jsonl.tmp");
-        let mut after = 0u64;
-        {
-            if let Some(e) = injected_io_fault() {
-                return Err(e);
-            }
-            let tmp = File::create(&tmp_path)?;
-            let mut w = BufWriter::new(tmp);
-            for key in mem.lru.values() {
-                let entry = &mem.map[key];
-                let line = Json::obj([
-                    ("key", Json::from(key.as_str())),
-                    ("result", entry.result.clone()),
-                ]);
-                writeln!(w, "{}", line.to_compact())?;
-                after += 1;
-            }
-            w.flush()?;
-            w.into_inner().map_err(|e| e.into_error())?.sync_all()?;
-        }
-        std::fs::rename(&tmp_path, &disk.path)?;
-        // The old append handle points at the unlinked file; swap in one
-        // for the fresh file.
-        *file = OpenOptions::new().append(true).open(&disk.path)?;
-        disk.lines.store(after, Ordering::Relaxed);
-        self.compactions.fetch_add(1, Ordering::Relaxed);
-        chipmunk_trace::counter_add!("serve.cache.compacted", 1);
-        Ok((before, after))
     }
 
     /// Drop every entry from both tiers. Returns how many entries went.
@@ -484,34 +317,26 @@ impl ResultCache {
 
     /// Completed compaction passes (startup, automatic, and on-demand).
     pub fn compactions(&self) -> u64 {
-        self.compactions.load(Ordering::Relaxed)
+        self.log.as_ref().map_or(0, DurableLog::rewrites)
     }
 
     /// Lines currently in `results.jsonl` (0 for memory-only caches).
     /// Exceeds [`len`](ResultCache::len) by the evicted / duplicate /
     /// corrupt lines a compaction would drop.
     pub fn disk_lines(&self) -> u64 {
-        self.disk
-            .as_ref()
-            .map(|d| d.lines.load(Ordering::Relaxed))
-            .unwrap_or(0)
+        self.log.as_ref().map_or(0, DurableLog::lines)
     }
 
     /// Whether the disk tier is detached after an I/O error (memory-only
     /// degraded mode). Always false for caches opened without a
     /// directory — they have no tier to lose.
     pub fn degraded(&self) -> bool {
-        self.disk
-            .as_ref()
-            .is_some_and(|d| d.degraded.load(Ordering::Relaxed))
+        self.log.as_ref().is_some_and(DurableLog::degraded)
     }
 
     /// Disk I/O errors absorbed so far (failed appends and compactions).
     pub fn disk_errors(&self) -> u64 {
-        self.disk
-            .as_ref()
-            .map(|d| d.disk_errors.load(Ordering::Relaxed))
-            .unwrap_or(0)
+        self.log.as_ref().map_or(0, DurableLog::errors)
     }
 }
 
@@ -546,6 +371,7 @@ mod tests {
 
     #[test]
     fn disk_cache_survives_reopen() {
+        let _f = crate::faults::test_lock();
         let dir = tmpdir("reopen");
         let doc = Json::obj([("stages", Json::from(3u64))]);
         {
@@ -560,6 +386,7 @@ mod tests {
 
     #[test]
     fn corrupt_lines_are_skipped_on_load() {
+        let _f = crate::faults::test_lock();
         let dir = tmpdir("corrupt");
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(
@@ -581,6 +408,7 @@ mod tests {
     /// line) must not abort `open` — keep what parsed, stay appendable.
     #[test]
     fn unreadable_line_stops_the_load_but_not_the_cache() {
+        let _f = crate::faults::test_lock();
         let dir = tmpdir("unreadable");
         std::fs::create_dir_all(&dir).unwrap();
         let mut bytes = b"{\"key\":\"aa\",\"result\":{\"v\":1}}\n".to_vec();
@@ -603,6 +431,7 @@ mod tests {
 
     #[test]
     fn duplicate_puts_write_one_disk_line() {
+        let _f = crate::faults::test_lock();
         let dir = tmpdir("dedup");
         let doc = Json::obj([("v", Json::from(1u64))]);
         {
@@ -621,6 +450,7 @@ mod tests {
     /// First write wins in *both* tiers.
     #[test]
     fn duplicate_put_leaves_both_tiers_agreeing() {
+        let _f = crate::faults::test_lock();
         let dir = tmpdir("fww");
         {
             let c = ResultCache::open(Some(&dir)).unwrap();
@@ -637,6 +467,7 @@ mod tests {
     /// tiers agree on it after a reopen.
     #[test]
     fn racing_duplicate_puts_keep_tiers_consistent() {
+        let _f = crate::faults::test_lock();
         let dir = tmpdir("race");
         let winner = {
             let c = std::sync::Arc::new(ResultCache::open(Some(&dir)).unwrap());
@@ -673,6 +504,7 @@ mod tests {
 
     #[test]
     fn compaction_drops_evicted_entries_from_disk() {
+        let _f = crate::faults::test_lock();
         let dir = tmpdir("compact");
         {
             let c = ResultCache::open_bounded(Some(&dir), Some(2)).unwrap();
@@ -702,6 +534,7 @@ mod tests {
 
     #[test]
     fn startup_compaction_shrinks_an_over_bound_file() {
+        let _f = crate::faults::test_lock();
         let dir = tmpdir("startbound");
         std::fs::create_dir_all(&dir).unwrap();
         let mut text = String::new();
@@ -726,6 +559,7 @@ mod tests {
 
     #[test]
     fn clear_empties_both_tiers() {
+        let _f = crate::faults::test_lock();
         let dir = tmpdir("clear");
         {
             let c = ResultCache::open(Some(&dir)).unwrap();
@@ -742,6 +576,7 @@ mod tests {
 
     #[test]
     fn remove_quarantines_from_both_tiers() {
+        let _f = crate::faults::test_lock();
         let dir = tmpdir("quarantine");
         {
             let c = ResultCache::open(Some(&dir)).unwrap();
@@ -774,6 +609,7 @@ mod tests {
 
     #[test]
     fn auto_compaction_bounds_the_disk_tier() {
+        let _f = crate::faults::test_lock();
         let dir = tmpdir("autocompact");
         let c = ResultCache::open_bounded(Some(&dir), Some(4)).unwrap();
         for i in 0..200u64 {

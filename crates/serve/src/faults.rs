@@ -7,8 +7,9 @@
 //! * **compile panics** — a worker's compile call panics mid-job,
 //! * **worker deaths** — a worker thread dies *outside* its panic
 //!   isolation, exercising the supervisor/respawn path,
-//! * **cache I/O errors** — the disk tier's writes fail as if the disk
-//!   were full, exercising degraded mode,
+//! * **disk I/O errors** — an append, rewrite or reopen of the result
+//!   cache's or the job journal's file fails as if the disk were full,
+//!   exercising degraded mode ([`crate::durable`]),
 //! * **solver stalls** — an artificial delay before a compile, for
 //!   building up queue depth under test,
 //! * **connection resets** — a connection's socket is torn down just
@@ -33,7 +34,7 @@
 //! A plan is a `;`-separated list of clauses:
 //!
 //! ```text
-//! seed=42;panic@0,3;cache_io@1;reset%0.05;stall@2;stall_ms=20
+//! seed=42;panic@0,3;disk_io@1;reset%0.05;stall@2;stall_ms=20
 //! ```
 //!
 //! * `<kind>@i,j,...` — fire at those 0-based *occurrence indices* of the
@@ -41,7 +42,7 @@
 //! * `<kind>%p` — additionally fire each occurrence with probability `p`,
 //!   drawn from a [`Xoshiro256`] stream seeded by `seed` (default 0).
 //! * `stall_ms=N` — duration of an injected stall (default 50 ms).
-//! * Kinds: `panic`, `worker_death`, `cache_io`, `stall`, `reset`,
+//! * Kinds: `panic`, `worker_death`, `disk_io`, `stall`, `reset`,
 //!   `corrupt`, `metrics_io`, `proof_io`, `clock_stall`.
 //!
 //! Plans are installed from the `CHIPMUNK_FAULTS` environment variable at
@@ -52,7 +53,9 @@
 //! the env var unset pay a single predictable branch.
 //!
 //! The plan is process-global: occurrence counters are shared across
-//! threads, so concurrent tests that install plans must serialize.
+//! threads, so a test that installs a plan, and every test that reaches
+//! an injection site, must serialize: the crate's unit tests hold one
+//! `test_lock`, and each integration test binary keeps its own lock.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -68,8 +71,9 @@ pub enum FaultKind {
     CompilePanic,
     /// Kill a worker thread outside its panic isolation.
     WorkerDeath,
-    /// Fail a disk write/rename in the result cache.
-    CacheIo,
+    /// Fail a disk append, rewrite or reopen of a durable log (the result
+    /// cache's or the job journal's file).
+    DiskIo,
     /// Sleep for `stall_ms` before starting a compile.
     SolverStall,
     /// Tear down a connection's socket before a response write.
@@ -98,7 +102,7 @@ impl FaultKind {
         match self {
             FaultKind::CompilePanic => 0,
             FaultKind::WorkerDeath => 1,
-            FaultKind::CacheIo => 2,
+            FaultKind::DiskIo => 2,
             FaultKind::SolverStall => 3,
             FaultKind::ConnReset => 4,
             FaultKind::CacheCorrupt => 5,
@@ -112,7 +116,7 @@ impl FaultKind {
         Some(match s {
             "panic" => FaultKind::CompilePanic,
             "worker_death" => FaultKind::WorkerDeath,
-            "cache_io" => FaultKind::CacheIo,
+            "disk_io" => FaultKind::DiskIo,
             "stall" => FaultKind::SolverStall,
             "reset" => FaultKind::ConnReset,
             "corrupt" => FaultKind::CacheCorrupt,
@@ -421,33 +425,31 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
+/// Serializes the crate's unit tests on the process-global fault state:
+/// every test that installs a plan or reaches an injection site holds it,
+/// so no test consumes or fires another test's armed occurrence.
+#[cfg(test)]
+pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
+    static TEST_LOCK: Mutex<()> = Mutex::new(());
+    TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Fault state is process-global; tests that install plans must hold
-    /// this lock. Integration tests use their own copy per binary.
-    static TEST_LOCK: Mutex<()> = Mutex::new(());
-
-    fn lock() -> std::sync::MutexGuard<'static, ()> {
-        match TEST_LOCK.lock() {
-            Ok(g) => g,
-            Err(p) => p.into_inner(),
-        }
-    }
-
     #[test]
     fn disarmed_fires_nothing() {
-        let _g = lock();
+        let _g = test_lock();
         disarm();
         assert!(!armed());
         assert!(!fired(FaultKind::CompilePanic));
-        assert!(!fired(FaultKind::CacheIo));
+        assert!(!fired(FaultKind::DiskIo));
     }
 
     #[test]
     fn explicit_indices_fire_exactly_once_each() {
-        let _g = lock();
+        let _g = test_lock();
         install("panic@0,2").unwrap();
         assert!(fired(FaultKind::CompilePanic)); // occurrence 0
         assert!(!fired(FaultKind::CompilePanic)); // 1
@@ -460,10 +462,10 @@ mod tests {
 
     #[test]
     fn probability_schedule_is_reproducible_from_seed() {
-        let _g = lock();
+        let _g = test_lock();
         let run = || {
-            install("seed=99;cache_io%0.5").unwrap();
-            let v: Vec<bool> = (0..32).map(|_| fired(FaultKind::CacheIo)).collect();
+            install("seed=99;disk_io%0.5").unwrap();
+            let v: Vec<bool> = (0..32).map(|_| fired(FaultKind::DiskIo)).collect();
             disarm();
             v
         };
@@ -476,7 +478,7 @@ mod tests {
 
     #[test]
     fn stall_duration_comes_from_plan() {
-        let _g = lock();
+        let _g = test_lock();
         install("stall@0;stall_ms=7").unwrap();
         assert_eq!(stall_duration(), Duration::from_millis(7));
         disarm();
@@ -484,7 +486,7 @@ mod tests {
 
     #[test]
     fn corrupt_kind_parses_and_fires() {
-        let _g = lock();
+        let _g = test_lock();
         install("corrupt@0").unwrap();
         assert!(fired(FaultKind::CacheCorrupt));
         assert!(!fired(FaultKind::CacheCorrupt));
@@ -493,7 +495,7 @@ mod tests {
 
     #[test]
     fn metrics_io_kind_parses_and_fires() {
-        let _g = lock();
+        let _g = test_lock();
         install("metrics_io@0").unwrap();
         assert!(fired(FaultKind::MetricsIo));
         assert!(!fired(FaultKind::MetricsIo));
@@ -504,7 +506,7 @@ mod tests {
 
     #[test]
     fn proof_io_kind_parses_and_fires() {
-        let _g = lock();
+        let _g = test_lock();
         install("proof_io@0").unwrap();
         assert!(fired(FaultKind::ProofIo));
         assert!(!fired(FaultKind::ProofIo));
@@ -515,7 +517,7 @@ mod tests {
 
     #[test]
     fn clock_stall_kind_parses_and_fires() {
-        let _g = lock();
+        let _g = test_lock();
         install("clock_stall@0;stall_ms=5").unwrap();
         assert!(fired(FaultKind::ClockStall));
         assert!(!fired(FaultKind::ClockStall));
@@ -551,7 +553,7 @@ mod tests {
 
     #[test]
     fn bad_specs_are_rejected() {
-        let _g = lock();
+        let _g = test_lock();
         for bad in [
             "frobnicate@1",
             "panic@x",

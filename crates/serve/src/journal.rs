@@ -45,24 +45,22 @@
 //! record and replay on the next start, which is exactly the at-least-once
 //! retry the client was told is safe.
 //!
-//! Durability discipline matches the result cache: appends go through one
-//! shared handle (`accepted` lines are fsync'd; losing a `completed` line
-//! merely causes one redundant recompile), and compaction — dropping
-//! completed pairs — writes a temp file, fsyncs it, and renames it over
-//! the old one, so a crash mid-compaction keeps the previous journal.
-//! Torn or corrupt lines (a crash mid-append) are skipped on load. I/O
-//! errors never propagate into the serving path: the journal degrades to
-//! a no-op and counts the error.
+//! The file is a durable log ([`crate::durable`]), the same crash-safe
+//! JSONL file as the result cache's: only `accepted` appends are fsync'd
+//! (losing a `completed` line merely causes one redundant recompile),
+//! torn or corrupt lines are skipped on load, and compaction, which drops
+//! completed jobs, rewrites the file crash-safely. I/O errors never
+//! propagate into the serving path: the journal degrades, keeps tracking
+//! pending jobs in memory, and re-attaches the way the cache does, with
+//! every pending job back on disk.
 
-use std::collections::HashMap;
-use std::fs::{File, OpenOptions};
-use std::io::{BufRead, BufReader, BufWriter, Write};
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::collections::{BTreeSet, HashMap, HashSet};
+use std::path::Path;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use chipmunk_trace::json::Json;
 
+use crate::durable::DurableLog;
 use crate::protocol::JobOptions;
 
 /// A journaled job that was accepted but never answered: replay it.
@@ -89,7 +87,7 @@ pub struct PendingJob {
 #[derive(Default)]
 struct StepProgress {
     /// Completed (non-winning) step indices, deduplicated.
-    done: std::collections::BTreeSet<usize>,
+    done: BTreeSet<usize>,
 }
 
 impl StepProgress {
@@ -105,8 +103,9 @@ impl StepProgress {
     }
 }
 
-struct Inner {
-    file: File,
+/// The journal's in-memory view: what the live records say.
+#[derive(Default)]
+struct State {
     /// Pending `accepted` records by key (the full record document).
     pending: HashMap<String, Json>,
     /// Per-key plan progress (only meaningful while the key is pending;
@@ -115,28 +114,131 @@ struct Inner {
     /// Keys in first-accepted order, possibly holding completed stragglers
     /// (filtered against `pending` when used).
     order: Vec<String>,
-    /// Lines currently in the file, dead or alive.
-    lines: u64,
+}
+
+fn step_record(key: &str, plan: &str, step: usize) -> Json {
+    Json::obj([
+        ("rec", Json::from("step")),
+        ("key", Json::from(key)),
+        ("plan", Json::from(plan)),
+        ("step", Json::from(step as u64)),
+    ])
+}
+
+impl State {
+    /// The first accept of a key wins: twin submissions share one pending
+    /// entry and one replay.
+    fn accept(&mut self, key: &str, doc: &Json) {
+        if !self.pending.contains_key(key) {
+            self.order.push(key.to_string());
+            self.pending.insert(key.to_string(), doc.clone());
+        }
+    }
+
+    /// Forget `key`'s pending record and its progress, returning the
+    /// record.
+    fn complete(&mut self, key: &str) -> Option<Json> {
+        self.steps.remove(key);
+        self.pending.remove(key)
+    }
+
+    /// Fold one record read back from the file into the state.
+    fn load(&mut self, doc: Json) {
+        let (Some(rec), Some(key)) = (
+            doc.get("rec").and_then(Json::as_str),
+            doc.get("key").and_then(Json::as_str),
+        ) else {
+            return;
+        };
+        match rec {
+            "accepted" => self.accept(key, &doc),
+            "step" => {
+                let (Some(plan), Some(step)) = (
+                    doc.get("plan").and_then(Json::as_str),
+                    doc.get("step")
+                        .and_then(Json::as_u64)
+                        .and_then(|v| usize::try_from(v).ok()),
+                ) else {
+                    return;
+                };
+                // Progress only counts against the plan it was made under;
+                // a fingerprint change voids it.
+                let entry = self
+                    .steps
+                    .entry(key.to_string())
+                    .or_insert_with(|| (plan.to_string(), StepProgress::default()));
+                if entry.0 == plan {
+                    entry.1.done.insert(step);
+                }
+            }
+            "completed" => {
+                self.complete(key);
+            }
+            _ => {}
+        }
+    }
+
+    /// Lines a compacted file holds: the pending `accepted` records plus
+    /// their step records.
+    fn live(&self) -> usize {
+        let steps: usize = self.steps.values().map(|(_, p)| p.done.len()).sum();
+        self.pending.len() + steps
+    }
+
+    /// The live records in file order; step progress follows its
+    /// `accepted` record, so a compaction keeps a later crash resumable.
+    fn records(&self) -> Vec<Json> {
+        let mut records = Vec::new();
+        for key in &self.order {
+            let Some(accepted) = self.pending.get(key) else {
+                continue;
+            };
+            records.push(accepted.clone());
+            if let Some((plan, prog)) = self.steps.get(key) {
+                records.extend(prog.done.iter().map(|&step| step_record(key, plan, step)));
+            }
+        }
+        records
+    }
+
+    /// The pending job journaled under `key`, or `None` when its record
+    /// cannot be decoded.
+    fn pending_job(&self, key: &str) -> Option<PendingJob> {
+        let doc = self.pending.get(key)?;
+        let program = doc.get("program").and_then(Json::as_str)?.to_string();
+        let options = match doc.get("options") {
+            None | Some(Json::Null) => JobOptions::default(),
+            Some(o) => JobOptions::from_json(o).ok()?,
+        };
+        let journaled_plan = doc.get("plan").and_then(Json::as_str);
+        let (plan, resume_from) = match (journaled_plan, self.steps.get(key)) {
+            // Progress is only trusted when the step records' fingerprint
+            // matches the accepted record's.
+            (Some(p), Some((sp, prog))) if p == sp => (Some(p.to_string()), prog.resume_from()),
+            (p, _) => (p.map(str::to_string), 0),
+        };
+        Some(PendingJob {
+            key: key.to_string(),
+            program,
+            options,
+            trace: doc.get("trace").and_then(Json::as_str).map(str::to_string),
+            priority: doc
+                .get("priority")
+                .and_then(Json::as_u64)
+                .and_then(|v| u8::try_from(v).ok())
+                .unwrap_or(0),
+            plan,
+            resume_from,
+        })
+    }
 }
 
 /// The write-ahead journal. All operations are crash-tolerant and
 /// serving-path-safe: an I/O error degrades the journal instead of
 /// failing the request that touched it.
 pub struct Journal {
-    inner: Mutex<Inner>,
-    path: PathBuf,
-    /// Journal writes disabled after an I/O error (the in-memory pending
-    /// set still tracks, so a later compaction can recover the file).
-    degraded: AtomicBool,
-    errors: AtomicU64,
-    compactions: AtomicU64,
-}
-
-fn lock(m: &Mutex<Inner>) -> std::sync::MutexGuard<'_, Inner> {
-    match m.lock() {
-        Ok(g) => g,
-        Err(p) => p.into_inner(),
-    }
+    state: Mutex<State>,
+    log: DurableLog,
 }
 
 impl Journal {
@@ -145,130 +247,49 @@ impl Journal {
     /// first-accepted order. The file is compacted down to those pending
     /// records so completed history does not accumulate across restarts.
     pub fn open(dir: &Path) -> std::io::Result<(Journal, Vec<PendingJob>)> {
-        std::fs::create_dir_all(dir)?;
-        let path = dir.join("journal.jsonl");
-        let mut pending: HashMap<String, Json> = HashMap::new();
-        let mut steps: HashMap<String, (String, StepProgress)> = HashMap::new();
-        let mut order: Vec<String> = Vec::new();
-        let mut lines = 0u64;
-        if let Ok(f) = File::open(&path) {
-            for line in BufReader::new(f).lines() {
-                let Ok(line) = line else { break };
-                lines += 1;
-                let Ok(doc) = Json::parse(&line) else {
-                    continue; // torn line from a crash mid-append
-                };
-                let (Some(rec), Some(key)) = (
-                    doc.get("rec").and_then(Json::as_str),
-                    doc.get("key").and_then(Json::as_str),
-                ) else {
-                    continue;
-                };
-                match rec {
-                    "accepted" => {
-                        if !pending.contains_key(key) {
-                            order.push(key.to_string());
-                        }
-                        pending.entry(key.to_string()).or_insert(doc);
-                    }
-                    "step" => {
-                        let (Some(plan), Some(step)) = (
-                            doc.get("plan").and_then(Json::as_str),
-                            doc.get("step")
-                                .and_then(Json::as_u64)
-                                .and_then(|v| usize::try_from(v).ok()),
-                        ) else {
-                            continue;
-                        };
-                        // Progress only counts against the plan it was
-                        // made under; a fingerprint change voids it.
-                        let entry = steps
-                            .entry(key.to_string())
-                            .or_insert_with(|| (plan.to_string(), StepProgress::default()));
-                        if entry.0 == plan {
-                            entry.1.done.insert(step);
-                        }
-                    }
-                    "completed" => {
-                        pending.remove(key);
-                        steps.remove(key);
-                    }
-                    _ => {}
-                }
-            }
-        }
-        steps.retain(|k, _| pending.contains_key(k));
+        let mut state = State::default();
+        let log = DurableLog::open(&dir.join("journal.jsonl"), |doc| state.load(doc))?;
+        state.steps.retain(|k, _| state.pending.contains_key(k));
         // A completed-then-reaccepted key appears in `order` once per
-        // accept; replay must see it once.
-        let mut seen = std::collections::HashSet::new();
-        order.retain(|k| seen.insert(k.clone()));
-        let file = OpenOptions::new().create(true).append(true).open(&path)?;
+        // accept; replay must see it once, and only while it is pending.
+        let mut seen = HashSet::new();
+        state
+            .order
+            .retain(|k| state.pending.contains_key(k) && seen.insert(k.clone()));
+        let replay = state
+            .order
+            .iter()
+            .filter_map(|key| state.pending_job(key))
+            .collect();
+        // Completed history and damaged lines are dead weight the next
+        // start would re-read: compact them away now.
+        let dead = log.lines() > state.live() as u64;
         let journal = Journal {
-            inner: Mutex::new(Inner {
-                file,
-                pending,
-                steps,
-                order,
-                lines,
-            }),
-            path,
-            degraded: AtomicBool::new(false),
-            errors: AtomicU64::new(0),
-            compactions: AtomicU64::new(0),
+            state: Mutex::new(state),
+            log,
         };
-        let replay = {
-            let inner = lock(&journal.inner);
-            inner
-                .order
-                .iter()
-                .filter_map(|key| {
-                    let doc = inner.pending.get(key)?;
-                    let program = doc.get("program").and_then(Json::as_str)?.to_string();
-                    let options = match doc.get("options") {
-                        None | Some(Json::Null) => JobOptions::default(),
-                        Some(o) => JobOptions::from_json(o).ok()?,
-                    };
-                    let journaled_plan = doc.get("plan").and_then(Json::as_str);
-                    let (plan, resume_from) = match (journaled_plan, inner.steps.get(key)) {
-                        // Progress is only trusted when the step records'
-                        // fingerprint matches the accepted record's.
-                        (Some(p), Some((sp, prog))) if p == sp => {
-                            (Some(p.to_string()), prog.resume_from())
-                        }
-                        (p, _) => (p.map(str::to_string), 0),
-                    };
-                    Some(PendingJob {
-                        key: key.clone(),
-                        program,
-                        options,
-                        trace: doc.get("trace").and_then(Json::as_str).map(str::to_string),
-                        priority: doc
-                            .get("priority")
-                            .and_then(Json::as_u64)
-                            .and_then(|v| u8::try_from(v).ok())
-                            .unwrap_or(0),
-                        plan,
-                        resume_from,
-                    })
-                })
-                .collect::<Vec<_>>()
-        };
-        // Startup compaction: completed history (and anything corrupt) is
-        // dead weight the next start would re-parse. Live lines are the
-        // pending accepted records plus their surviving step records.
-        let live = {
-            let inner = lock(&journal.inner);
-            inner.pending.len() as u64
-                + inner
-                    .steps
-                    .values()
-                    .map(|(_, p)| p.done.len() as u64)
-                    .sum::<u64>()
-        };
-        if lock(&journal.inner).lines > live {
+        if dead {
             let _ = journal.compact();
         }
         Ok((journal, replay))
+    }
+
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Append `doc` to the log, compacting (or probing a re-attach) when
+    /// the log asks. The caller holds the state lock, which the log's
+    /// lock always follows.
+    fn write(&self, state: &mut State, doc: &Json, sync: bool) {
+        if self.log.append(doc, sync, state.live()) {
+            let _ = self.rewrite(state);
+        }
+    }
+
+    fn rewrite(&self, state: &mut State) -> std::io::Result<()> {
+        state.order.retain(|k| state.pending.contains_key(k));
+        self.log.rewrite(state.records()).map(drop)
     }
 
     /// Write-ahead record: `key` was accepted and owes an answer. Fsync'd
@@ -288,28 +309,24 @@ impl Journal {
         plan: Option<&str>,
     ) {
         let mut pairs = vec![
-            ("rec".to_string(), Json::from("accepted")),
-            ("key".to_string(), Json::from(key)),
-            ("program".to_string(), Json::from(program)),
-            ("options".to_string(), options.to_json()),
+            ("rec", Json::from("accepted")),
+            ("key", Json::from(key)),
+            ("program", Json::from(program)),
+            ("options", options.to_json()),
         ];
         if let Some(t) = trace {
-            pairs.push(("trace".to_string(), Json::from(t)));
+            pairs.push(("trace", Json::from(t)));
         }
         if priority > 0 {
-            pairs.push(("priority".to_string(), Json::from(u64::from(priority))));
+            pairs.push(("priority", Json::from(u64::from(priority))));
         }
         if let Some(p) = plan {
-            pairs.push(("plan".to_string(), Json::from(p)));
+            pairs.push(("plan", Json::from(p)));
         }
-        let doc = Json::Obj(pairs);
-        let mut inner = lock(&self.inner);
-        if !inner.pending.contains_key(key) {
-            let key = key.to_string();
-            inner.order.push(key.clone());
-            inner.pending.insert(key, doc.clone());
-        }
-        self.append(&mut inner, &doc, true);
+        let doc = Json::obj(pairs);
+        let mut state = self.lock();
+        state.accept(key, &doc);
+        self.write(&mut state, &doc, true);
     }
 
     /// Progress record: plan step `step` of the plan fingerprinted `plan`
@@ -318,11 +335,11 @@ impl Journal {
     /// not pending or whose journaled fingerprint disagrees (a replan
     /// voids old progress).
     pub fn step(&self, key: &str, plan: &str, step: usize) {
-        let mut inner = lock(&self.inner);
-        if !inner.pending.contains_key(key) {
+        let mut state = self.lock();
+        if !state.pending.contains_key(key) {
             return;
         }
-        let entry = inner
+        let entry = state
             .steps
             .entry(key.to_string())
             .or_insert_with(|| (plan.to_string(), StepProgress::default()));
@@ -333,148 +350,61 @@ impl Journal {
         if !entry.1.done.insert(step) {
             return; // already journaled
         }
-        let doc = Json::Obj(vec![
-            ("rec".to_string(), Json::from("step")),
-            ("key".to_string(), Json::from(key)),
-            ("plan".to_string(), Json::from(plan)),
-            ("step".to_string(), Json::from(step as u64)),
-        ]);
-        self.append(&mut inner, &doc, false);
+        self.write(&mut state, &step_record(key, plan, step), false);
     }
 
     /// Terminal record: `key` has been answered (by any outcome). The
     /// record echoes the trace id journaled by the matching `accepted`.
     pub fn completed(&self, key: &str) {
-        let mut inner = lock(&self.inner);
-        let Some(accepted) = inner.pending.remove(key) else {
+        let mut state = self.lock();
+        let Some(accepted) = state.complete(key) else {
             return; // unknown or already-completed key: nothing owed
         };
-        inner.steps.remove(key);
-        let mut pairs = vec![
-            ("rec".to_string(), Json::from("completed")),
-            ("key".to_string(), Json::from(key)),
-        ];
+        let mut pairs = vec![("rec", Json::from("completed")), ("key", Json::from(key))];
         if let Some(t) = accepted.get("trace").and_then(Json::as_str) {
-            pairs.push(("trace".to_string(), Json::from(t)));
+            pairs.push(("trace", Json::from(t)));
         }
-        let doc = Json::Obj(pairs);
-        self.append(&mut inner, &doc, false);
-        // Once completed pairs dominate the file, fold them away.
-        if inner.lines > 2 * inner.pending.len() as u64 + 16 {
-            drop(inner);
-            let _ = self.compact();
-        }
+        self.write(&mut state, &Json::obj(pairs), false);
     }
 
-    fn append(&self, inner: &mut Inner, doc: &Json, sync: bool) {
-        if self.degraded.load(Ordering::Relaxed) {
-            return;
-        }
-        let res = (|| -> std::io::Result<()> {
-            writeln!(inner.file, "{}", doc.to_compact())?;
-            inner.file.flush()?;
-            if sync {
-                inner.file.sync_data()?;
-            }
-            Ok(())
-        })();
-        match res {
-            Ok(()) => inner.lines += 1,
-            Err(_) => {
-                self.errors.fetch_add(1, Ordering::Relaxed);
-                self.degraded.store(true, Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Rewrite the journal down to its pending records (temp + fsync +
-    /// rename, crash-safe). Also the degraded-mode recovery path: a full
-    /// successful rewrite re-attaches the file.
+    /// Rewrite the journal down to its pending records (crash-safe, see
+    /// [`crate::durable`]). Also the degraded-mode recovery path: a
+    /// full successful rewrite re-attaches the file.
     pub fn compact(&self) -> std::io::Result<()> {
-        let mut inner = lock(&self.inner);
-        let tmp_path = self.path.with_extension("jsonl.tmp");
-        let mut written = 0u64;
-        let res = (|| -> std::io::Result<()> {
-            let tmp = File::create(&tmp_path)?;
-            let mut w = BufWriter::new(tmp);
-            for key in &inner.order {
-                if let Some(doc) = inner.pending.get(key) {
-                    writeln!(w, "{}", doc.to_compact())?;
-                    written += 1;
-                    // Plan progress survives compaction so a later crash
-                    // still resumes mid-plan.
-                    if let Some((plan, prog)) = inner.steps.get(key) {
-                        for &step in &prog.done {
-                            let doc = Json::Obj(vec![
-                                ("rec".to_string(), Json::from("step")),
-                                ("key".to_string(), Json::from(key.as_str())),
-                                ("plan".to_string(), Json::from(plan.as_str())),
-                                ("step".to_string(), Json::from(step as u64)),
-                            ]);
-                            writeln!(w, "{}", doc.to_compact())?;
-                            written += 1;
-                        }
-                    }
-                }
-            }
-            w.flush()?;
-            w.into_inner().map_err(|e| e.into_error())?.sync_all()?;
-            std::fs::rename(&tmp_path, &self.path)?;
-            Ok(())
-        })();
-        match res {
-            Ok(()) => {
-                inner.file = OpenOptions::new().append(true).open(&self.path)?;
-                inner.lines = written;
-                let pending: Vec<String> = inner
-                    .order
-                    .iter()
-                    .filter(|k| inner.pending.contains_key(*k))
-                    .cloned()
-                    .collect();
-                inner.order = pending;
-                self.degraded.store(false, Ordering::Relaxed);
-                self.compactions.fetch_add(1, Ordering::Relaxed);
-                Ok(())
-            }
-            Err(e) => {
-                self.errors.fetch_add(1, Ordering::Relaxed);
-                self.degraded.store(true, Ordering::Relaxed);
-                Err(e)
-            }
-        }
+        self.rewrite(&mut self.lock())
     }
 
     /// Jobs currently owed an answer.
     pub fn pending_len(&self) -> usize {
-        lock(&self.inner).pending.len()
+        self.lock().pending.len()
     }
 
     /// Lines currently in the journal file (pending + not-yet-compacted
     /// history).
     pub fn lines(&self) -> u64 {
-        lock(&self.inner).lines
+        self.log.lines()
     }
 
     /// I/O errors absorbed so far.
     pub fn errors(&self) -> u64 {
-        self.errors.load(Ordering::Relaxed)
+        self.log.errors()
     }
 
     /// Whether writes are currently disabled after an I/O error.
     pub fn degraded(&self) -> bool {
-        self.degraded.load(Ordering::Relaxed)
+        self.log.degraded()
     }
 
     /// Completed compaction passes.
     pub fn compactions(&self) -> u64 {
-        self.compactions.load(Ordering::Relaxed)
+        self.log.rewrites()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!(
@@ -494,6 +424,7 @@ mod tests {
 
     #[test]
     fn unfinished_jobs_replay_in_accept_order() {
+        let _f = crate::faults::test_lock();
         let dir = tmpdir("replay");
         {
             let (j, replay) = Journal::open(&dir).unwrap();
@@ -533,6 +464,7 @@ mod tests {
 
     #[test]
     fn duplicate_accepts_replay_once() {
+        let _f = crate::faults::test_lock();
         let dir = tmpdir("dup");
         {
             let (j, _) = Journal::open(&dir).unwrap();
@@ -546,6 +478,7 @@ mod tests {
 
     #[test]
     fn torn_lines_and_stray_completions_are_tolerated() {
+        let _f = crate::faults::test_lock();
         let dir = tmpdir("torn");
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(
@@ -573,8 +506,75 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A crash can tear a record inside a multi-byte character: comments
+    /// and client trace ids reach the journal as raw UTF-8. Loading stops
+    /// at the unreadable tail, and the startup rewrite drops it, so a job
+    /// accepted after the restart does not land behind it and vanish from
+    /// the next replay.
+    #[test]
+    fn a_tail_torn_inside_a_multibyte_character_does_not_swallow_later_records() {
+        let _f = crate::faults::test_lock();
+        let dir = tmpdir("tornutf8");
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut bytes =
+            b"{\"rec\":\"accepted\",\"key\":\"k1\",\"program\":\"pkt.a = pkt.b;\"}\n".to_vec();
+        let torn = "{\"rec\":\"accepted\",\"key\":\"k2\",\"trace\":\"caf\u{e9}\"}\n";
+        let cut = torn.find('\u{e9}').unwrap() + 1; // between the bytes of 'é'
+        bytes.extend(&torn.as_bytes()[..cut]);
+        std::fs::write(dir.join("journal.jsonl"), &bytes).unwrap();
+        {
+            let (j, replay) = Journal::open(&dir).unwrap();
+            let keys: Vec<&str> = replay.iter().map(|p| p.key.as_str()).collect();
+            assert_eq!(keys, ["k1"]);
+            j.accepted(
+                "k3",
+                "pkt.x = pkt.y;",
+                &JobOptions::default(),
+                None,
+                0,
+                None,
+            );
+        }
+        let (_, replay) = Journal::open(&dir).unwrap();
+        let keys: Vec<&str> = replay.iter().map(|p| p.key.as_str()).collect();
+        assert_eq!(
+            keys,
+            ["k1", "k3"],
+            "the job accepted after the tear is lost"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// If reopening the file after a rewrite's rename fails, the journal
+    /// degrades instead of appending to the unlinked old file; a job
+    /// accepted meanwhile is on disk after the next successful rewrite.
+    #[test]
+    fn a_failed_reopen_after_a_rewrite_degrades_until_the_next_rewrite() {
+        let _f = crate::faults::test_lock();
+        let dir = tmpdir("reopen");
+        let (j, _) = Journal::open(&dir).unwrap();
+        let opts = JobOptions::default();
+        j.accepted("k1", "pkt.a = pkt.b;", &opts, None, 0, None);
+        // Occurrence 0 is the rewrite's temp file, 1 the reopen.
+        crate::faults::install("disk_io@1").unwrap();
+        let failed = j.compact();
+        crate::faults::disarm();
+        assert!(failed.is_err(), "the failed reopen must surface");
+        assert!(j.degraded());
+        assert_eq!(j.errors(), 1);
+        j.accepted("k2", "pkt.c = pkt.d;", &opts, None, 0, None);
+        j.compact().unwrap();
+        assert!(!j.degraded());
+        drop(j);
+        let (_, replay) = Journal::open(&dir).unwrap();
+        let keys: Vec<&str> = replay.iter().map(|p| p.key.as_str()).collect();
+        assert_eq!(keys, ["k1", "k2"]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn completion_heavy_journals_self_compact() {
+        let _f = crate::faults::test_lock();
         let dir = tmpdir("selfcompact");
         let (j, _) = Journal::open(&dir).unwrap();
         for i in 0..40 {
@@ -597,6 +597,7 @@ mod tests {
 
     #[test]
     fn completed_records_echo_the_accepted_trace_id() {
+        let _f = crate::faults::test_lock();
         let dir = tmpdir("traceecho");
         {
             let (j, _) = Journal::open(&dir).unwrap();
@@ -635,6 +636,7 @@ mod tests {
 
     #[test]
     fn options_round_trip_through_the_journal() {
+        let _f = crate::faults::test_lock();
         let dir = tmpdir("opts");
         let opts = JobOptions {
             template: Some("raw".into()),
@@ -666,6 +668,7 @@ mod tests {
 
     #[test]
     fn priority_and_plan_ride_the_accepted_record() {
+        let _f = crate::faults::test_lock();
         let dir = tmpdir("prio");
         {
             let (j, _) = Journal::open(&dir).unwrap();
@@ -688,6 +691,7 @@ mod tests {
 
     #[test]
     fn journaled_steps_become_the_resume_offset() {
+        let _f = crate::faults::test_lock();
         let dir = tmpdir("resume");
         let fp = "0123456789abcdef";
         {
@@ -711,6 +715,7 @@ mod tests {
 
     #[test]
     fn a_hole_in_the_step_sequence_stops_the_resume_prefix() {
+        let _f = crate::faults::test_lock();
         let dir = tmpdir("hole");
         let fp = "0123456789abcdef";
         {
@@ -733,6 +738,7 @@ mod tests {
 
     #[test]
     fn mismatched_plan_fingerprint_voids_journaled_progress() {
+        let _f = crate::faults::test_lock();
         let dir = tmpdir("fpmismatch");
         {
             let (j, _) = Journal::open(&dir).unwrap();
@@ -756,6 +762,7 @@ mod tests {
 
     #[test]
     fn step_progress_survives_compaction() {
+        let _f = crate::faults::test_lock();
         let dir = tmpdir("stepcompact");
         let fp = "0123456789abcdef";
         {
@@ -792,6 +799,7 @@ mod tests {
 
     #[test]
     fn completion_clears_step_progress() {
+        let _f = crate::faults::test_lock();
         let dir = tmpdir("stepclear");
         let fp = "0123456789abcdef";
         {

@@ -13,10 +13,9 @@
 //!   [`chipmunk::compile_with_cancel`] with per-job timeouts and
 //!   cancellation-based abortive shutdown ([`server`]),
 //! * a **two-tier content-addressed result cache** — a bounded in-memory
-//!   LRU plus an on-disk JSONL store with crash-safe compaction — keyed by
-//!   [`chipmunk::cache_key`], the hash of the *canonicalized* program and
-//!   every semantics-relevant option, so mutants of one benchmark are
-//!   cache hits ([`cache`]),
+//!   LRU plus an on-disk JSONL store — keyed by [`chipmunk::cache_key`],
+//!   the hash of the *canonicalized* program and every semantics-relevant
+//!   option, so mutants of one benchmark are cache hits ([`cache`]),
 //! * a **newline-delimited JSON protocol** over TCP, using the workspace's
 //!   own zero-dependency JSON module ([`protocol`], [`client`]). Requests
 //!   carry optional client-chosen `id`s, and each connection is handled by
@@ -24,10 +23,11 @@
 //!   and receive responses in completion order.
 //! * a **fault-tolerant compile path**: worker panics are isolated into
 //!   structured `internal` errors, a dispatch-time watchdog respawns dead
-//!   workers, the disk cache tier degrades to memory-only instead of
-//!   failing, clients retry transient errors with jittered backoff
-//!   ([`client::RetryingClient`]), and the whole stack is testable under a
-//!   seeded deterministic fault schedule ([`faults`]).
+//!   workers, the cache's disk tier and the journal degrade instead of
+//!   failing and re-attach on their own, clients retry transient errors
+//!   with jittered backoff ([`client::RetryingClient`]), and the whole
+//!   stack is testable under a seeded deterministic fault schedule
+//!   ([`faults`]).
 //! * **certified results**: every result document served — fresh,
 //!   cache-hit, name-remapped, or polled — is independently re-checked
 //!   against the submitted program by differential execution in the
@@ -38,7 +38,10 @@
 //!   fsync'd to disk before they enter the queue, so a killed daemon
 //!   replays unfinished work on restart and clients collect the recovered
 //!   results with the `poll` op.
-//!
+//! * one **durable log** ([`durable`]) under both the cache's disk tier
+//!   and the journal: a JSONL file with torn-line tolerance, crash-safe
+//!   compaction (temp file, fsync, rename), and degrade-and-re-attach on
+//!   I/O errors.
 //! * a **live telemetry plane** ([`metrics`], [`trace_store`]): every
 //!   accepted job carries a trace id (client-supplied or server-assigned)
 //!   that is echoed in responses, journaled with both journal records,
@@ -71,6 +74,7 @@
 
 pub mod cache;
 pub mod client;
+pub mod durable;
 pub mod faults;
 pub mod journal;
 pub mod metrics;

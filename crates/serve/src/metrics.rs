@@ -827,6 +827,7 @@ chipmunk_serve_cache_hit_rate 0.25
 
     #[test]
     fn http_listener_serves_metrics_and_404s_everything_else() {
+        let _f = crate::faults::test_lock();
         let render: Arc<dyn Fn() -> String + Send + Sync> =
             Arc::new(|| "chipmunk_serve_up 1\n".to_string());
         let server = serve_exposition("127.0.0.1:0", render).unwrap();

@@ -1,16 +1,18 @@
 //! Chaos and fault-injection tests: seeded fault schedules against a real
 //! server, asserting the pool survives panics and worker deaths, the cache
-//! degrades and re-attaches, clients retry through resets, and the job
-//! conservation invariant (`submitted == completed + failed + drained +
-//! panicked + expired + shed`) holds under load.
+//! and the journal degrade and re-attach, clients retry through resets,
+//! and the job conservation invariant (`submitted == completed + failed +
+//! drained + panicked + expired + shed`) holds under load.
 //!
 //! Fault state is process-global (`chipmunk_serve::faults`), so this suite
 //! lives in its own test binary and every test serializes on [`FAULT_LOCK`].
 //! Each test prints its fault plan with `eprintln!` so a failure in CI shows
 //! the exact seed/schedule to reproduce it with.
 
+use chipmunk_serve::durable::REATTACH_EVERY;
 use chipmunk_serve::{
-    faults, server, Client, ResultCache, RetryPolicy, RetryingClient, ServerConfig,
+    faults, server, Client, JobOptions, Journal, ResultCache, RetryPolicy, RetryingClient,
+    ServerConfig,
 };
 use chipmunk_trace::json::Json;
 use std::sync::Mutex;
@@ -261,7 +263,7 @@ fn worker_death_answers_the_job_and_pool_respawns() {
 #[test]
 fn cache_degrades_on_disk_error_and_reattaches() {
     let _l = lock();
-    let _d = arm("seed=3;cache_io@0");
+    let _d = arm("seed=3;disk_io@0");
     let dir = tmpdir("degrade");
     let cache = ResultCache::open(Some(dir.as_path())).expect("cache opens");
 
@@ -278,7 +280,7 @@ fn cache_degrades_on_disk_error_and_reattaches() {
     // Disk healthy again (fault exhausted); the 16th degraded put triggers
     // the re-attach probe, whose full rewrite recovers the tier.
     faults::disarm();
-    for i in 1..=chipmunk_serve::cache::REATTACH_EVERY {
+    for i in 1..=REATTACH_EVERY {
         cache.put(&format!("k{i}"), &result);
     }
     assert!(!cache.degraded(), "re-attach probe should have recovered");
@@ -287,17 +289,54 @@ fn cache_degrades_on_disk_error_and_reattaches() {
     // the complete retained set.
     drop(cache);
     let reopened = ResultCache::open(Some(dir.as_path())).expect("cache reopens");
-    assert_eq!(
-        reopened.len() as u64,
-        chipmunk_serve::cache::REATTACH_EVERY + 1
-    );
-    for i in 0..=chipmunk_serve::cache::REATTACH_EVERY {
+    assert_eq!(reopened.len() as u64, REATTACH_EVERY + 1);
+    for i in 0..=REATTACH_EVERY {
         assert_eq!(
             reopened.get(&format!("k{i}")),
             Some(result.clone()),
             "k{i} lost"
         );
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The journal degrades and re-attaches the way the cache does: a failed
+/// write-ahead append degrades it while the job stays pending in memory,
+/// and the re-attach probe's rewrite puts every pending job on disk,
+/// including the ones accepted while degraded.
+#[test]
+fn journal_degrades_on_disk_error_and_reattaches() {
+    let _l = lock();
+    let _d = arm("seed=3;disk_io@0");
+    let dir = tmpdir("journal-degrade");
+    let (journal, replay) = Journal::open(dir.as_path()).expect("journal opens");
+    assert!(replay.is_empty());
+    let accept = |i: u64| {
+        let opts = JobOptions::default();
+        journal.accepted(&format!("k{i}"), "pkt.a = pkt.b;", &opts, None, 0, None);
+    };
+
+    accept(0);
+    assert!(journal.degraded(), "failed append must degrade the journal");
+    assert!(journal.errors() >= 1);
+    assert_eq!(journal.pending_len(), 1, "the job stays pending in memory");
+
+    // Disk healthy again (fault exhausted); the 16th skipped append
+    // triggers the re-attach probe.
+    faults::disarm();
+    for i in 1..=REATTACH_EVERY {
+        accept(i);
+    }
+    assert!(!journal.degraded(), "re-attach probe should have recovered");
+
+    drop(journal);
+    let (_, replay) = Journal::open(dir.as_path()).expect("journal reopens");
+    let keys: Vec<String> = replay.into_iter().map(|p| p.key).collect();
+    let expected: Vec<String> = (0..=REATTACH_EVERY).map(|i| format!("k{i}")).collect();
+    assert_eq!(
+        keys, expected,
+        "every accepted job replays, in accept order"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -327,7 +366,7 @@ fn cache_kill_mid_compaction_reopens_cleanly() {
 
     // An I/O error *during* compaction: the error surfaces to the explicit
     // caller, the tier degrades, and the committed file is untouched.
-    let _d = arm("seed=13;cache_io@0");
+    let _d = arm("seed=13;disk_io@0");
     assert!(
         cache.compact().is_err(),
         "injected compaction fault must surface"
@@ -399,7 +438,7 @@ fn pipeline_retries_through_connection_reset() {
 #[test]
 fn chaos_load_conserves_jobs_and_server_survives() {
     let _l = lock();
-    let _d = arm("seed=1234;panic@2;worker_death@5;cache_io@0;reset%0.08;stall@3;stall_ms=10");
+    let _d = arm("seed=1234;panic@2;worker_death@5;disk_io@0;reset%0.08;stall@3;stall_ms=10");
     let dir = tmpdir("chaosload");
     let handle = server::start(&ServerConfig {
         workers: 3,
