@@ -8,7 +8,7 @@
 //! chipmunkc repair   <file> [--template T] [--imm N] [--depth D] [--trace OUT.jsonl]
 //! chipmunkc mutate   <file> [--n N] [--seed S]
 //! chipmunkc superopt <file> [--imm N] [--width W] [--max-len L] [--full-alu] [--trace OUT.jsonl]
-//! chipmunkc run      <file> [--template T] [--packets N] [--width W] [--trace CSV]
+//! chipmunkc run      <file> [same compile flags] [--packets N] [--trace CSV]
 //! chipmunkc trace-report <file.jsonl>
 //! chipmunkc serve    [--addr H:P] [--workers N] [--queue-cap N] [--cache-dir DIR] [--cache-max-entries N] [--max-conns N] [--idle-timeout S] [--metrics-addr H:P] [--slow-ms N] [--default-deadline-ms N] [--deadline-grace-ms N] [--brownout-p95-ms N] [--shed-below-priority P] [--watchdog-escalate-ms N] [--trace OUT.jsonl]
 //! chipmunkc submit   <file> [--addr H:P] [--template T] [--imm N] [--width W] [--max-stages K] [--timeout S] [--deadline-ms N] [--portfolio] [--priority P] [--trace ID] [--json]
@@ -28,6 +28,9 @@
 //! time and work breakdown from such a file. Setting the `CHIPMUNK_TRACE`
 //! environment variable (a path, or `stderr`) enables the same tracing for
 //! every subcommand.
+//!
+//! `compile`, `plan`, `run` and `submit` read the compile flags through
+//! one parser, and an absent flag takes the daemon's service default.
 //!
 //! `run --trace` replays a CSV packet trace (header row = packet-field
 //! names; one packet per line) through the synthesized pipeline instead of
@@ -77,11 +80,12 @@
 use std::process::ExitCode;
 use std::time::Duration;
 
-use chipmunk::{compile, layout_names, CompilerOptions};
+use chipmunk::{compile, layout_names};
 use chipmunk_domino::{compile as domino_compile, DominoOptions};
 use chipmunk_lang::{parse, Interpreter, PacketState, Program};
 use chipmunk_pisa::{stateful::library, Pipeline, StatefulAluSpec, StatelessAluSpec};
 use chipmunk_repair::{suggest, RepairOptions};
+use chipmunk_serve::JobOptions;
 use chipmunk_superopt::{superoptimize, SuperoptOptions};
 use chipmunk_trace::json::Json;
 
@@ -183,11 +187,14 @@ impl Args {
         self.flags.iter().any(|(n, _)| n == name)
     }
 
+    fn opt<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, String> {
+        self.get(name)
+            .map(|v| v.parse().map_err(|_| format!("--{name}: bad value `{v}`")))
+            .transpose()
+    }
+
     fn num<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
-        match self.get(name) {
-            None => Ok(default),
-            Some(v) => v.parse().map_err(|_| format!("--{name}: bad value `{v}`")),
-        }
+        Ok(self.opt(name)?.unwrap_or(default))
     }
 }
 
@@ -195,49 +202,31 @@ fn template(name: &str, imm: u8) -> Result<StatefulAluSpec, String> {
     library::by_name(name, imm).ok_or_else(|| format!("unknown template `{name}`"))
 }
 
-/// Build [`CompilerOptions`] from the shared compile flags, starting from
-/// [`CompilerOptions::service_defaults`] — the same constructor the serve
-/// protocol decoder fills gaps from, so a local `compile`, a `plan`, and
-/// a daemon `submit` with the same flags resolve to the same options.
-fn compile_options_from_args(args: &Args) -> Result<CompilerOptions, String> {
-    let imm: u8 = args.num("imm", CompilerOptions::SERVICE_IMM_BITS)?;
-    let mut opts = CompilerOptions::service_defaults();
-    opts.stateful = template(
-        args.get("template")
-            .unwrap_or(CompilerOptions::SERVICE_TEMPLATE),
-        imm,
-    )?;
-    opts.stateless = StatelessAluSpec::banzai(imm);
-    opts.cegis.verify_width = args.num("width", CompilerOptions::SERVICE_VERIFY_WIDTH)?;
-    opts.cegis.budget = budget_from_args(args)?;
-    opts.max_stages = args.num("max-stages", CompilerOptions::SERVICE_MAX_STAGES)?;
-    if let Some(slots) = args.get("slots") {
-        let n: usize = slots
-            .parse()
-            .map_err(|_| format!("--slots: bad value `{slots}`"))?;
-        opts.slots = Some(n);
-    }
-    opts.timeout = Some(Duration::from_secs(
-        args.num("timeout", CompilerOptions::SERVICE_TIMEOUT_MS / 1000)?,
-    ));
-    opts.portfolio = args.has("portfolio");
-    Ok(opts)
-}
-
-/// The `--budget-*` solver resource ceilings shared by `compile`, `run`,
-/// and `submit`. `0` (the default) means unlimited; a tripped ceiling
-/// surfaces as a `timeout`-class error instead of unbounded solving.
-fn budget_from_args(args: &Args) -> Result<chipmunk::ResourceBudget, String> {
-    let ceiling = |name: &str| -> Result<Option<u64>, String> {
-        Ok(match args.num::<u64>(name, 0)? {
-            0 => None,
-            n => Some(n),
-        })
-    };
-    Ok(chipmunk::ResourceBudget {
-        conflicts: ceiling("budget-conflicts")?,
-        propagations: ceiling("budget-propagations")?,
-        clause_bytes: ceiling("budget-bytes")?,
+/// The shared compile flags as the daemon's own request options:
+/// `compile`, `plan` and `run` materialize them with
+/// [`JobOptions::to_compiler_options`] and `submit` sends
+/// [`JobOptions::to_json`], so a flag means the same in every subcommand
+/// and an absent one takes [`chipmunk::CompilerOptions::service_defaults`]
+/// everywhere. A `--budget-*` ceiling of 0 (the default) means unlimited;
+/// a tripped ceiling surfaces as a `timeout`-class error.
+fn job_options(args: &Args) -> Result<JobOptions, String> {
+    let ceiling =
+        |name: &str| -> Result<Option<u64>, String> { Ok(args.opt(name)?.filter(|&n| n != 0)) };
+    Ok(JobOptions {
+        template: args.get("template").map(str::to_string),
+        imm: args.opt("imm")?,
+        width: args.opt("width")?,
+        max_stages: args.opt("max-stages")?,
+        slots: args.opt("slots")?,
+        timeout_ms: args.opt::<u64>("timeout")?.map(|s| s.saturating_mul(1000)),
+        // Only sent when asked for: an absent field takes the server's
+        // `--default-deadline-ms` (or no deadline at all).
+        deadline_ms: args.opt("deadline-ms")?,
+        portfolio: args.has("portfolio").then_some(true),
+        budget_conflicts: ceiling("budget-conflicts")?,
+        budget_propagations: ceiling("budget-propagations")?,
+        budget_bytes: ceiling("budget-bytes")?,
+        ..JobOptions::default()
     })
 }
 
@@ -313,7 +302,7 @@ fn cmd_compile(args: &Args) -> Result<(), String> {
         chipmunk_trace::init_jsonl(path).map_err(|e| format!("--trace {path}: {e}"))?;
     }
     let prog = load(file_arg(args)?)?;
-    let opts = compile_options_from_args(args)?;
+    let opts = job_options(args)?.to_compiler_options()?;
     let out = compile(&prog, &opts);
     chipmunk_trace::flush();
     let out = match out {
@@ -431,7 +420,7 @@ fn cmd_check_proof(args: &Args) -> Result<(), String> {
 /// diff verbatim; `--json` prints the same schedule structurally.
 fn cmd_plan(args: &Args) -> Result<(), String> {
     let prog = load(file_arg(args)?)?;
-    let opts = compile_options_from_args(args)?;
+    let opts = job_options(args)?.to_compiler_options()?;
     let plan = chipmunk::plan_compilation(&prog, &opts).map_err(|e| e.to_string())?;
     if args.has("json") {
         let steps: Vec<Json> = plan
@@ -541,68 +530,6 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// The `options` object shared by single and batch submissions.
-/// The request `options` object for `submit`, built from the same flag
-/// names and [`CompilerOptions`] service-default constants as the local
-/// compile path — the defaults themselves live in one place
-/// ([`CompilerOptions::service_defaults`]), which both this encoder and
-/// the serve protocol decoder resolve against.
-fn submit_options(args: &Args) -> Result<Json, String> {
-    let mut options = vec![
-        (
-            "imm",
-            Json::from(args.num::<u8>("imm", CompilerOptions::SERVICE_IMM_BITS)?),
-        ),
-        (
-            "width",
-            Json::from(args.num::<u8>("width", CompilerOptions::SERVICE_VERIFY_WIDTH)?),
-        ),
-        (
-            "max_stages",
-            Json::from(args.num::<usize>("max-stages", CompilerOptions::SERVICE_MAX_STAGES)?),
-        ),
-        (
-            "timeout_ms",
-            Json::from(
-                args.num::<u64>("timeout", CompilerOptions::SERVICE_TIMEOUT_MS / 1000)? * 1000,
-            ),
-        ),
-        (
-            "template",
-            Json::from(
-                args.get("template")
-                    .unwrap_or(CompilerOptions::SERVICE_TEMPLATE),
-            ),
-        ),
-        ("portfolio", Json::Bool(args.has("portfolio"))),
-    ];
-    if let Some(slots) = args.get("slots") {
-        let n: usize = slots
-            .parse()
-            .map_err(|_| format!("--slots: bad value `{slots}`"))?;
-        options.push(("slots", Json::from(n)));
-    }
-    // Only sent when asked for: an absent field takes the server's
-    // `--default-deadline-ms` (or no deadline at all).
-    if let Some(ms) = args.get("deadline-ms") {
-        let n: u64 = ms
-            .parse()
-            .map_err(|_| format!("--deadline-ms: bad value `{ms}`"))?;
-        options.push(("deadline_ms", Json::from(n)));
-    }
-    let budget = budget_from_args(args)?;
-    for (key, ceiling) in [
-        ("budget_conflicts", budget.conflicts),
-        ("budget_propagations", budget.propagations),
-        ("budget_bytes", budget.clause_bytes),
-    ] {
-        if let Some(n) = ceiling {
-            options.push((key, Json::from(n)));
-        }
-    }
-    Ok(Json::obj(options))
-}
-
 /// The caller-side retry budget matching `--deadline-ms`: once a job
 /// carries an end-to-end deadline, sleeping past it chasing `busy`
 /// bounces is wasted time, so the retrying client gets the same bound.
@@ -650,7 +577,7 @@ fn cmd_submit_batch(args: &Args, addr: &str) -> Result<(), String> {
     if args.positional.is_empty() {
         return Err("submit --batch needs at least one <file>".to_string());
     }
-    let options = submit_options(args)?;
+    let options = job_options(args)?.to_json();
     // Read everything up front; a poisoned file becomes that file's
     // outcome instead of stopping the suite at first failure.
     let mut outcomes: Vec<Option<Json>> = Vec::with_capacity(args.positional.len());
@@ -794,7 +721,7 @@ fn cmd_submit(args: &Args) -> Result<(), String> {
         // retried with jittered backoff.
         let path = file_arg(args)?;
         let source = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-        let options = submit_options(args)?;
+        let options = job_options(args)?.to_json();
         let priority = priority_from_args(args)?;
         if let Some(trace_id) = args.get("trace") {
             // A caller-chosen trace id pins one submission to one server
@@ -1161,20 +1088,13 @@ fn load_trace(path: &str, prog: &Program) -> Result<Vec<Vec<u64>>, String> {
 
 fn cmd_run(args: &Args) -> Result<(), String> {
     let prog = load(file_arg(args)?)?;
-    let imm: u8 = 4;
-    let mut opts = CompilerOptions::new(template(
-        args.get("template").unwrap_or("if_else_raw"),
-        imm,
-    )?);
-    opts.cegis.verify_width = args.num("width", 10)?;
-    opts.cegis.budget = budget_from_args(args)?;
-    opts.timeout = Some(Duration::from_secs(args.num("timeout", 300)?));
+    let opts = job_options(args)?.to_compiler_options()?;
     let out = compile(&prog, &opts).map_err(|e| e.to_string())?;
     let mut hashfree = prog.clone();
     if hashfree.stmts().iter().any(|s| s.contains_hash()) {
         chipmunk_lang::passes::eliminate_hashes(&mut hashfree);
     }
-    let width: u8 = args.num("width", 10)?;
+    let width = opts.cegis.verify_width;
     let trace: Option<Vec<Vec<u64>>> = match args.get("trace") {
         None => None,
         Some(path) => Some(load_trace(path, &hashfree)?),
@@ -1232,6 +1152,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use chipmunk::CompilerOptions;
 
     fn argv(words: &[&str]) -> Args {
         Args::parse(words.iter().map(|s| s.to_string())).unwrap()
@@ -1244,8 +1165,11 @@ mod tests {
     /// silently diverge between the CLI and the daemon.
     #[test]
     fn cli_and_protocol_default_options_are_identical() {
-        let local = compile_options_from_args(&argv(&[])).unwrap();
-        let wire = submit_options(&argv(&[])).unwrap();
+        let local = job_options(&argv(&[]))
+            .unwrap()
+            .to_compiler_options()
+            .unwrap();
+        let wire = job_options(&argv(&[])).unwrap().to_json();
         let decoded = chipmunk_serve::JobOptions::from_json(&wire)
             .unwrap()
             .to_compiler_options()
@@ -1274,9 +1198,12 @@ mod tests {
             "raw",
             "--portfolio",
         ];
-        let local = compile_options_from_args(&argv(&flags)).unwrap();
+        let local = job_options(&argv(&flags))
+            .unwrap()
+            .to_compiler_options()
+            .unwrap();
         let decoded =
-            chipmunk_serve::JobOptions::from_json(&submit_options(&argv(&flags)).unwrap())
+            chipmunk_serve::JobOptions::from_json(&job_options(&argv(&flags)).unwrap().to_json())
                 .unwrap()
                 .to_compiler_options()
                 .unwrap();

@@ -50,8 +50,8 @@ pub use cegis::{
 };
 pub use certify::{certify_config, certify_success, CertifyReport, CertifyRequest};
 pub use search::{
-    compile, compile_with_cancel, compile_with_control, plan_compilation, CodegenError,
-    CodegenSuccess, CompilerOptions, PlanControl,
+    compile, compile_with_control, plan_compilation, CodegenError, CodegenSuccess, CompilerOptions,
+    PlanControl,
 };
 pub use sketch::{DecodedConfig, HoleDecl, Sketch, SketchOptions, SketchOutputs};
 

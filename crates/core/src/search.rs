@@ -336,7 +336,8 @@ fn remap_stateless_ops(
 #[derive(Default)]
 pub struct PlanControl<'a> {
     /// Cooperative cancellation: when another thread sets the flag, the
-    /// search stops at the next solver checkpoint.
+    /// search stops at the next solver checkpoint. Works in every plan
+    /// mode (a racing group's monitor forwards it to the group's flag).
     pub cancel: Option<Arc<AtomicBool>>,
     /// Skip plan steps with `index < resume_from` — they already completed
     /// (without winning) in a previous run of the same plan.
@@ -354,31 +355,14 @@ pub fn compile(prog: &Program, opts: &CompilerOptions) -> Result<CodegenSuccess,
     compile_with_control(prog, opts, PlanControl::default())
 }
 
-/// [`compile`] with a cooperative cancellation flag. When another thread
-/// sets the flag, the search stops at the next solver checkpoint and
-/// reports [`CodegenError::Timeout`] — the serving layer uses this for
-/// per-job timeouts and abortive shutdown. Works in every plan mode (in
-/// racing groups a monitor fans the external flag out to every per-step
-/// flag).
-pub fn compile_with_cancel(
-    prog: &Program,
-    opts: &CompilerOptions,
-    cancel: Option<Arc<AtomicBool>>,
-) -> Result<CodegenSuccess, CodegenError> {
-    compile_with_control(
-        prog,
-        opts,
-        PlanControl {
-            cancel,
-            ..PlanControl::default()
-        },
-    )
-}
-
 /// [`compile`] with full plan-execution control: cancellation, resuming a
 /// half-executed plan at its first unfinished step, and a per-step
-/// observer. This is the primitive the serve daemon drives; `compile` and
-/// [`compile_with_cancel`] are thin wrappers.
+/// observer. This is the primitive the serve daemon drives; `compile` is
+/// a thin wrapper.
+///
+/// A raised cancel flag stops the search at the next solver checkpoint
+/// and reports [`CodegenError::Timeout`] — the serving layer uses this
+/// for per-job timeouts and abortive shutdown.
 pub fn compile_with_control(
     prog: &Program,
     opts: &CompilerOptions,
@@ -537,8 +521,8 @@ pub fn compile_with_control(
             deadline,
             resume_from: ctl.resume_from,
             observer: ctl.observer,
-            // Auto-detect: racing groups degrade to an ordered sequential
-            // trial when the machine has no spare cores to race on.
+            // Auto-detect: a group's steps race only when the machine has
+            // spare cores; otherwise they run one at a time in plan order.
             race_threads: None,
         },
     );
@@ -855,8 +839,12 @@ mod tests {
         for portfolio in [false, true] {
             opts.portfolio = portfolio;
             let cancel = Arc::new(AtomicBool::new(true));
+            let ctl = PlanControl {
+                cancel: Some(cancel),
+                ..PlanControl::default()
+            };
             assert_eq!(
-                compile_with_cancel(&prog, &opts, Some(cancel)).unwrap_err(),
+                compile_with_control(&prog, &opts, ctl).unwrap_err(),
                 CodegenError::Timeout,
                 "portfolio={portfolio}"
             );

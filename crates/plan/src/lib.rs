@@ -9,13 +9,13 @@
 //!   partitioned into [`PlanGroup`]s that run one after another;
 //! * a planner ([`plan`]) that produces the plan from the caller's search
 //!   parameters;
-//! * an [`execute`] function that runs the plan: solo groups run inline,
-//!   racing groups run on worker threads where the first acceptable win
-//!   cancels the rest through the solver's cooperative cancellation flags.
-//!   On a machine with no spare parallelism a strategy race degrades to
-//!   an ordered sequential trial of the same steps
-//!   ([`ExecControl::race_threads`]) — same plan, same outcomes, no
-//!   oversubscription.
+//! * an [`execute`] function that runs the plan, every group through one
+//!   runner: the group's steps run one at a time on the calling thread,
+//!   or race on worker threads when the machine has cores to spare
+//!   ([`ExecControl::race_threads`]). Either way the first certified win
+//!   settles the group — racing losers stop through the solver's
+//!   cooperative cancellation flags, later steps never start — so the
+//!   same plan gives the same outcomes with no oversubscription.
 //!
 //! The split is what makes portfolio search possible (no single
 //! hole-restriction strategy dominates across benchmarks, so racing them —
@@ -33,7 +33,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 pub use chipmunk_sat::ResourceBudget;
@@ -317,12 +317,12 @@ pub enum StepError {
     /// strategy; `certified` records whether the solver's UNSAT came
     /// with a proof the in-repo DRAT checker validated. Certification is
     /// *authority*, not admissibility: only a certified verdict settles
-    /// a depth early — cancelling racing siblings or skipping remaining
-    /// sequential strategies — and only a certified verdict outranks a
-    /// sibling's timeout. An uncertified one merely classifies the group
-    /// once every sibling has drained decisively, and reaches the caller
-    /// explicitly flagged unchecked (the degrade ladder's contract:
-    /// never silent, never a masqueraded timeout).
+    /// a depth early — its group's racing or later steps are cancelled —
+    /// and only a certified verdict outranks a sibling's timeout. An
+    /// uncertified one merely classifies the group once every sibling has
+    /// drained decisively, and reaches the caller explicitly flagged
+    /// unchecked (the degrade ladder's contract: never silent, never a
+    /// masqueraded timeout).
     Infeasible {
         /// The UNSAT behind this verdict carries a validated proof.
         certified: bool,
@@ -351,7 +351,7 @@ pub enum StepOutcome {
     Cancelled,
     /// Self-inconsistent options.
     InvalidOptions,
-    /// The step's thread panicked (isolated, reported as data).
+    /// The step panicked (isolated, reported as data).
     Panicked,
     /// The step synthesized a result that failed certification.
     Uncertified,
@@ -398,8 +398,8 @@ pub enum ExecError {
     Cancelled,
     /// Deterministic caller error, reported from the first step.
     InvalidOptions(String),
-    /// A racing step's thread panicked and no other step decided the
-    /// plan. Carries a bounded panic message.
+    /// A step panicked and no other step decided the plan. Carries a
+    /// bounded panic message naming the step's depth.
     Internal(String),
     /// A winning step's result failed certification.
     Uncertified(String),
@@ -414,18 +414,21 @@ pub struct ExecSuccess<T> {
     pub value: T,
 }
 
-/// Observer callback: invoked once per *executed* step, in completion
-/// order, racing steps included.
+/// Observer callback: invoked once per step of every group the executor
+/// starts, in completion order — racing steps, and steps a settled or
+/// cancelled group never ran, included.
 pub type Observer<'a> = &'a (dyn Fn(&StepReport) + Sync);
 
 /// Execution knobs.
 #[derive(Default)]
 pub struct ExecControl<'a> {
     /// External cooperative cancellation (abortive shutdown, per-job
-    /// timeouts). Fanned out to every racing step's flag by a monitor.
+    /// timeouts). A step run on the calling thread gets this flag itself;
+    /// a monitor forwards it to a racing group's flag.
     pub cancel: Option<Arc<AtomicBool>>,
     /// Wall-clock deadline of the whole plan; a timed-out step past the
-    /// deadline ends the plan instead of escalating.
+    /// deadline ends the plan instead of escalating, and a step that would
+    /// start past it is reported `Timeout` without running.
     pub deadline: Option<Instant>,
     /// Skip steps with `index < resume_from` — they already completed
     /// (without success) in a previous run of the same plan, per the
@@ -433,12 +436,13 @@ pub struct ExecControl<'a> {
     pub resume_from: usize,
     /// Progress observer.
     pub observer: Option<Observer<'a>>,
-    /// OS threads a racing group may occupy; `None` auto-detects the
-    /// machine's available parallelism. With fewer than two threads a
-    /// [`RaceMode::Strategies`] group degrades to an ordered sequential
-    /// trial of the same steps — concurrent racing on one core only
-    /// time-slices competing solvers, making every race run at the sum
-    /// of its members instead of their minimum.
+    /// OS threads a group may occupy; `None` auto-detects the machine's
+    /// available parallelism. Above one, a group's steps race, one thread
+    /// per step; otherwise they run one at a time in plan order on the
+    /// calling thread, and a group stops at the first event that would
+    /// cancel its racing siblings. Concurrent racing on one core only
+    /// time-slices competing solvers, making every race run at the sum of
+    /// its members instead of their minimum.
     pub race_threads: Option<usize>,
 }
 
@@ -446,6 +450,12 @@ impl ExecControl<'_> {
     fn effective_race_threads(&self) -> usize {
         self.race_threads
             .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+    }
+
+    fn cancelled(&self) -> bool {
+        self.cancel
+            .as_ref()
+            .is_some_and(|c| c.load(Ordering::Relaxed))
     }
 }
 
@@ -492,11 +502,13 @@ pub fn budget_for_remaining(remaining: Duration, explicit: ResourceBudget) -> Re
 /// Run `plan`. `runner` maps one step to a synthesis attempt; `certify`
 /// accepts or rejects a candidate win (its `Err` carries the reason).
 ///
-/// Certification placement follows the race mode: a solo step certifies
-/// its win once (a failure aborts the plan, as the escalation loop always
-/// did), while strategy-races certify *inside* the race, so only a
-/// certified win cancels the other strategies and an uncertified
-/// candidate just drops out.
+/// Groups run in plan order, each through the same runner whatever its
+/// [`RaceMode`]: the group's unfinished steps go out in plan order to one
+/// worker on the calling thread, or — when [`ExecControl::race_threads`]
+/// allows racing — to one scoped thread per step. Every step runs
+/// panic-isolated and certifies its own candidate, so only a certified
+/// win takes a group; an uncertified candidate drops out, and a group
+/// whose candidates all failed certification fails the plan.
 pub fn execute<T, R, C>(
     plan: &CompilePlan,
     runner: R,
@@ -536,24 +548,10 @@ where
         if group.steps.iter().all(|&si| si < ctl.resume_from) {
             continue;
         }
-        if ctl
-            .cancel
-            .as_ref()
-            .is_some_and(|c| c.load(Ordering::Relaxed))
-        {
+        if ctl.cancelled() {
             return Err(ExecError::Cancelled);
         }
-        let verdict = match group.mode {
-            RaceMode::Solo => run_solo(plan, group, &runner, &certify, &ctl)?,
-            RaceMode::Strategies => {
-                if ctl.effective_race_threads() > 1 {
-                    run_strategy_race(plan, group, &runner, &certify, &ctl)?
-                } else {
-                    run_strategy_sequential(plan, group, &runner, &certify, &ctl)?
-                }
-            }
-        };
-        match verdict {
+        match run_group(plan, group, &runner, &certify, &ctl)? {
             GroupVerdict::Won(success) => return Ok(success),
             GroupVerdict::Infeasible => {}
             GroupVerdict::Timeout => {
@@ -584,7 +582,7 @@ enum GroupVerdict<T> {
     Infeasible,
     /// Undecided for budget/deadline reasons; escalate, but remember.
     Timeout,
-    /// Undecided because a thread panicked; escalate, but remember.
+    /// Undecided because a step panicked; escalate, but remember.
     Panicked(String),
 }
 
@@ -607,74 +605,45 @@ fn observe(ctl: &ExecControl<'_>, step: &PlanStep, outcome: StepOutcome, started
     }
 }
 
-fn run_solo<T, R, C>(
-    plan: &CompilePlan,
-    group: &PlanGroup,
-    runner: &R,
-    certify: &C,
-    ctl: &ExecControl<'_>,
-) -> Result<GroupVerdict<T>, ExecError>
-where
-    R: Fn(&PlanStep, Option<Arc<AtomicBool>>) -> Result<T, StepError> + Sync,
-    C: Fn(&PlanStep, &T) -> Result<(), String> + Sync,
-{
-    let step = &plan.steps[group.steps[0]];
-    let started = Instant::now();
-    match runner(step, ctl.cancel.clone()) {
-        Ok(value) => match certify(step, &value) {
-            Ok(()) => {
-                observe(ctl, step, StepOutcome::Success, started);
-                Ok(GroupVerdict::Won(ExecSuccess {
-                    step: step.index,
-                    value,
-                }))
-            }
-            Err(why) => {
-                observe(ctl, step, StepOutcome::Uncertified, started);
-                Err(ExecError::Uncertified(why))
-            }
-        },
-        Err(StepError::Infeasible { certified }) => {
-            observe(ctl, step, StepOutcome::Infeasible, started);
-            // An infeasibility verdict from an incomplete strategy proves
-            // nothing about the grid; treat it like an exhausted budget so
-            // the final diagnostic stays honest. (Solo plans always use a
-            // complete strategy today, but the executor must not rely on
-            // the planner for soundness.) A complete strategy's verdict
-            // stands whether or not its proof certified: with no siblings
-            // to cancel there is no authority question, and the caller
-            // receives the certification record explicitly flagged — a
-            // truncated proof log degrades to an unchecked verdict, never
-            // a masqueraded timeout.
-            let _ = certified;
-            if step.strategy.is_complete() {
-                Ok(GroupVerdict::Infeasible)
-            } else {
-                Ok(GroupVerdict::Timeout)
-            }
-        }
-        Err(StepError::Timeout) => {
-            observe(ctl, step, StepOutcome::Timeout, started);
-            Ok(GroupVerdict::Timeout)
-        }
-        Err(StepError::Cancelled) => {
-            observe(ctl, step, StepOutcome::Cancelled, started);
-            Err(ExecError::Cancelled)
-        }
-        Err(StepError::InvalidOptions(m)) => {
-            observe(ctl, step, StepOutcome::InvalidOptions, started);
-            Err(ExecError::InvalidOptions(m))
-        }
-    }
+/// What a group's steps reported, folded in as each one ends.
+struct Tally<T> {
+    winner: Option<ExecSuccess<T>>,
+    invalid: Option<String>,
+    uncertified: Option<String>,
+    panicked: Option<String>,
+    /// A complete strategy's proof-checked `Infeasible`.
+    proven_infeasible: bool,
+    /// A complete strategy's `Infeasible` without a checked proof.
+    unproven_infeasible: bool,
+    /// A `Timeout` that no cancellation explains.
+    timeout: bool,
 }
 
-/// Race all steps of `group` (same depth, distinct strategies), one
-/// scoped thread per step with panic isolation; a monitor fans the
-/// external cancel flag out to every step's flag. The first *certified*
-/// success cancels every other step; an uncertified candidate drops out
-/// and the race continues. Infeasibility at this depth is only concluded
-/// from a complete strategy's verdict.
-fn run_strategy_race<T, R, C>(
+/// Run the unfinished steps (`index >= resume_from`) of one group.
+///
+/// The steps go out in plan order to N workers: N is the number of steps
+/// when [`ExecControl::race_threads`] is above one, and 1 otherwise. One
+/// worker runs them one after another on the calling thread, each with
+/// the caller's own cancel flag, and starts no thread — that is both the
+/// solo step and the one-core trial of a strategies group (plan order
+/// puts the cheapest, most restricted strategy first). More workers race:
+/// one scoped thread per step, each given the group's flag, plus a
+/// monitor that forwards the caller's flag to it.
+///
+/// The group has one cancel flag. The first certified win raises it, and
+/// so does a proof-certified `Infeasible` from a complete strategy: no
+/// sibling can win a space the unrestricted (or symmetry-broken-only)
+/// encoding proved empty, so the group never waits out a loser's UNSAT
+/// proof. An unchecked verdict has no such authority, and a sibling that
+/// already synthesized a candidate still certifies and wins — a concrete
+/// certified artifact outranks any verdict. A step that would start after
+/// the group's or the caller's flag is up is reported `Cancelled` without
+/// running, one that would start past the deadline `Timeout`, and a
+/// `Timeout` returned after the group's flag is up counts as a cancelled
+/// loser. The observer sees every step exactly once, so per-strategy
+/// attribution and the serve daemon's `portfolio_cancelled` accounting do
+/// not depend on the worker count.
+fn run_group<T, R, C>(
     plan: &CompilePlan,
     group: &PlanGroup,
     runner: &R,
@@ -686,321 +655,153 @@ where
     R: Fn(&PlanStep, Option<Arc<AtomicBool>>) -> Result<T, StepError> + Sync,
     C: Fn(&PlanStep, &T) -> Result<(), String> + Sync,
 {
-    let flags: Vec<Arc<AtomicBool>> = group
+    let steps: Vec<&PlanStep> = group
         .steps
         .iter()
-        .map(|_| Arc::new(AtomicBool::new(false)))
+        .map(|&si| &plan.steps[si])
+        .filter(|step| step.index >= ctl.resume_from)
         .collect();
-    let cancel_others = |pos: usize| {
-        for (i, f) in flags.iter().enumerate() {
-            if i != pos {
-                f.store(true, Ordering::Relaxed);
-            }
-        }
-    };
-    let winner: Mutex<Option<ExecSuccess<T>>> = Mutex::new(None);
-    let uncertified: Mutex<Option<String>> = Mutex::new(None);
-    // One raced step. A synthesized candidate's value moves into `winner`
-    // (or is dropped), leaving `Ok(Ok(()))`; `Err` is a panic message.
-    let race = |pos: usize| -> Result<Result<(), StepError>, String> {
-        let step = &plan.steps[group.steps[pos]];
+    let settled = Arc::new(AtomicBool::new(false));
+    let tally = Mutex::new(Tally {
+        winner: None,
+        invalid: None,
+        uncertified: None,
+        panicked: None,
+        proven_infeasible: false,
+        unproven_infeasible: false,
+        timeout: false,
+    });
+    let lock = || tally.lock().unwrap_or_else(PoisonError::into_inner);
+    let run = |step: &PlanStep, cancel: Option<Arc<AtomicBool>>| {
         let started = Instant::now();
-        let res = catch_unwind(AssertUnwindSafe(|| runner(step, Some(flags[pos].clone()))))
-            .map_err(|payload| panic_text(payload.as_ref()));
-        let (res, outcome) = match res {
-            Err(msg) => (Err(msg), StepOutcome::Panicked),
-            // Certify inside the race: only a certified win takes the
-            // group, and it cancels everyone else.
-            Ok(Ok(value)) => match certify(step, &value) {
-                Ok(()) => {
-                    let mut w = winner.lock().unwrap_or_else(|e| e.into_inner());
-                    if w.is_none() {
-                        *w = Some(ExecSuccess {
+        let outcome = if settled.load(Ordering::Relaxed) || ctl.cancelled() {
+            StepOutcome::Cancelled
+        } else if ctl.deadline.is_some_and(|d| started >= d) {
+            lock().timeout = true;
+            StepOutcome::Timeout
+        } else {
+            let res = catch_unwind(AssertUnwindSafe(|| {
+                let value = runner(step, cancel)?;
+                Ok(certify(step, &value).map(|()| value))
+            }));
+            let mut t = lock();
+            match res {
+                Err(payload) => {
+                    t.panicked.get_or_insert_with(|| {
+                        let msg = panic_text(payload.as_ref());
+                        format!("search thread for depth {} panicked: {msg}", step.stages)
+                    });
+                    StepOutcome::Panicked
+                }
+                Ok(Ok(Ok(value))) => {
+                    if t.winner.is_none() {
+                        t.winner = Some(ExecSuccess {
                             step: step.index,
                             value,
                         });
-                        cancel_others(pos);
+                        settled.store(true, Ordering::Relaxed);
                     }
                     // A later certified success that lost the race is
                     // still a success for attribution purposes.
-                    (Ok(Ok(())), StepOutcome::Success)
+                    StepOutcome::Success
                 }
-                Err(why) => {
-                    let mut u = uncertified.lock().unwrap_or_else(|e| e.into_inner());
-                    if u.is_none() {
-                        *u = Some(why);
+                Ok(Ok(Err(why))) => {
+                    t.uncertified.get_or_insert(why);
+                    StepOutcome::Uncertified
+                }
+                Ok(Err(StepError::Infeasible { certified })) => {
+                    if step.strategy.is_complete() {
+                        if certified {
+                            t.proven_infeasible = true;
+                            settled.store(true, Ordering::Relaxed);
+                        } else {
+                            t.unproven_infeasible = true;
+                        }
                     }
-                    (Ok(Ok(())), StepOutcome::Uncertified)
+                    StepOutcome::Infeasible
                 }
-            },
-            Ok(Err(e)) => {
-                // A *proof-certified* Infeasible verdict from a *complete*
-                // strategy settles the whole depth — no sibling can win a
-                // space the unrestricted (or symmetry-broken-only)
-                // encoding proved empty — so cancel the siblings and let
-                // the group escalate now instead of waiting out their
-                // UNSAT proofs. An unchecked verdict has no such
-                // authority: the sibling races continue. A sibling that
-                // already synthesized a candidate still certifies and
-                // wins: cancellation is cooperative, and a concrete
-                // certified artifact outranks any verdict.
-                if matches!(e, StepError::Infeasible { certified: true })
-                    && step.strategy.is_complete()
-                {
-                    cancel_others(pos);
+                Ok(Err(StepError::Timeout)) if settled.load(Ordering::Relaxed) => {
+                    StepOutcome::Cancelled
                 }
-                let outcome = match e {
-                    StepError::Infeasible { .. } => StepOutcome::Infeasible,
-                    StepError::Timeout if flags[pos].load(Ordering::Relaxed) => {
-                        StepOutcome::Cancelled
-                    }
-                    StepError::Timeout => StepOutcome::Timeout,
-                    StepError::Cancelled => StepOutcome::Cancelled,
-                    StepError::InvalidOptions(_) => StepOutcome::InvalidOptions,
-                };
-                (Ok(Err(e)), outcome)
+                Ok(Err(StepError::Timeout)) => {
+                    t.timeout = true;
+                    StepOutcome::Timeout
+                }
+                Ok(Err(StepError::Cancelled)) => StepOutcome::Cancelled,
+                Ok(Err(StepError::InvalidOptions(m))) => {
+                    t.invalid.get_or_insert(m);
+                    StepOutcome::InvalidOptions
+                }
             }
         };
         observe(ctl, step, outcome, started);
-        res
     };
-    let done = AtomicBool::new(false);
-    let results: Vec<_> = std::thread::scope(|scope| {
-        if let Some(external) = &ctl.cancel {
-            scope.spawn(|| {
-                while !done.load(Ordering::Relaxed) {
-                    if external.load(Ordering::Relaxed) {
-                        for f in &flags {
-                            f.store(true, Ordering::Relaxed);
+    if steps.len() > 1 && ctl.effective_race_threads() > 1 {
+        let done = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            if let Some(external) = &ctl.cancel {
+                scope.spawn(|| {
+                    while !done.load(Ordering::Relaxed) {
+                        if external.load(Ordering::Relaxed) {
+                            settled.store(true, Ordering::Relaxed);
+                            return;
                         }
-                        return;
+                        std::thread::sleep(Duration::from_millis(2));
                     }
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-            });
+                });
+            }
+            let run = &run;
+            let handles: Vec<_> = steps
+                .iter()
+                .map(|&step| {
+                    let flag = settled.clone();
+                    scope.spawn(move || run(step, Some(flag)))
+                })
+                .collect();
+            for handle in handles {
+                handle.join().expect("steps isolate their panics");
+            }
+            done.store(true, Ordering::Relaxed);
+        });
+    } else {
+        for &step in &steps {
+            run(step, ctl.cancel.clone());
         }
-        let race = &race;
-        let handles: Vec<_> = (0..group.steps.len())
-            .map(|pos| scope.spawn(move || race(pos)))
-            .collect();
-        let out = handles
-            .into_iter()
-            .map(|h| h.join().expect("step threads isolate panics"))
-            .collect();
-        done.store(true, Ordering::Relaxed);
-        out
-    });
-    if let Some(success) = winner.into_inner().unwrap_or_else(|e| e.into_inner()) {
+    }
+    let t = tally.into_inner().unwrap_or_else(PoisonError::into_inner);
+    if let Some(success) = t.winner {
         return Ok(GroupVerdict::Won(success));
     }
-    let externally_cancelled = ctl
-        .cancel
-        .as_ref()
-        .is_some_and(|c| c.load(Ordering::Relaxed));
-    let mut invalid: Option<String> = None;
-    let mut complete_infeasible = false;
-    let mut unproven_infeasible = false;
-    let mut saw_timeout = false;
-    let mut panicked: Option<(usize, String)> = None;
-    for (pos, res) in results.into_iter().enumerate() {
-        let step = &plan.steps[group.steps[pos]];
-        match res {
-            Ok(Ok(())) | Ok(Err(StepError::Cancelled)) => {}
-            Ok(Err(StepError::InvalidOptions(m))) => {
-                if invalid.is_none() {
-                    invalid = Some(m);
-                }
-            }
-            Ok(Err(StepError::Infeasible { certified })) => {
-                if step.strategy.is_complete() {
-                    if certified {
-                        complete_infeasible = true;
-                    } else {
-                        unproven_infeasible = true;
-                    }
-                }
-            }
-            Ok(Err(StepError::Timeout)) => {
-                if !flags[pos].load(Ordering::Relaxed) {
-                    saw_timeout = true;
-                }
-            }
-            Err(msg) => {
-                if panicked.is_none() {
-                    panicked = Some((step.stages, msg));
-                }
-            }
-        }
-    }
-    if let Some(m) = invalid {
+    if let Some(m) = t.invalid {
         return Err(ExecError::InvalidOptions(m));
     }
-    if externally_cancelled {
+    if ctl.cancelled() {
         return Err(ExecError::Cancelled);
     }
-    if let Some(why) = uncertified.into_inner().unwrap_or_else(|e| e.into_inner()) {
+    if let Some(why) = t.uncertified {
         // Candidates synthesized but none certified: surface the defect
         // instead of silently escalating to a deeper grid.
         return Err(ExecError::Uncertified(why));
     }
-    if complete_infeasible {
-        // A complete strategy *proved* the depth infeasible; racing losers
-        // that timed out do not weaken that checked verdict.
-        Ok(GroupVerdict::Infeasible)
-    } else if saw_timeout {
-        Ok(GroupVerdict::Timeout)
-    } else if let Some((stages, msg)) = panicked {
-        Ok(GroupVerdict::Panicked(format!(
-            "search thread for depth {stages} panicked: {msg}"
-        )))
-    } else if unproven_infeasible {
+    Ok(if t.proven_infeasible {
+        // A complete strategy *proved* the depth infeasible; losers that
+        // timed out do not weaken that checked verdict.
+        GroupVerdict::Infeasible
+    } else if t.timeout {
+        GroupVerdict::Timeout
+    } else if let Some(msg) = t.panicked {
+        GroupVerdict::Panicked(msg)
+    } else if t.unproven_infeasible {
         // A complete strategy's UNSAT without a checked proof never
-        // cancels siblings or outranks their timeouts (see above), but
-        // once every sibling drained decisively it is the honest
-        // classification — the caller's record is explicitly flagged
-        // unchecked rather than the verdict being erased.
-        Ok(GroupVerdict::Infeasible)
+        // settles the group or outranks a timeout, but once every step
+        // ended decisively it is the honest classification — the caller's
+        // record is explicitly flagged unchecked rather than the verdict
+        // being erased.
+        GroupVerdict::Infeasible
     } else {
         // Only incomplete strategies reported Infeasible — inconclusive.
-        Ok(GroupVerdict::Timeout)
-    }
-}
-
-/// [`run_strategy_race`] for a machine with no spare parallelism: the
-/// same steps run one at a time, in plan order (the planner puts the
-/// cheapest, most-restricted strategy first), and the group stops early
-/// on exactly the events that cancel siblings in the concurrent race —
-/// a certified win or an authoritative (complete-strategy) infeasibility
-/// verdict. Steps skipped by an early stop are reported `Cancelled`, so
-/// per-strategy attribution and the serve daemon's `portfolio_cancelled`
-/// accounting are mode-independent.
-fn run_strategy_sequential<T, R, C>(
-    plan: &CompilePlan,
-    group: &PlanGroup,
-    runner: &R,
-    certify: &C,
-    ctl: &ExecControl<'_>,
-) -> Result<GroupVerdict<T>, ExecError>
-where
-    T: Send,
-    R: Fn(&PlanStep, Option<Arc<AtomicBool>>) -> Result<T, StepError> + Sync,
-    C: Fn(&PlanStep, &T) -> Result<(), String> + Sync,
-{
-    let mut winner: Option<ExecSuccess<T>> = None;
-    let mut uncertified: Option<String> = None;
-    let mut invalid: Option<String> = None;
-    let mut complete_infeasible = false;
-    let mut unproven_infeasible = false;
-    let mut saw_timeout = false;
-    let mut panicked: Option<(usize, String)> = None;
-    for &si in &group.steps {
-        let step = &plan.steps[si];
-        if si < ctl.resume_from {
-            continue;
-        }
-        if winner.is_some() || complete_infeasible {
-            // The group is settled; the remaining strategies never run —
-            // the sequential analogue of a cancelled racing loser. Only a
-            // *proof-checked* infeasibility settles like this: an
-            // unchecked verdict has no authority to skip siblings, who
-            // may yet synthesize a config and disprove the claim.
-            observe(ctl, step, StepOutcome::Cancelled, Instant::now());
-            continue;
-        }
-        if ctl
-            .cancel
-            .as_ref()
-            .is_some_and(|c| c.load(Ordering::Relaxed))
-        {
-            return Err(ExecError::Cancelled);
-        }
-        if ctl.deadline.is_some_and(|d| Instant::now() >= d) {
-            observe(ctl, step, StepOutcome::Timeout, Instant::now());
-            saw_timeout = true;
-            continue;
-        }
-        let started = Instant::now();
-        let res = catch_unwind(AssertUnwindSafe(|| runner(step, ctl.cancel.clone())))
-            .map_err(|payload| panic_text(payload.as_ref()));
-        match res {
-            Ok(Ok(value)) => match certify(step, &value) {
-                Ok(()) => {
-                    observe(ctl, step, StepOutcome::Success, started);
-                    winner = Some(ExecSuccess {
-                        step: step.index,
-                        value,
-                    });
-                }
-                Err(why) => {
-                    // An uncertified candidate drops out and the next
-                    // strategy gets its chance, as in the concurrent race.
-                    observe(ctl, step, StepOutcome::Uncertified, started);
-                    if uncertified.is_none() {
-                        uncertified = Some(why);
-                    }
-                }
-            },
-            Ok(Err(StepError::Infeasible { certified })) => {
-                observe(ctl, step, StepOutcome::Infeasible, started);
-                if step.strategy.is_complete() {
-                    if certified {
-                        complete_infeasible = true;
-                    } else {
-                        unproven_infeasible = true;
-                    }
-                }
-            }
-            Ok(Err(StepError::Timeout)) => {
-                observe(ctl, step, StepOutcome::Timeout, started);
-                saw_timeout = true;
-            }
-            Ok(Err(StepError::Cancelled)) => {
-                observe(ctl, step, StepOutcome::Cancelled, started);
-                return Err(ExecError::Cancelled);
-            }
-            Ok(Err(StepError::InvalidOptions(m))) => {
-                observe(ctl, step, StepOutcome::InvalidOptions, started);
-                if invalid.is_none() {
-                    invalid = Some(m);
-                }
-            }
-            Err(msg) => {
-                observe(ctl, step, StepOutcome::Panicked, started);
-                if panicked.is_none() {
-                    panicked = Some((step.stages, msg));
-                }
-            }
-        }
-    }
-    if let Some(success) = winner {
-        return Ok(GroupVerdict::Won(success));
-    }
-    if let Some(m) = invalid {
-        return Err(ExecError::InvalidOptions(m));
-    }
-    if let Some(why) = uncertified {
-        // Candidates synthesized but none certified: surface the defect
-        // instead of silently escalating to a deeper grid.
-        return Err(ExecError::Uncertified(why));
-    }
-    if complete_infeasible {
-        Ok(GroupVerdict::Infeasible)
-    } else if saw_timeout {
-        Ok(GroupVerdict::Timeout)
-    } else if let Some((stages, msg)) = panicked {
-        Ok(GroupVerdict::Panicked(format!(
-            "search thread for depth {stages} panicked: {msg}"
-        )))
-    } else if unproven_infeasible {
-        // Every strategy ran to a decisive end and a complete one said
-        // UNSAT, just without a checked proof: classify infeasible with
-        // the record explicitly flagged, exactly as the concurrent race
-        // does.
-        Ok(GroupVerdict::Infeasible)
-    } else {
-        // Only incomplete strategies reported Infeasible — inconclusive.
-        Ok(GroupVerdict::Timeout)
-    }
+        GroupVerdict::Timeout
+    })
 }
 
 /// Short, bounded rendering of a `catch_unwind` payload.
@@ -1567,11 +1368,42 @@ mod tests {
         .expect("wins");
         assert_eq!(p.steps[won.step].stages, 4);
         assert_eq!(*ran.lock().unwrap(), vec![2, 3], "steps 0 and 1 skipped");
+
+        // A resumed strategies group skips its finished prefix too, raced
+        // or not: step 0 (opcode-restricted) never runs again.
+        let p = plan(&PlanInputs {
+            portfolio: true,
+            ..inputs(1)
+        });
+        for race_threads in [Some(3), Some(1)] {
+            let ran: Mutex<Vec<usize>> = Mutex::new(Vec::new());
+            let runner = |step: &PlanStep, _: Option<Arc<AtomicBool>>| {
+                ran.lock().unwrap().push(step.index);
+                match step.strategy {
+                    Strategy::CanonicalAllocation => Ok(step.index),
+                    _ => Err(StepError::Timeout),
+                }
+            };
+            let won = execute(
+                &p,
+                runner,
+                certify_all,
+                ExecControl {
+                    resume_from: 1,
+                    race_threads,
+                    ..ExecControl::default()
+                },
+            )
+            .expect("wins");
+            assert_eq!(p.steps[won.step].strategy, Strategy::CanonicalAllocation);
+            let ran = ran.into_inner().unwrap();
+            assert!(!ran.contains(&0), "race_threads {race_threads:?}: {ran:?}");
+        }
     }
 
     #[test]
     fn panicked_racing_step_is_reported_not_masked() {
-        let p = plan(&PlanInputs {
+        let portfolio = plan(&PlanInputs {
             portfolio: true,
             ..inputs(3)
         });
@@ -1581,17 +1413,22 @@ mod tests {
             }
             Err(StepError::Infeasible { certified: true })
         };
-        for race_threads in [Some(3), Some(1)] {
-            let ctl = ExecControl {
-                race_threads,
-                ..ExecControl::default()
-            };
-            match execute(&p, runner, certify_all, ctl).unwrap_err() {
-                ExecError::Internal(msg) => {
-                    assert!(msg.contains("depth 2"), "{msg}");
-                    assert!(msg.contains("injected depth-2 panic"), "{msg}");
+        // The default plan's solo steps are isolated the same way.
+        for p in [&portfolio, &plan(&inputs(3))] {
+            for race_threads in [Some(3), Some(1)] {
+                let ctl = ExecControl {
+                    race_threads,
+                    ..ExecControl::default()
+                };
+                match execute(p, runner, certify_all, ctl).unwrap_err() {
+                    ExecError::Internal(msg) => {
+                        assert!(msg.contains("depth 2"), "{msg}");
+                        assert!(msg.contains("injected depth-2 panic"), "{msg}");
+                    }
+                    other => {
+                        panic!("race_threads {race_threads:?}: expected Internal, got {other:?}")
+                    }
                 }
-                other => panic!("race_threads {race_threads:?}: expected Internal, got {other:?}"),
             }
         }
     }

@@ -25,6 +25,9 @@ impl Client {
     /// Connect to a running server.
     pub fn connect(addr: impl ToSocketAddrs) -> std::io::Result<Client> {
         let stream = TcpStream::connect(addr)?;
+        // Requests are whole lines; send each one now rather than waiting
+        // for the ACK of the previous one (Nagle's algorithm).
+        stream.set_nodelay(true)?;
         let writer = stream.try_clone()?;
         Ok(Client {
             reader: BufReader::new(stream),

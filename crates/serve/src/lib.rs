@@ -10,8 +10,9 @@
 //!
 //! * a **bounded job queue** with typed backpressure ([`queue`]),
 //! * a fixed-size **worker pool** running
-//!   [`chipmunk::compile_with_cancel`] with per-job timeouts and
-//!   cancellation-based abortive shutdown ([`server`]),
+//!   [`chipmunk::compile_with_control`] with per-job timeouts,
+//!   cancellation-based abortive shutdown, and journaled plan progress
+//!   ([`server`]),
 //! * a **two-tier content-addressed result cache** — a bounded in-memory
 //!   LRU plus an on-disk JSONL store — keyed by [`chipmunk::cache_key`],
 //!   the hash of the *canonicalized* program and every semantics-relevant

@@ -12,7 +12,7 @@
 //!                             ▼                                   │
 //!                      bounded job queue  ◀── backpressure        │
 //!                             │                                   │
-//!                  worker pool (N threads) — compile_with_cancel  │
+//!                 worker pool (N threads) — compile_with_control  │
 //!                             │                                   │
 //!                     job.reply.send(response) ──▶ per-connection │
 //!                                                 reply channel ◀─┘
@@ -796,6 +796,10 @@ fn accept_loop(listener: TcpListener, shared: &Arc<Shared>) {
             Err(_) => continue,
         };
         let _ = stream.set_read_timeout(shared.idle_timeout);
+        // Responses are whole lines written as they are ready; without
+        // this, Nagle's algorithm holds a pipelined response behind the
+        // client's delayed ACK of the previous one.
+        let _ = stream.set_nodelay(true);
         // Reserve a connection slot in one atomic step: a separate
         // load-then-increment lets two simultaneous accepts both pass the
         // check and exceed the cap.
