@@ -191,7 +191,7 @@ pub struct InfeasibleCert {
     /// Why the verdict is unchecked, when it is.
     pub reason: Option<String>,
     /// The DRAT certificate text ([`Certificate::to_text`](chipmunk_sat::Certificate::to_text)), present when
-    /// validated and at most [`PROOF_TEXT_MAX_BYTES`] long.
+    /// validated and at most `PROOF_TEXT_MAX_BYTES` (4 MiB) long.
     pub proof: Option<String>,
 }
 

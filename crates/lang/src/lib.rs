@@ -8,7 +8,8 @@
 //!
 //! The crate provides:
 //!
-//! * a lexer and recursive-descent parser ([`parse`]),
+//! * a lexer and recursive-descent parser ([`parse`]), with nesting
+//!   bounded by [`MAX_NESTING`],
 //! * name resolution and semantic checks ([`Program`] construction),
 //! * a transactional interpreter ([`Interpreter`]) defining the reference
 //!   semantics `(packet, state) → (packet', state')` at any bit width,
@@ -52,5 +53,5 @@ pub mod spec;
 
 pub use ast::{BinOp, Expr, LValue, Program, Stmt, UnOp, VarRef};
 pub use interp::{eval_binop, Interpreter, PacketState};
-pub use parser::{parse, ParseError};
+pub use parser::{parse, ParseError, MAX_NESTING};
 pub use sema::SemaError;

@@ -29,6 +29,12 @@
 //! Name resolution is single-pass: `state` declarations introduce state
 //! variables, `int x = …` introduces locals, and `pkt.f` introduces packet
 //! fields on first use (first-use order is the canonical container order).
+//!
+//! Nesting is bounded by [`MAX_NESTING`]. Each statement, expression,
+//! unary operator and link of an operator chain nests one level deeper,
+//! and the token that crosses the bound is a [`ParseError`]. Every later
+//! pass recurses over the tree, so the bound keeps a hostile program from
+//! overflowing the stack of whichever thread parses or compiles it.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -36,6 +42,10 @@ use std::fmt;
 use crate::ast::{BinOp, Expr, LValue, Program, Stmt, UnOp, VarRef};
 use crate::lexer::{lex, Token, TokenKind};
 use crate::sema;
+
+/// The deepest nesting a program may reach (see the module docs). The
+/// corpus programs and their mutants nest at most 9 deep.
+pub const MAX_NESTING: usize = 64;
 
 /// A parse (or resolution, or semantic) error with source position.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -73,6 +83,7 @@ pub fn parse(src: &str) -> Result<Program, ParseError> {
         state_ids: HashMap::new(),
         locals: Vec::new(),
         local_ids: HashMap::new(),
+        depth: 0,
     };
     let stmts = p.program()?;
     let prog = Program::from_parts(p.fields, p.states, p.state_inits, p.locals, stmts);
@@ -94,6 +105,8 @@ struct Parser {
     state_ids: HashMap<String, usize>,
     locals: Vec<String>,
     local_ids: HashMap<String, usize>,
+    /// Current nesting, bounded by [`MAX_NESTING`].
+    depth: usize,
 }
 
 impl Parser {
@@ -139,6 +152,28 @@ impl Parser {
         } else {
             false
         }
+    }
+
+    /// Nest one level deeper, failing at the current token past the
+    /// bound. The caller restores `depth` when the level closes; an error
+    /// ends the parse, so it need not.
+    fn nest(&mut self) -> Result<(), ParseError> {
+        self.depth += 1;
+        if self.depth > MAX_NESTING {
+            return Err(self.err(format!("nesting deeper than {MAX_NESTING} levels")));
+        }
+        Ok(())
+    }
+
+    /// Run `f` one nesting level deeper.
+    fn nested<T>(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        self.nest()?;
+        let parsed = f(self)?;
+        self.depth -= 1;
+        Ok(parsed)
     }
 
     fn ident(&mut self) -> Result<String, ParseError> {
@@ -187,6 +222,10 @@ impl Parser {
     }
 
     fn stmt(&mut self) -> Result<Stmt, ParseError> {
+        self.nested(Self::stmt_body)
+    }
+
+    fn stmt_body(&mut self) -> Result<Stmt, ParseError> {
         match self.peek().clone() {
             TokenKind::KwIf => self.if_stmt(),
             TokenKind::LBrace => {
@@ -290,60 +329,57 @@ impl Parser {
     // ----- expressions ------------------------------------------------------
 
     fn expr(&mut self) -> Result<Expr, ParseError> {
-        let cond = self.or_expr()?;
-        if self.eat(TokenKind::Question) {
-            let t = self.expr()?;
-            self.expect(TokenKind::Colon)?;
-            let f = self.expr()?;
-            Ok(Expr::Ternary(Box::new(cond), Box::new(t), Box::new(f)))
-        } else {
-            Ok(cond)
+        self.nested(|p| {
+            let cond = p.or_expr()?;
+            if p.eat(TokenKind::Question) {
+                let t = p.expr()?;
+                p.expect(TokenKind::Colon)?;
+                let f = p.expr()?;
+                Ok(Expr::Ternary(Box::new(cond), Box::new(t), Box::new(f)))
+            } else {
+                Ok(cond)
+            }
+        })
+    }
+
+    /// A left-associative chain `operand (op operand)*` over the
+    /// `(token, operator)` pairs in `ops`. The tree grows one level per
+    /// link, and so does the nesting until the chain ends.
+    fn chain(
+        &mut self,
+        operand: fn(&mut Self) -> Result<Expr, ParseError>,
+        ops: &[(TokenKind, BinOp)],
+    ) -> Result<Expr, ParseError> {
+        let depth = self.depth;
+        let mut lhs = operand(self)?;
+        while let Some(&(_, op)) = ops.iter().find(|(t, _)| t == self.peek()) {
+            self.nest()?;
+            self.bump();
+            let rhs = operand(self)?;
+            lhs = Expr::bin(op, lhs, rhs);
         }
+        self.depth = depth;
+        Ok(lhs)
     }
 
     fn or_expr(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.and_expr()?;
-        while self.eat(TokenKind::OrOr) {
-            let rhs = self.and_expr()?;
-            lhs = Expr::bin(BinOp::Or, lhs, rhs);
-        }
-        Ok(lhs)
+        self.chain(Self::and_expr, &[(TokenKind::OrOr, BinOp::Or)])
     }
 
     fn and_expr(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.bitor_expr()?;
-        while self.eat(TokenKind::AndAnd) {
-            let rhs = self.bitor_expr()?;
-            lhs = Expr::bin(BinOp::And, lhs, rhs);
-        }
-        Ok(lhs)
+        self.chain(Self::bitor_expr, &[(TokenKind::AndAnd, BinOp::And)])
     }
 
     fn bitor_expr(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.bitxor_expr()?;
-        while self.eat(TokenKind::Pipe) {
-            let rhs = self.bitxor_expr()?;
-            lhs = Expr::bin(BinOp::BitOr, lhs, rhs);
-        }
-        Ok(lhs)
+        self.chain(Self::bitxor_expr, &[(TokenKind::Pipe, BinOp::BitOr)])
     }
 
     fn bitxor_expr(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.bitand_expr()?;
-        while self.eat(TokenKind::Caret) {
-            let rhs = self.bitand_expr()?;
-            lhs = Expr::bin(BinOp::BitXor, lhs, rhs);
-        }
-        Ok(lhs)
+        self.chain(Self::bitand_expr, &[(TokenKind::Caret, BinOp::BitXor)])
     }
 
     fn bitand_expr(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.cmp_expr()?;
-        while self.eat(TokenKind::Amp) {
-            let rhs = self.cmp_expr()?;
-            lhs = Expr::bin(BinOp::BitAnd, lhs, rhs);
-        }
-        Ok(lhs)
+        self.chain(Self::cmp_expr, &[(TokenKind::Amp, BinOp::BitAnd)])
     }
 
     fn cmp_expr(&mut self) -> Result<Expr, ParseError> {
@@ -367,46 +403,33 @@ impl Parser {
     }
 
     fn add_expr(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.mul_expr()?;
-        loop {
-            let op = match self.peek() {
-                TokenKind::Plus => BinOp::Add,
-                TokenKind::Minus => BinOp::Sub,
-                _ => break,
-            };
-            self.bump();
-            let rhs = self.mul_expr()?;
-            lhs = Expr::bin(op, lhs, rhs);
-        }
-        Ok(lhs)
+        let ops = [
+            (TokenKind::Plus, BinOp::Add),
+            (TokenKind::Minus, BinOp::Sub),
+        ];
+        self.chain(Self::mul_expr, &ops)
     }
 
     fn mul_expr(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.unary_expr()?;
-        loop {
-            let op = match self.peek() {
-                TokenKind::Star => BinOp::Mul,
-                TokenKind::Slash => BinOp::Div,
-                TokenKind::Percent => BinOp::Rem,
-                _ => break,
-            };
-            self.bump();
-            let rhs = self.unary_expr()?;
-            lhs = Expr::bin(op, lhs, rhs);
-        }
-        Ok(lhs)
+        let ops = [
+            (TokenKind::Star, BinOp::Mul),
+            (TokenKind::Slash, BinOp::Div),
+            (TokenKind::Percent, BinOp::Rem),
+        ];
+        self.chain(Self::unary_expr, &ops)
     }
 
     fn unary_expr(&mut self) -> Result<Expr, ParseError> {
-        if self.eat(TokenKind::Bang) {
-            let e = self.unary_expr()?;
-            Ok(Expr::Unary(UnOp::Not, Box::new(e)))
-        } else if self.eat(TokenKind::Minus) {
-            let e = self.unary_expr()?;
-            Ok(Expr::Unary(UnOp::Neg, Box::new(e)))
-        } else {
-            self.primary_expr()
-        }
+        let op = match self.peek() {
+            TokenKind::Bang => UnOp::Not,
+            TokenKind::Minus => UnOp::Neg,
+            _ => return self.primary_expr(),
+        };
+        let e = self.nested(|p| {
+            p.bump();
+            p.unary_expr()
+        })?;
+        Ok(Expr::Unary(op, Box::new(e)))
     }
 
     fn primary_expr(&mut self) -> Result<Expr, ParseError> {
@@ -588,6 +611,29 @@ mod tests {
                 assert_eq!(f.len(), 1);
             }
             other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    /// Every shape that deepens the tree parses 62 levels deep and is a
+    /// `ParseError` from 63 on — including depths whose unbounded
+    /// recursion would overflow the test thread's stack.
+    #[test]
+    fn nesting_is_bounded() {
+        let shapes: [fn(usize) -> String; 5] = [
+            |n| format!("pkt.x = {}pkt.a{};", "(".repeat(n), ")".repeat(n)),
+            |n| format!("pkt.x = pkt.a{};", " + pkt.a".repeat(n)),
+            |n| format!("pkt.x = {}pkt.a;", "-".repeat(n)),
+            |n| format!("pkt.x = {}0;", "pkt.a ? 1 : ".repeat(n)),
+            |n| format!("{}pkt.x = 1;", "if (pkt.a == 1) ".repeat(n)),
+        ];
+        for shape in shapes {
+            let deepest = shape(MAX_NESTING - 2);
+            assert!(parse(&deepest).is_ok(), "{deepest}");
+            for n in [MAX_NESTING - 1, MAX_NESTING, 1000, 100_000] {
+                let err = parse(&shape(n)).unwrap_err();
+                assert!(err.message.contains("nesting"), "depth {n}: {err}");
+                assert_eq!(err.line, 1, "the error points at the crossing token");
+            }
         }
     }
 

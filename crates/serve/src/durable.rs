@@ -22,6 +22,14 @@
 //! reopened for append. A crash at any point leaves either the old file or
 //! the new one, never a mix.
 //!
+//! **Directory sync.** A create or a rename is durable only once the
+//! directory holding the file is fsync'd, so `open` syncs it after creating
+//! the file and a rewrite after its rename; otherwise a power cut could
+//! undo a rewrite, and with it a record fsync'd into the new file. A
+//! filesystem that rejects a directory fsync (`EINVAL`) has nothing to
+//! sync, which counts as success; any other error fails `open` like a
+//! failed create, and fails a rewrite like any other rewrite error.
+//!
 //! **Degrade and re-attach.** Any I/O error (an append, a rewrite, or the
 //! reopen after a rewrite's rename) detaches the file: the error is
 //! counted, the log reports itself degraded, and appends are skipped.
@@ -65,6 +73,19 @@ fn injected_fault() -> std::io::Result<()> {
     Ok(())
 }
 
+/// Fsync the directory holding `path`, so a create or rename in it
+/// survives a power cut (see the module docs).
+fn sync_dir(path: &Path) -> std::io::Result<()> {
+    let dir = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    match File::open(dir)?.sync_all() {
+        Err(e) if e.kind() == std::io::ErrorKind::InvalidInput => Ok(()),
+        synced => synced,
+    }
+}
+
 /// An append-only JSONL file with crash-safe rewrites that degrades
 /// instead of failing (see the module docs).
 pub(crate) struct DurableLog {
@@ -83,7 +104,8 @@ pub(crate) struct DurableLog {
 
 impl DurableLog {
     /// Open (or create) the log at `path`, creating its directory, and
-    /// pass each complete record in the file to `each`, oldest first.
+    /// pass each complete record in the file to `each`, oldest first. The
+    /// directory is fsync'd, so a newly created file survives a power cut.
     pub fn open(path: &Path, mut each: impl FnMut(Json)) -> std::io::Result<DurableLog> {
         if let Some(dir) = path.parent() {
             std::fs::create_dir_all(dir)?;
@@ -114,6 +136,7 @@ impl DurableLog {
             }
         }
         let file = OpenOptions::new().create(true).append(true).open(path)?;
+        sync_dir(path)?;
         Ok(DurableLog {
             path: path.to_path_buf(),
             file: Mutex::new(Some(file)),
@@ -160,9 +183,9 @@ impl DurableLog {
     }
 
     /// Replace the file with `records`, the owner's live set, crash-safely
-    /// (temp file, fsync, rename, reopen). Success re-attaches a degraded
-    /// log; failure degrades it and is returned too, for an owner that
-    /// reports it. Returns `(lines_before, lines_after)`.
+    /// (temp file, fsync, rename, directory fsync, reopen). Success
+    /// re-attaches a degraded log; failure degrades it and is returned too,
+    /// for an owner that reports it. Returns `(lines_before, lines_after)`.
     pub fn rewrite(&self, records: impl IntoIterator<Item = Json>) -> std::io::Result<(u64, u64)> {
         let mut file = self.file.lock().unwrap_or_else(PoisonError::into_inner);
         let before = self.lines();
@@ -181,6 +204,7 @@ impl DurableLog {
             // a failed reopen leaves no handle to append through.
             *file = None;
             self.lines.store(after, Ordering::Relaxed);
+            sync_dir(&self.path)?;
             injected_fault()?;
             *file = Some(OpenOptions::new().append(true).open(&self.path)?);
             Ok(after)

@@ -325,6 +325,21 @@ impl Telemetry {
         self.solver_budget_trips.fetch_add(trips, Ordering::Relaxed);
     }
 
+    /// The six cumulative solver totals, named as the `telemetry` op's
+    /// `solver` object and the exposition's `chipmunk_serve_solver_*`
+    /// counters name them.
+    pub fn solver_totals(&self) -> [(&'static str, u64); 6] {
+        [
+            ("conflicts", &self.solver_conflicts),
+            ("propagations", &self.solver_propagations),
+            ("verify_conflicts", &self.solver_verify_conflicts),
+            ("verify_propagations", &self.solver_verify_propagations),
+            ("clause_bytes", &self.solver_clause_bytes),
+            ("budget_trips", &self.solver_budget_trips),
+        ]
+        .map(|(name, v)| (name, v.load(Ordering::Relaxed)))
+    }
+
     /// Merge every (outcome, family, strategy) cell of `stage` into one
     /// bucket vector (log2 buckets merge by addition). Returns
     /// `(buckets, sum, count)`.
@@ -477,7 +492,10 @@ pub fn escape_label(v: &str) -> String {
 /// Render the full text exposition (format version 0.0.4): the latency
 /// summaries (empty cells are skipped), the solver gauges, and the
 /// caller-supplied counters and gauges (serve stats, cache hit rate).
-/// Output order is deterministic — fixed iteration order, no maps.
+/// A counter is exposed as `chipmunk_serve_<name>_total` (a name that
+/// already ends in `_total` gets no second suffix), a gauge as
+/// `chipmunk_serve_<name>`. Output order is deterministic — fixed
+/// iteration order, no maps.
 pub fn render_exposition(
     telemetry: &Telemetry,
     counters: &[(&str, u64)],
@@ -518,22 +536,14 @@ pub fn render_exposition(
             }
         }
     }
-    let solver: [(&str, &AtomicU64); 6] = [
-        ("conflicts", &telemetry.solver_conflicts),
-        ("propagations", &telemetry.solver_propagations),
-        ("verify_conflicts", &telemetry.solver_verify_conflicts),
-        ("verify_propagations", &telemetry.solver_verify_propagations),
-        ("clause_bytes", &telemetry.solver_clause_bytes),
-        ("budget_trips", &telemetry.solver_budget_trips),
-    ];
-    for (name, v) in solver {
+    for (name, v) in telemetry.solver_totals() {
         out.push_str(&format!(
             "# TYPE chipmunk_serve_solver_{name}_total counter\n\
-             chipmunk_serve_solver_{name}_total {}\n",
-            v.load(Ordering::Relaxed)
+             chipmunk_serve_solver_{name}_total {v}\n"
         ));
     }
     for (name, v) in counters {
+        let name = name.strip_suffix("_total").unwrap_or(name);
         out.push_str(&format!(
             "# TYPE chipmunk_serve_{name}_total counter\nchipmunk_serve_{name}_total {v}\n"
         ));

@@ -40,7 +40,9 @@
 //! spans nest. The `trace` op looks a recent job's full span tree up by
 //! that id from the daemon's in-memory ring buffer; `telemetry` returns
 //! rolling latency percentiles (queue wait, compile, certify, remap,
-//! end-to-end), cache hit rate, and cumulative solver gauges.
+//! end-to-end), per-outcome job counts, and cumulative solver gauges,
+//! plus every figure `stats` reports (the ledger, the cache hit rate, the
+//! gauges) under the same names.
 //!
 //! `poll` is a compile-shaped lookup that never enqueues work: it answers
 //! `{"ok":true,"found":true,…}` with the (certified) cached result for the
@@ -104,7 +106,12 @@
 //! bytes, so the whole non-test file is compiled under
 //! `deny(clippy::unwrap_used)` / `expect_used` / `panic`: malformed input
 //! must flow out as a typed `parse`/`bad_request` response, never unwind
-//! a connection thread.
+//! a connection thread. Two bounds keep hostile input from exhausting the
+//! daemon, and both answer `parse`: a request line longer than 1 MiB gets
+//! one error line with no `id` (nothing was decoded) and its connection
+//! is closed; a `program` nested deeper than
+//! [`chipmunk_lang::MAX_NESTING`] levels is refused by the parser, before
+//! any pass recurses over it.
 //!
 //! A compile success's `result` object carries `fields` and `states`
 //! name arrays naming the indices of `field_to_container` — always in the

@@ -154,103 +154,187 @@ impl Default for ServerConfig {
     }
 }
 
-/// Job-flow counters. Conservation invariant: once the server quiesces,
-/// `submitted == completed + failed + drained + panicked + expired +
-/// shed` — every queued job is answered exactly once (a worker serving a
-/// queued twin from cache counts as `completed`, and also bumps
-/// `served_cached`; a job whose deadline elapsed counts as `expired`; a
-/// job evicted from a full queue for a higher-priority newcomer counts
-/// as `shed`).
-#[derive(Default)]
-struct Stats {
-    submitted: AtomicU64,
-    completed: AtomicU64,
-    failed: AtomicU64,
+/// How the Prometheus exposition types a reported figure: a counter is
+/// exposed as `chipmunk_serve_<name>_total`, a gauge as
+/// `chipmunk_serve_<name>`.
+enum Kind {
+    Counter,
+    Gauge,
+}
+
+/// One figure the daemon reports: its name (the `stats` and `telemetry`
+/// key, and the exposition's metric name), its exposition kind, and its
+/// value. The exposition shows a boolean as 0/1 and leaves out a `null`
+/// (a figure that does not apply, or not yet) and a string.
+type Figure = (&'static str, Kind, Json);
+
+/// A ledger cell read as a wire value.
+trait Reading {
+    fn reading(&self) -> Json;
+}
+
+impl Reading for AtomicU64 {
+    fn reading(&self) -> Json {
+        Json::from(self.load(Ordering::Relaxed))
+    }
+}
+
+impl Reading for AtomicBool {
+    fn reading(&self) -> Json {
+        Json::Bool(self.load(Ordering::Relaxed))
+    }
+}
+
+/// Declares [`Stats`] and its name→value listing from one list, so each
+/// ledger figure is named exactly once.
+macro_rules! ledger {
+    ($($(#[$doc:meta])* $name:ident: $cell:ty = $kind:ident,)*) => {
+        /// The daemon's ledger. Conservation invariant: once the server
+        /// quiesces, `submitted == completed + failed + drained + panicked +
+        /// expired + shed` — every admitted job is answered exactly once,
+        /// and [`ReplyHandle::settle`] is the only code that moves those six
+        /// terminal counters.
+        #[derive(Default)]
+        struct Stats {
+            $($(#[$doc])* $name: $cell,)*
+        }
+
+        impl Stats {
+            /// Every ledger figure, in declaration order.
+            fn listing(&self) -> Vec<Figure> {
+                vec![$((stringify!($name), Kind::$kind, self.$name.reading()),)*]
+            }
+        }
+    };
+}
+
+ledger! {
+    /// Jobs admitted to the queue: fresh submissions and journal replays.
+    submitted: AtomicU64 = Counter,
+    /// Admitted jobs answered with a result. A worker serving a queued
+    /// twin from cache counts here and in `served_cached`.
+    completed: AtomicU64 = Counter,
+    /// Admitted jobs answered with a compile error or an uncertified
+    /// result.
+    failed: AtomicU64 = Counter,
     /// Queued jobs failed by abortive shutdown instead of running.
-    drained: AtomicU64,
+    drained: AtomicU64 = Counter,
     /// Jobs answered with an `internal` error because the compile call
     /// panicked (isolated) or the worker running them died (its
     /// [`ReplyHandle`] answered on drop).
-    panicked: AtomicU64,
-    /// Worker threads respawned by the dispatch-time watchdog after a
-    /// pool member died.
-    workers_respawned: AtomicU64,
-    /// Responses served from the result cache: the reader's fast path
-    /// plus the worker's after-the-wait re-check. Fast-path serves never
-    /// count as `submitted` (they are not queued).
-    served_cached: AtomicU64,
-    rejected_full: AtomicU64,
-    rejected_busy: AtomicU64,
-    synth_ms_total: AtomicU64,
-    synth_ms_max: AtomicU64,
-    wait_ms_total: AtomicU64,
-    /// Journal-replayed jobs re-queued (or already answered in cache) at
-    /// startup. Replayed jobs also count as `submitted` when they enter
-    /// the queue, so the conservation invariant covers them.
-    recovered: AtomicU64,
-    /// Result documents that passed the serve-side certification check
-    /// before leaving the daemon (fresh, cache-hit, and polled).
-    certified: AtomicU64,
-    /// Result documents that failed certification (each one is also
-    /// quarantined if it came from the cache).
-    uncertified: AtomicU64,
-    /// Cache entries removed from both tiers after failing certification.
-    quarantined: AtomicU64,
-    /// Racing portfolio steps cancelled because a sibling strategy won.
-    /// Spent search, not failures — kept out of `failed` by construction.
-    portfolio_cancelled: AtomicU64,
-    /// Infeasible verdicts served with a DRAT proof the daemon itself
-    /// re-checked before the response left the process.
-    infeasible_certified: AtomicU64,
-    /// Infeasible verdicts served explicitly unchecked — the proof was
-    /// truncated, lost to an I/O fault, failed its re-check, or proof
-    /// logging was disabled. Never silent: the response says why.
-    infeasible_unchecked: AtomicU64,
-    /// The configured metrics endpoint failed to bind and the daemon is
-    /// running stats-only (the `metrics_io` degradation).
-    metrics_degraded: AtomicBool,
+    panicked: AtomicU64 = Counter,
     /// Jobs answered with the `expired` error: their deadline elapsed in
     /// the queue, mid-compile (the solver yielded to the watchdog's
     /// cancel), or at watchdog escalation.
-    expired: AtomicU64,
+    expired: AtomicU64 = Counter,
     /// Queued jobs evicted under saturation to admit a higher-priority
     /// newcomer, answered with the `shed` error.
-    shed: AtomicU64,
+    shed: AtomicU64 = Counter,
+    /// Worst end-to-end latency (ms) over answered admitted jobs, abort
+    /// drains excepted — the overload soak asserts it never exceeds
+    /// deadline + grace + the escalation bound.
+    e2e_ms_max: AtomicU64 = Gauge,
+    /// Worker threads respawned after a pool member died or was
+    /// abandoned by the watchdog.
+    workers_respawned: AtomicU64 = Counter,
+    /// Responses served from the result cache: the reader's fast path,
+    /// `poll`, and the worker's after-the-wait re-check. Fast-path serves
+    /// never count as `submitted` (they are not queued).
+    served_cached: AtomicU64 = Counter,
+    rejected_full: AtomicU64 = Counter,
+    rejected_busy: AtomicU64 = Counter,
+    synth_ms_total: AtomicU64 = Counter,
+    synth_ms_max: AtomicU64 = Gauge,
+    wait_ms_total: AtomicU64 = Counter,
+    /// Journal-replayed jobs re-queued (or already answered in cache) at
+    /// startup. Replayed jobs also count as `submitted` when they enter
+    /// the queue, so the conservation invariant covers them.
+    recovered: AtomicU64 = Counter,
+    /// Result documents that passed the serve-side certification check
+    /// before leaving the daemon (fresh, cache-hit, and polled).
+    certified: AtomicU64 = Counter,
+    /// Result documents that failed certification (each one is also
+    /// quarantined if it came from the cache).
+    uncertified: AtomicU64 = Counter,
+    /// Cache entries removed from both tiers after failing certification.
+    quarantined: AtomicU64 = Counter,
+    /// Racing portfolio steps cancelled because a sibling strategy won.
+    /// Spent search, not failures — kept out of `failed` by construction.
+    portfolio_cancelled: AtomicU64 = Counter,
+    /// Infeasible verdicts served with a DRAT proof the daemon itself
+    /// re-checked before the response left the process.
+    infeasible_certified: AtomicU64 = Counter,
+    /// Infeasible verdicts served explicitly unchecked — the proof was
+    /// truncated, lost to an I/O fault, failed its re-check, or proof
+    /// logging was disabled. Never silent: the response says why.
+    infeasible_unchecked: AtomicU64 = Counter,
+    /// The configured metrics endpoint failed to bind and the daemon is
+    /// running stats-only (the `metrics_io` degradation).
+    metrics_degraded: AtomicBool = Gauge,
     /// Watchdog hard-cancels: jobs past deadline+grace whose cancel flag
     /// was raised. Most yield cooperatively and count only here.
-    watchdog_cancelled: AtomicU64,
+    watchdog_cancelled: AtomicU64 = Counter,
     /// Watchdog escalations: the solver ignored its cancel flag past the
     /// escalation bound, so the job was answered `expired`, its worker
     /// abandoned, and a replacement spawned.
-    watchdog_escalations: AtomicU64,
+    watchdog_escalations: AtomicU64 = Counter,
     /// Brownout entries (queue-wait p95 crossed the threshold).
-    brownout_entered: AtomicU64,
+    brownout_entered: AtomicU64 = Counter,
     /// Brownout exits (p95 fell below half the threshold, or the rolling
     /// window drained).
-    brownout_exited: AtomicU64,
+    brownout_exited: AtomicU64 = Counter,
     /// Compiles refused during brownout (cache-miss, low priority):
     /// answered `busy` with a `retry_after_ms` hint. Never `submitted`,
     /// so outside the conservation law by construction.
-    brownout_busy: AtomicU64,
-    /// Worst end-to-end latency (ms) over answered *admitted* jobs —
-    /// the overload soak asserts it never exceeds deadline + grace.
-    e2e_ms_max: AtomicU64,
+    brownout_busy: AtomicU64 = Counter,
 }
 
-/// Where a job's single response goes: the owning connection's reply
-/// channel. Consuming `send` ties the request `id` to the response and
-/// releases the connection's in-flight slot, so the reader's idle-timeout
-/// check sees the reply strictly after it is on the channel.
+/// Microseconds elapsed since `since`.
+fn micros(since: Instant) -> u64 {
+    since.elapsed().as_micros() as u64
+}
+
+/// How an admitted job ended: which terminal counter its settle moves.
+#[derive(Clone, Copy, PartialEq)]
+enum Verdict {
+    /// Answered with a result, served as the outcome says (`fresh`,
+    /// `cached` or `remapped`).
+    Completed(Outcome),
+    Failed,
+    Drained,
+    Panicked,
+    Expired,
+    Shed,
+}
+
+impl Verdict {
+    /// The outcome label of the job's latency samples.
+    fn outcome(self) -> Outcome {
+        match self {
+            Verdict::Completed(outcome) => outcome,
+            _ => Outcome::Failed,
+        }
+    }
+}
+
+/// Where a job's single response goes — the owning connection's reply
+/// channel — and what its answer settles in the ledger: the job's spec
+/// family and admission time. Consuming `settle` or `refuse` ties the
+/// request `id` to the response and releases the connection's in-flight
+/// slot, so the reader's idle-timeout check sees the reply strictly after
+/// it is on the channel.
 ///
 /// Dropping a handle unanswered — the job vanished with a dying worker,
 /// or was discarded with the queue — is itself an answer: the client gets
-/// a structured `internal` error and the job counts as `panicked`, so no
+/// a structured `internal` error and the job settles as `panicked`, so no
 /// client ever waits forever and the conservation invariant survives
-/// worker deaths.
+/// worker deaths. Its journal record stays pending, so the job replays
+/// on the next start.
 struct ReplyHandle {
     tx: mpsc::Sender<Json>,
     pending: Arc<AtomicUsize>,
     stats: Arc<Stats>,
+    telemetry: Arc<Telemetry>,
     /// Responses handed to connection writers but not yet flushed
     /// ([`Shared::unwritten`]); [`ServerHandle::join`] waits on it.
     unwritten: Arc<AtomicUsize>,
@@ -258,12 +342,46 @@ struct ReplyHandle {
     /// The job's trace id, echoed on whatever response answers it —
     /// including the `internal` error a dropped handle synthesizes.
     trace: Option<String>,
+    /// Spec family label for the job's latency samples.
+    family: Family,
+    /// When the job was admitted: the start of its end-to-end latency.
+    admitted: Instant,
     answered: bool,
 }
 
 impl ReplyHandle {
-    fn send(mut self, response: Json) {
+    /// Answer an admitted job: the only code that moves one of the six
+    /// terminal counters. It also records the job's one end-to-end
+    /// sample and raises `e2e_ms_max`, except for an abort drain, whose
+    /// latency is the operator's choice, not the scheduler's.
+    fn settle(mut self, verdict: Verdict, response: Json) {
+        self.record(verdict);
         self.deliver(response);
+    }
+
+    /// Answer a push the queue refused. The job was never admitted, so no
+    /// terminal counter moves.
+    fn refuse(mut self, response: Json) {
+        self.deliver(response);
+    }
+
+    fn record(&self, verdict: Verdict) {
+        let s = &self.stats;
+        let terminal = match verdict {
+            Verdict::Completed(_) => &s.completed,
+            Verdict::Failed => &s.failed,
+            Verdict::Drained => &s.drained,
+            Verdict::Panicked => &s.panicked,
+            Verdict::Expired => &s.expired,
+            Verdict::Shed => &s.shed,
+        };
+        terminal.fetch_add(1, Ordering::Relaxed);
+        let e2e_us = micros(self.admitted);
+        self.telemetry
+            .record(Stage::EndToEnd, verdict.outcome(), self.family, e2e_us);
+        if verdict != Verdict::Drained {
+            s.e2e_ms_max.fetch_max(e2e_us / 1000, Ordering::Relaxed);
+        }
     }
 
     fn deliver(&mut self, response: Json) {
@@ -278,6 +396,15 @@ impl ReplyHandle {
         queue_response(&self.unwritten, &self.tx, with_id(response, self.id.take()));
         self.pending.fetch_sub(1, Ordering::Release);
     }
+}
+
+/// Settle an admitted job ([`ReplyHandle::settle`]), then complete its
+/// journal record: strictly after the answer is on the reply channel, so
+/// a crash between the two replays an already-answered job (a harmless
+/// recompute into the cache) instead of dropping an unanswered one.
+fn settle(shared: &Shared, key: &str, reply: ReplyHandle, verdict: Verdict, response: Json) {
+    reply.settle(verdict, response);
+    journal_done(shared, key);
 }
 
 /// Hand a response to a connection's writer thread, keeping the global
@@ -295,7 +422,7 @@ fn queue_response(unwritten: &AtomicUsize, tx: &mpsc::Sender<Json>, doc: Json) {
 impl Drop for ReplyHandle {
     fn drop(&mut self) {
         if !self.answered {
-            self.stats.panicked.fetch_add(1, Ordering::Relaxed);
+            self.record(Verdict::Panicked);
             self.deliver(error_response(
                 "internal",
                 "worker died while running this job; the pool has been respawned — safe to retry",
@@ -304,20 +431,42 @@ impl Drop for ReplyHandle {
     }
 }
 
-struct Job {
+/// A compile-shaped request resolved for the cache: the parsed program,
+/// its options, its cache key, and the requester's field / state names
+/// in index order (the layout `compile` will use), which cached results
+/// are remapped into.
+struct Resolved {
     program: Program,
     opts: CompilerOptions,
     key: String,
-    /// Field / state names in the submitter's index order (the layout
-    /// `compile` will use) — cached results are remapped through these.
     fields: Vec<String>,
     states: Vec<String>,
+}
+
+/// Parse and key a compile-shaped request, or the error response that
+/// answers it.
+fn resolve(source: &str, options: &JobOptions) -> Result<Resolved, Json> {
+    let program = parse(source).map_err(|e| error_response("parse", &format!("program: {e}")))?;
+    let opts = options
+        .to_compiler_options()
+        .map_err(|e| error_response("bad_request", &e))?;
+    let key = cache_key(&program, &opts);
+    let (fields, states) = layout_names(&program);
+    Ok(Resolved {
+        program,
+        opts,
+        key,
+        fields,
+        states,
+    })
+}
+
+struct Job {
+    req: Resolved,
     /// The job's trace id: client-supplied, server-assigned, or (for a
     /// replayed job) recovered from the journal. Stamped on the
     /// `serve.job` span so nested compile spans correlate with it.
     trace: String,
-    /// Spec family label for the latency histograms.
-    family: Family,
     /// Fingerprint of the job's compile plan (None when planning failed —
     /// the worker will surface the same error).
     plan_fp: Option<String>,
@@ -330,7 +479,6 @@ struct Job {
     /// their original client is gone and the compile runs for the cache.
     deadline: Option<Instant>,
     reply: ReplyHandle,
-    enqueued: Instant,
 }
 
 /// One in-flight compile as the watchdog sees it. Registered by the
@@ -339,8 +487,6 @@ struct Job {
 /// answers: whoever takes it first wins, the other sees `None`.
 struct WatchEntry {
     key: String,
-    family: Family,
-    enqueued: Instant,
     deadline: Option<Instant>,
     /// Per-job cooperative cancel flag, passed to the compile. Raised by
     /// the watchdog at deadline+grace and fanned to by abortive shutdown.
@@ -540,7 +686,10 @@ impl ServerHandle {
         while self.shared.unwritten.load(Ordering::Acquire) > 0 && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(1));
         }
-        if let Some(metrics) = lock_metrics(&self.shared).take() {
+        // Take the endpoint out before joining it: a scrape in progress
+        // renders the report, which reads the endpoint's address.
+        let metrics = lock_metrics(&self.shared).take();
+        if let Some(metrics) = metrics {
             metrics.begin_shutdown();
             metrics.join();
         }
@@ -677,26 +826,19 @@ fn replay_journal(shared: &Arc<Shared>, replay: Vec<crate::journal::PendingJob>)
         let Some(journal) = &shared.journal else {
             return;
         };
-        let Ok(program) = parse(&pending.program) else {
+        let Ok(req) = resolve(&pending.program, &pending.options) else {
             // Unparseable journal record: nothing can be owed for it.
             journal.completed(&pending.key);
             continue;
         };
-        let Ok(opts) = pending.options.to_compiler_options() else {
-            journal.completed(&pending.key);
-            continue;
-        };
-        let key = cache_key(&program, &opts);
         shared.stats.recovered.fetch_add(1, Ordering::Relaxed);
         chipmunk_trace::counter_add!("serve.journal.recovered", 1);
-        if shared.cache.peek(&key).is_some() {
+        if shared.cache.peek(&req.key).is_some() {
             // Answered before the crash (or by a twin): the poll op will
             // find it — nothing left to recompute.
             journal.completed(&pending.key);
             continue;
         }
-        let (fields, states) = layout_names(&program);
-        let family = family_of(&states);
         // The replayed job keeps its original trace id (when the journal
         // recorded one), so telemetry from the recompile correlates with
         // the pre-crash submission.
@@ -707,7 +849,7 @@ fn replay_journal(shared: &Arc<Shared>, replay: Vec<crate::journal::PendingJob>)
         // Journaled plan progress is honored only when this daemon derives
         // the *same* plan fingerprint the previous one journaled — a
         // planner (or options) change restarts the plan from step 0.
-        let plan_fp = plan_compilation(&program, &opts)
+        let plan_fp = plan_compilation(&req.program, &req.opts)
             .ok()
             .map(|p| p.fingerprint());
         let resume_from = match (&plan_fp, &pending.plan) {
@@ -723,23 +865,22 @@ fn replay_journal(shared: &Arc<Shared>, replay: Vec<crate::journal::PendingJob>)
         }
         let priority = pending.priority;
         let (tx, _rx) = mpsc::channel::<Json>();
+        let family = family_of(&req.states);
         let job = Job {
-            program,
-            opts,
-            key,
-            fields,
-            states,
+            req,
             trace,
-            family,
             plan_fp,
             resume_from,
             reply: ReplyHandle {
                 tx,
                 pending: Arc::new(AtomicUsize::new(1)),
                 stats: shared.stats.clone(),
+                telemetry: shared.telemetry.clone(),
                 unwritten: shared.unwritten.clone(),
                 id: None,
                 trace: None,
+                family,
+                admitted: Instant::now(),
                 answered: false,
             },
             // A fresh full deadline window from replay time: the original
@@ -752,7 +893,6 @@ fn replay_journal(shared: &Arc<Shared>, replay: Vec<crate::journal::PendingJob>)
                 .deadline_ms
                 .or(shared.default_deadline_ms)
                 .map(|ms| Instant::now() + Duration::from_millis(ms)),
-            enqueued: Instant::now(),
         };
         match shared
             .queue
@@ -766,7 +906,7 @@ fn replay_journal(shared: &Arc<Shared>, replay: Vec<crate::journal::PendingJob>)
                 // pending so the *next* restart retries, and answer the
                 // discard handle so it does not count as panicked.
                 shared.stats.recovered.fetch_sub(1, Ordering::Relaxed);
-                job.reply.send(error_response(
+                job.reply.refuse(error_response(
                     "queue_full",
                     "replay deferred to next start",
                 ));
@@ -775,11 +915,11 @@ fn replay_journal(shared: &Arc<Shared>, replay: Vec<crate::journal::PendingJob>)
     }
 }
 
-/// Mark `key` answered in the journal (no-op without one). Called on
-/// every terminal answer for a queued job — success, typed failure,
-/// drain — but *not* when a worker dies mid-job: that job's journal
-/// record stays pending and replays on the next start, which is exactly
-/// the at-least-once retry the `internal` error promises the client.
+/// Mark `key` answered in the journal (no-op without one). Called by
+/// [`settle`] and after a refused push — but *not* when a worker dies
+/// mid-job: that job's journal record stays pending and replays on the
+/// next start, which is exactly the at-least-once retry the `internal`
+/// error promises the client.
 fn journal_done(shared: &Shared, key: &str) {
     if let Some(journal) = &shared.journal {
         journal.completed(key);
@@ -835,18 +975,13 @@ fn begin_shutdown(shared: &Arc<Shared>, abort: bool) {
     }
     if abort {
         shared.abort.store(true, Ordering::SeqCst);
-        let drained = shared.queue.drain_now();
-        shared
-            .stats
-            .drained
-            .fetch_add(drained.len() as u64, Ordering::Relaxed);
-        for job in drained {
+        for job in shared.queue.drain_now() {
             // An abort drain is a deliberate answer ("shutting_down"), not
-            // a crash: complete the journal record so the job does not
-            // replay on the next start against the operator's intent.
-            job.reply
-                .send(error_response("shutting_down", "job aborted by shutdown"));
-            journal_done(shared, &job.key);
+            // a crash: settling completes the journal record so the job
+            // does not replay on the next start against the operator's
+            // intent.
+            let stopping = error_response("shutting_down", "job aborted by shutdown");
+            settle(shared, &job.req.key, job.reply, Verdict::Drained, stopping);
         }
         // Fan the abort out to every in-flight compile's per-job cancel
         // flag — compiles launched before the abort carry their own flag,
@@ -921,6 +1056,12 @@ fn handle_connection(stream: TcpStream, guard: ConnGuard) {
     // (each holds a Sender clone) has replied.
 }
 
+/// The longest request line the reader buffers (corpus programs are
+/// under 250 bytes). A longer one is answered `parse` and its connection
+/// closed, so a client streaming without a newline cannot grow the
+/// daemon's memory.
+const MAX_LINE_BYTES: usize = 1 << 20;
+
 fn read_loop(
     mut stream: TcpStream,
     shared: &Arc<Shared>,
@@ -938,6 +1079,13 @@ fn read_loop(
                     let line: Vec<u8> = buf.drain(..=pos).collect();
                     let line = String::from_utf8_lossy(&line[..pos]);
                     handle_line(line.trim(), shared, tx, pending);
+                }
+                if buf.len() > MAX_LINE_BYTES {
+                    // Nothing was decoded, so the answer has no `id`; the
+                    // rest of the stream cannot be framed, so close.
+                    let message = format!("request line longer than {MAX_LINE_BYTES} bytes");
+                    queue_response(&shared.unwritten, tx, error_response("parse", &message));
+                    return;
                 }
             }
             Err(e)
@@ -1155,41 +1303,73 @@ fn recheck_infeasible(shared: &Shared, mut cert: InfeasibleCert) -> InfeasibleCe
     cert
 }
 
-/// Apply the `corrupt` fault (bit-flip a cached document before it is
-/// served) when armed — the chaos hook certification must catch.
-fn maybe_corrupt(doc: Json) -> Json {
-    if faults::armed() && faults::fired(FaultKind::CacheCorrupt) {
+/// A certified cache serve: the document in the requester's layout, how
+/// it was served (`cached`, or `remapped` when serving renamed anything),
+/// and the remap and certify times for the caller's stage samples.
+struct Served {
+    doc: Json,
+    outcome: Outcome,
+    remap_us: u64,
+    certify_us: u64,
+}
+
+/// Serve `req` from the cache — the reader's fast path, `poll`, and the
+/// worker's after-the-wait re-check all come here. The entry is remapped
+/// into the requester's layout (the key equates programs whose canonical
+/// *texts* match, which is name-based, so the requester may number the
+/// same fields differently; an entry that cannot be remapped is a miss),
+/// the `corrupt` fault is applied when armed, and the document is
+/// certified. A document that fails certification is quarantined from
+/// both tiers and `None` is returned: the caller treats it as a miss.
+/// `lookup` says whether this counts as a cache lookup (hit or miss); the
+/// worker's re-check does not, so one request counts once.
+fn serve_cached(shared: &Shared, req: &Resolved, lookup: bool) -> Option<Served> {
+    let mut outcome = Outcome::Cached;
+    let mut remap_us = 0;
+    let adapt = |cached: Json| {
+        let started = Instant::now();
+        if layout_differs(&cached, &req.fields, &req.states) {
+            outcome = Outcome::Remapped;
+        }
+        let doc = remap_result(&cached, &req.fields, &req.states);
+        remap_us = micros(started);
+        doc
+    };
+    let doc = if lookup {
+        shared.cache.get_adapted(&req.key, adapt)
+    } else {
+        shared.cache.peek(&req.key).and_then(adapt)
+    }?;
+    let doc = if faults::armed() && faults::fired(FaultKind::CacheCorrupt) {
         faults::corrupt_doc(&doc)
     } else {
         doc
-    }
-}
-
-/// Certify a cache-served document; on failure, quarantine the entry
-/// from both cache tiers and count it. Returns whether the document may
-/// be served.
-fn certify_served(
-    shared: &Arc<Shared>,
-    program: &Program,
-    opts: &CompilerOptions,
-    key: &str,
-    doc: &Json,
-) -> bool {
-    match certify_wire(program, opts, doc) {
+    };
+    let started = Instant::now();
+    let certified = certify_wire(&req.program, &req.opts, &doc);
+    let certify_us = micros(started);
+    let s = &shared.stats;
+    match certified {
         Ok(()) => {
-            shared.stats.certified.fetch_add(1, Ordering::Relaxed);
-            true
+            s.certified.fetch_add(1, Ordering::Relaxed);
+            s.served_cached.fetch_add(1, Ordering::Relaxed);
+            Some(Served {
+                doc,
+                outcome,
+                remap_us,
+                certify_us,
+            })
         }
         Err(why) => {
-            shared.stats.uncertified.fetch_add(1, Ordering::Relaxed);
+            s.uncertified.fetch_add(1, Ordering::Relaxed);
             chipmunk_trace::counter_add!("serve.certify.failed", 1);
-            if shared.cache.remove(key) {
-                shared.stats.quarantined.fetch_add(1, Ordering::Relaxed);
+            if shared.cache.remove(&req.key) {
+                s.quarantined.fetch_add(1, Ordering::Relaxed);
                 chipmunk_trace::counter_add!("serve.cache.quarantined", 1);
             }
-            let mut sp = chipmunk_trace::span!("serve.quarantine", key = key);
+            let mut sp = chipmunk_trace::span!("serve.quarantine", key = req.key.as_str());
             sp.record("reason", why.as_str());
-            false
+            None
         }
     }
 }
@@ -1202,7 +1382,7 @@ fn certify_served(
 fn start_compile(
     shared: &Arc<Shared>,
     source: &str,
-    options: &crate::protocol::JobOptions,
+    options: &JobOptions,
     client_trace: Option<String>,
     priority: u8,
     tx: &mpsc::Sender<Json>,
@@ -1220,55 +1400,21 @@ fn start_compile(
     // that reach the queue — otherwise a stream of cache hits would never
     // replace a dead worker, and the first miss would find a shrunken pool.
     ensure_workers(shared);
-    let program = match parse(source) {
-        Ok(p) => p,
-        Err(e) => return answer(error_response("parse", &format!("program: {e}")), id),
+    let req = match resolve(source, options) {
+        Ok(req) => req,
+        Err(response) => return answer(response, id),
     };
-    let opts = match options.to_compiler_options() {
-        Ok(o) => o,
-        Err(e) => return answer(error_response("bad_request", &e), id),
-    };
-    let key = cache_key(&program, &opts);
-    // The key equates programs whose canonical *texts* match, which is
-    // name-based — the requester may number the same fields differently
-    // from whoever populated the entry, so hits are remapped by name (an
-    // entry that cannot be remapped counts as a miss and recompiles).
-    let (fields, states) = layout_names(&program);
-    let family = family_of(&states);
-    let mut remapped = false;
-    let mut remap_us = 0u64;
-    if let Some(result) = shared.cache.get_adapted(&key, |cached| {
-        let remap_started = Instant::now();
-        remapped = layout_differs(&cached, &fields, &states);
-        let result = remap_result(&cached, &fields, &states);
-        remap_us = remap_started.elapsed().as_micros() as u64;
-        result
-    }) {
-        let result = maybe_corrupt(result);
-        let certify_started = Instant::now();
-        let served = certify_served(shared, &program, &opts, &key, &result);
-        let certify_us = certify_started.elapsed().as_micros() as u64;
-        if served {
-            shared.stats.served_cached.fetch_add(1, Ordering::Relaxed);
-            let outcome = if remapped {
-                Outcome::Remapped
-            } else {
-                Outcome::Cached
-            };
-            let t = &shared.telemetry;
-            t.record(Stage::Remap, outcome, family, remap_us);
-            t.record(Stage::Certify, outcome, family, certify_us);
-            t.record(
-                Stage::EndToEnd,
-                outcome,
-                family,
-                accepted.elapsed().as_micros() as u64,
-            );
-            return answer(success_response(&key, true, 0, 0, result), id);
-        }
-        // Certification failed: the entry is quarantined, and the request
-        // falls through to the queue — one retry, compiled from scratch.
+    let family = family_of(&req.states);
+    if let Some(hit) = serve_cached(shared, &req, true) {
+        let t = &shared.telemetry;
+        t.record(Stage::Remap, hit.outcome, family, hit.remap_us);
+        t.record(Stage::Certify, hit.outcome, family, hit.certify_us);
+        t.record(Stage::EndToEnd, hit.outcome, family, micros(accepted));
+        return answer(success_response(&req.key, true, 0, 0, hit.doc), id);
     }
+    // A miss, or a quarantined entry: the request goes to the queue — one
+    // retry, compiled from scratch.
+    //
     // Brownout gate — after the cache check, so degraded service still
     // serves hits; cache-missing work below the shed priority is refused
     // with a pacing hint instead of deepening the backlog.
@@ -1293,45 +1439,42 @@ fn start_compile(
         );
     }
     // Reserve the in-flight slot before the push: the matching decrement
-    // runs in `ReplyHandle::send`, on whichever path answers the job.
+    // runs when the [`ReplyHandle`] answers, on whichever path that is.
     pending.fetch_add(1, Ordering::AcqRel);
     // The plan fingerprint is journaled with the accept so a restarted
     // daemon can check journaled step progress against the plan *it*
     // derives before resuming mid-plan.
-    let plan_fp = plan_compilation(&program, &opts)
+    let plan_fp = plan_compilation(&req.program, &req.opts)
         .ok()
         .map(|p| p.fingerprint());
     let job = Job {
-        program,
-        opts,
-        key,
-        fields,
-        states,
+        req,
         trace: trace.clone(),
-        family,
         plan_fp,
         resume_from: 0,
         reply: ReplyHandle {
             tx: tx.clone(),
             pending: pending.clone(),
             stats: shared.stats.clone(),
+            telemetry: shared.telemetry.clone(),
             unwritten: shared.unwritten.clone(),
             id,
             trace: Some(trace.clone()),
+            family,
+            admitted: accepted,
             answered: false,
         },
         deadline: options
             .deadline_ms
             .or(shared.default_deadline_ms)
             .map(|ms| accepted + Duration::from_millis(ms)),
-        enqueued: accepted,
     };
     // Write-ahead: the journal must know about the job before the queue
     // does, or a crash between the two loses it. The trace id rides the
     // record so a replay keeps the correlation.
     if let Some(journal) = &shared.journal {
         journal.accepted(
-            &job.key,
+            &job.req.key,
             source,
             options,
             Some(&job.trace),
@@ -1339,32 +1482,30 @@ fn start_compile(
             job.plan_fp.as_deref(),
         );
     }
-    match shared
+    let (job, refusal) = match shared
         .queue
         .try_push_with_priority(job, i32::from(priority))
     {
         Ok(()) => {
             shared.stats.submitted.fetch_add(1, Ordering::Relaxed);
             chipmunk_trace::histogram_record!("serve.queue.depth", shared.queue.depth() as u64);
+            return;
         }
         Err(PushError::Full(job)) => {
             // Saturation: before refusing, try to make room by shedding
             // the youngest queued job of strictly lower priority. The
-            // victim gets a typed `shed` answer (it was admitted, so the
-            // conservation law still accounts for it); the newcomer then
-            // retries the push once.
+            // victim was admitted (counted `submitted` at its own push),
+            // so it settles as `shed`, keeping the ledger balanced; the
+            // newcomer then retries the push once.
             let mut job = job;
             if let Some(victim) = shared.queue.shed_lowest_below(i32::from(priority)) {
-                shared.stats.shed.fetch_add(1, Ordering::Relaxed);
                 chipmunk_trace::counter_add!("serve.queue.shed", 1);
-                victim.reply.send(crate::protocol::error_response_retry(
+                let shed = crate::protocol::error_response_retry(
                     "shed",
                     "evicted by a higher-priority job under saturation",
                     retry_after_estimate(shared),
-                ));
-                // The victim was counted `submitted` at its own push; it
-                // now settles as `shed`, keeping the ledger balanced.
-                journal_done(shared, &victim.key);
+                );
+                settle(shared, &victim.req.key, victim.reply, Verdict::Shed, shed);
                 match shared
                     .queue
                     .try_push_with_priority(job, i32::from(priority))
@@ -1379,20 +1520,18 @@ fn start_compile(
             shared.stats.rejected_full.fetch_add(1, Ordering::Relaxed);
             chipmunk_trace::counter_add!("serve.queue.rejected", 1);
             let capacity = shared.queue.capacity();
-            job.reply.send(error_response(
-                "queue_full",
-                &format!("queue at capacity ({capacity}); retry later"),
-            ));
-            // A refusal is a terminal answer: nothing is owed, so the
-            // write-ahead record completes immediately.
-            journal_done(shared, &job.key);
+            let full = format!("queue at capacity ({capacity}); retry later");
+            (job, error_response("queue_full", &full))
         }
-        Err(PushError::Closed(job)) => {
-            job.reply
-                .send(error_response("shutting_down", "server is shutting down"));
-            journal_done(shared, &job.key);
-        }
-    }
+        Err(PushError::Closed(job)) => (
+            job,
+            error_response("shutting_down", "server is shutting down"),
+        ),
+    };
+    // A refusal is a terminal answer: nothing is owed, so the write-ahead
+    // record completes immediately.
+    job.reply.refuse(refusal);
+    journal_done(shared, &job.req.key);
 }
 
 /// The `poll` op: a cache-only lookup for a compile-shaped request.
@@ -1400,39 +1539,22 @@ fn start_compile(
 /// (yet) available. This is how a client whose daemon was killed collects
 /// the answer after the journal replay recompiles it. Polled results go
 /// through the same certification gate as every other served document.
-fn poll_response(shared: &Arc<Shared>, source: &str, options: &JobOptions) -> Json {
-    let program = match parse(source) {
-        Ok(p) => p,
-        Err(e) => return error_response("parse", &format!("program: {e}")),
+fn poll_response(shared: &Shared, source: &str, options: &JobOptions) -> Json {
+    let req = match resolve(source, options) {
+        Ok(req) => req,
+        Err(response) => return response,
     };
-    let opts = match options.to_compiler_options() {
-        Ok(o) => o,
-        Err(e) => return error_response("bad_request", &e),
-    };
-    let key = cache_key(&program, &opts);
-    let (fields, states) = layout_names(&program);
-    if let Some(result) = shared
-        .cache
-        .get_adapted(&key, |cached| remap_result(&cached, &fields, &states))
-    {
-        let result = maybe_corrupt(result);
-        if certify_served(shared, &program, &opts, &key, &result) {
-            shared.stats.served_cached.fetch_add(1, Ordering::Relaxed);
-            return Json::obj([
-                ("ok", Json::Bool(true)),
-                ("found", Json::Bool(true)),
-                ("key", Json::from(key.as_str())),
-                ("cached", Json::Bool(true)),
-                ("result", result),
-            ]);
-        }
-        // Quarantined: report not-found so the client resubmits.
-    }
-    Json::obj([
+    // A quarantined entry reports not-found, so the client resubmits.
+    let served = serve_cached(shared, &req, true);
+    let mut doc = vec![
         ("ok", Json::Bool(true)),
-        ("found", Json::Bool(false)),
-        ("key", Json::from(key.as_str())),
-    ])
+        ("found", Json::Bool(served.is_some())),
+        ("key", Json::from(req.key.as_str())),
+    ];
+    if let Some(hit) = served {
+        doc.extend([("cached", Json::Bool(true)), ("result", hit.doc)]);
+    }
+    Json::obj(doc)
 }
 
 fn worker_loop(shared: &Arc<Shared>) {
@@ -1462,7 +1584,8 @@ fn worker_loop(shared: &Arc<Shared>) {
 /// replacement) — the caller must then exit the pool.
 fn run_job(shared: &Arc<Shared>, job: Job) -> bool {
     let mut job = job;
-    let wait_us = job.enqueued.elapsed().as_micros() as u64;
+    let (family, admitted) = (job.reply.family, job.reply.admitted);
+    let wait_us = micros(admitted);
     let wait_ms = wait_us / 1000;
     shared
         .stats
@@ -1473,30 +1596,22 @@ fn run_job(shared: &Arc<Shared>, job: Job) -> bool {
     // service time, that signals the backlog outrunning capacity.
     shared.wait_window.record(wait_ms);
     update_brownout(shared);
-    // One latency sample per stage lands here once the outcome is known;
-    // the compile sample carries the winning strategy's label.
+    // One latency sample per stage lands here once the outcome is known
+    // (the end-to-end one when the job settles); the compile sample
+    // carries the winning strategy's label.
     let observe =
         |outcome: Outcome, strat: Strat, compile_us: u64, certify_us: u64, remap_us: u64| {
             let t = &shared.telemetry;
-            t.record(Stage::QueueWait, outcome, job.family, wait_us);
-            t.record_strat(Stage::Compile, outcome, job.family, strat, compile_us);
-            t.record(Stage::Certify, outcome, job.family, certify_us);
-            t.record(Stage::Remap, outcome, job.family, remap_us);
-            t.record(
-                Stage::EndToEnd,
-                outcome,
-                job.family,
-                job.enqueued.elapsed().as_micros() as u64,
-            );
+            t.record(Stage::QueueWait, outcome, family, wait_us);
+            t.record_strat(Stage::Compile, outcome, family, strat, compile_us);
+            t.record(Stage::Certify, outcome, family, certify_us);
+            t.record(Stage::Remap, outcome, family, remap_us);
         };
     if shared.abort.load(Ordering::Relaxed) {
-        // Popped after the abort drain: still a drained job, so the
-        // conservation invariant holds.
-        shared.stats.drained.fetch_add(1, Ordering::Relaxed);
+        // Popped after the abort drain: still a drained job.
         observe(Outcome::Failed, Strat::Na, 0, 0, 0);
-        job.reply
-            .send(error_response("shutting_down", "job aborted by shutdown"));
-        journal_done(shared, &job.key);
+        let stopping = error_response("shutting_down", "job aborted by shutdown");
+        settle(shared, &job.req.key, job.reply, Verdict::Drained, stopping);
         return true;
     }
     // Deadline-aware admission at dequeue: a job whose whole window
@@ -1504,53 +1619,20 @@ fn run_job(shared: &Arc<Shared>, job: Job) -> bool {
     // waiting for — refuse it with a typed error before it reaches the
     // compiler.
     if job.deadline.map(|d| Instant::now() >= d).unwrap_or(false) {
-        shared.stats.expired.fetch_add(1, Ordering::Relaxed);
         chipmunk_trace::counter_add!("serve.job.expired", 1);
         observe(Outcome::Failed, Strat::Na, 0, 0, 0);
-        note_e2e(shared, job.enqueued);
-        job.reply.send(error_response(
-            "expired",
-            "deadline passed while the job queued",
-        ));
-        journal_done(shared, &job.key);
+        let expired = error_response("expired", "deadline passed while the job queued");
+        settle(shared, &job.req.key, job.reply, Verdict::Expired, expired);
         return true;
     }
     // A twin of this job may have been compiled while it queued. Like
     // every cache serve, the hit is certified first; a corrupt entry is
     // quarantined and this worker falls through to compile from scratch.
-    let mut twin_remapped = false;
-    let mut remap_us = 0u64;
-    let mut certify_us = 0u64;
-    if let Some(result) = shared
-        .cache
-        .peek(&job.key)
-        .and_then(|cached| {
-            let remap_started = Instant::now();
-            twin_remapped = layout_differs(&cached, &job.fields, &job.states);
-            let result = remap_result(&cached, &job.fields, &job.states);
-            remap_us = remap_started.elapsed().as_micros() as u64;
-            result
-        })
-        .map(maybe_corrupt)
-        .filter(|doc| {
-            let certify_started = Instant::now();
-            let served = certify_served(shared, &job.program, &job.opts, &job.key, doc);
-            certify_us = certify_started.elapsed().as_micros() as u64;
-            served
-        })
-    {
-        shared.stats.completed.fetch_add(1, Ordering::Relaxed);
-        shared.stats.served_cached.fetch_add(1, Ordering::Relaxed);
-        let outcome = if twin_remapped {
-            Outcome::Remapped
-        } else {
-            Outcome::Cached
-        };
-        observe(outcome, Strat::Na, 0, certify_us, remap_us);
-        note_e2e(shared, job.enqueued);
-        job.reply
-            .send(success_response(&job.key, true, 0, wait_ms, result));
-        journal_done(shared, &job.key);
+    if let Some(hit) = serve_cached(shared, &job.req, false) {
+        observe(hit.outcome, Strat::Na, 0, hit.certify_us, hit.remap_us);
+        let response = success_response(&job.req.key, true, 0, wait_ms, hit.doc);
+        let verdict = Verdict::Completed(hit.outcome);
+        settle(shared, &job.req.key, job.reply, verdict, response);
         return true;
     }
     if faults::armed() && faults::fired(FaultKind::SolverStall) {
@@ -1561,7 +1643,7 @@ fn run_job(shared: &Arc<Shared>, job: Job) -> bool {
     // compiler, flows into the shared budget account, and the plan
     // executor derives remaining-time-aware per-step resource budgets
     // from it at each step launch.
-    job.opts.cegis.deadline = match (job.opts.cegis.deadline, job.deadline) {
+    job.req.opts.cegis.deadline = match (job.req.opts.cegis.deadline, job.deadline) {
         (Some(a), Some(b)) => Some(a.min(b)),
         (a, b) => a.or(b),
     };
@@ -1575,9 +1657,7 @@ fn run_job(shared: &Arc<Shared>, job: Job) -> bool {
     lock_watch(shared).insert(
         watch_id,
         WatchEntry {
-            key: job.key.clone(),
-            family: job.family,
-            enqueued: job.enqueued,
+            key: job.req.key.clone(),
             deadline: job.deadline,
             cancel: cancel.clone(),
             reply: reply_slot.clone(),
@@ -1595,9 +1675,9 @@ fn run_job(shared: &Arc<Shared>, job: Job) -> bool {
     // it — the `trace` op and the slow-job log key off that field.
     let mut sp = chipmunk_trace::span!(
         "serve.job",
-        key = job.key.as_str(),
+        key = job.req.key.as_str(),
         trace = job.trace.as_str(),
-        family = job.family.as_str(),
+        family = family.as_str(),
     );
     let started = Instant::now();
     // The plan observer runs on this thread once per executed step. It
@@ -1627,7 +1707,7 @@ fn run_job(shared: &Arc<Shared>, job: Job) -> bool {
                 shared.telemetry.record_strat(
                     Stage::Compile,
                     Outcome::Cancelled,
-                    job.family,
+                    family,
                     strat,
                     report.elapsed.as_micros() as u64,
                 );
@@ -1636,7 +1716,7 @@ fn run_job(shared: &Arc<Shared>, job: Job) -> bool {
                 // Finished without winning: journal it so a restart
                 // resumes at the first unfinished step.
                 if let (Some(journal), Some(fp)) = (&shared.journal, job.plan_fp.as_deref()) {
-                    journal.step(&job.key, fp, report.step);
+                    journal.step(&job.req.key, fp, report.step);
                 }
             }
             _ => {}
@@ -1657,8 +1737,8 @@ fn run_job(shared: &Arc<Shared>, job: Job) -> bool {
             std::thread::sleep(faults::stall_duration());
         }
         compile_with_control(
-            &job.program,
-            &job.opts,
+            &job.req.program,
+            &job.req.opts,
             PlanControl {
                 cancel: Some(cancel.clone()),
                 resume_from: job.resume_from,
@@ -1666,7 +1746,7 @@ fn run_job(shared: &Arc<Shared>, job: Job) -> bool {
             },
         )
     }));
-    let compile_us = started.elapsed().as_micros() as u64;
+    let compile_us = micros(started);
     let synth_ms = compile_us / 1000;
     shared.in_flight.fetch_sub(1, Ordering::Relaxed);
     lock_watch(shared).remove(&watch_id);
@@ -1697,7 +1777,7 @@ fn run_job(shared: &Arc<Shared>, job: Job) -> bool {
     sp.record("wait_ms", wait_ms);
     sp.record("synth_ms", synth_ms);
     let mut fresh_certify_us = 0u64;
-    let (response, outcome) = match res {
+    let (response, verdict) = match res {
         Ok(Ok(out)) => {
             // The producing run's solver cost feeds the gauges whether or
             // not certification accepts the document — the work was done.
@@ -1713,23 +1793,21 @@ fn run_job(shared: &Arc<Shared>, job: Job) -> bool {
             // *encoded* document additionally covers the wire/cache
             // serialization path, so what enters the cache is exactly
             // what was proven.
-            let result = result_doc(&out, &job.fields, &job.states);
+            let result = result_doc(&out, &job.req.fields, &job.req.states);
             let certify_started = Instant::now();
-            let certified = certify_wire(&job.program, &job.opts, &result);
-            fresh_certify_us = certify_started.elapsed().as_micros() as u64;
+            let certified = certify_wire(&job.req.program, &job.req.opts, &result);
+            fresh_certify_us = micros(certify_started);
             match certified {
                 Ok(()) => {
-                    shared.stats.completed.fetch_add(1, Ordering::Relaxed);
                     shared.stats.certified.fetch_add(1, Ordering::Relaxed);
                     sp.record("result", "ok");
-                    shared.cache.put(&job.key, &result);
+                    shared.cache.put(&job.req.key, &result);
                     (
-                        success_response(&job.key, false, synth_ms, wait_ms, result),
-                        Outcome::Fresh,
+                        success_response(&job.req.key, false, synth_ms, wait_ms, result),
+                        Verdict::Completed(Outcome::Fresh),
                     )
                 }
                 Err(why) => {
-                    shared.stats.failed.fetch_add(1, Ordering::Relaxed);
                     shared.stats.uncertified.fetch_add(1, Ordering::Relaxed);
                     sp.record("result", "uncertified");
                     (
@@ -1737,7 +1815,7 @@ fn run_job(shared: &Arc<Shared>, job: Job) -> bool {
                             "uncertified",
                             &format!("result failed certification: {why}"),
                         ),
-                        Outcome::Failed,
+                        Verdict::Failed,
                     )
                 }
             }
@@ -1755,12 +1833,12 @@ fn run_job(shared: &Arc<Shared>, job: Job) -> bool {
             } else {
                 codegen_error_code(&e)
             };
-            if code == "expired" {
-                shared.stats.expired.fetch_add(1, Ordering::Relaxed);
+            let verdict = if code == "expired" {
                 chipmunk_trace::counter_add!("serve.job.expired", 1);
+                Verdict::Expired
             } else {
-                shared.stats.failed.fetch_add(1, Ordering::Relaxed);
-            }
+                Verdict::Failed
+            };
             sp.record("result", code);
             let response = match e {
                 CodegenError::Infeasible(cert) if code == "infeasible" => {
@@ -1771,10 +1849,9 @@ fn run_job(shared: &Arc<Shared>, job: Job) -> bool {
                 }
                 e => error_response(code, &e.to_string()),
             };
-            (response, Outcome::Failed)
+            (response, verdict)
         }
         Err(payload) => {
-            shared.stats.panicked.fetch_add(1, Ordering::Relaxed);
             chipmunk_trace::counter_add!("serve.job.panicked", 1);
             sp.record("result", "internal");
             (
@@ -1785,7 +1862,7 @@ fn run_job(shared: &Arc<Shared>, job: Job) -> bool {
                         faults::panic_message(payload.as_ref())
                     ),
                 ),
-                Outcome::Failed,
+                Verdict::Panicked,
             )
         }
     };
@@ -1798,40 +1875,23 @@ fn run_job(shared: &Arc<Shared>, job: Job) -> bool {
         2 => Strat::Full,
         _ => Strat::Na,
     };
-    observe(outcome, win, compile_us, fresh_certify_us, 0);
-    let e2e_us = job.enqueued.elapsed().as_micros() as u64;
-    note_e2e(shared, job.enqueued);
-    reply.send(response);
-    // Completed strictly after the answer is on the reply channel: a
-    // crash between the two replays an already-answered job (harmless
-    // recompute into the cache) instead of silently dropping an
-    // unanswered one.
-    journal_done(shared, &job.key);
+    observe(verdict.outcome(), win, compile_us, fresh_certify_us, 0);
+    let e2e_ms = micros(admitted) / 1000;
+    settle(shared, &job.req.key, reply, verdict, response);
     if let Some(slow_ms) = shared.slow_ms {
-        if e2e_us / 1000 >= slow_ms {
+        if e2e_ms >= slow_ms {
             let tree = shared
                 .trace_store
                 .job_tree(&job.trace)
                 .map(|t| t.to_compact())
                 .unwrap_or_else(|| "null".to_string());
             eprintln!(
-                "chipmunk-serve: slow job key={} trace={} e2e_ms={} (threshold {slow_ms}ms) spans={tree}",
-                job.key,
-                job.trace,
-                e2e_us / 1000,
+                "chipmunk-serve: slow job key={} trace={} e2e_ms={e2e_ms} (threshold {slow_ms}ms) spans={tree}",
+                job.req.key, job.trace,
             );
         }
     }
     true
-}
-
-/// Track the worst end-to-end latency of any *answered* job (drained
-/// jobs at shutdown are excluded — their latency is the operator's
-/// choice, not the scheduler's). The overload soak asserts this never
-/// exceeds deadline + grace + the escalation bound.
-fn note_e2e(shared: &Shared, enqueued: Instant) {
-    let ms = enqueued.elapsed().as_micros() as u64 / 1000;
-    shared.stats.e2e_ms_max.fetch_max(ms, Ordering::Relaxed);
 }
 
 /// Estimate how long a refused client should wait before retrying:
@@ -1962,20 +2022,12 @@ fn sweep_watchdog(shared: &Arc<Shared>) {
         // `None` means the worker finished in the race window and already
         // answered — no escalation needed, nothing to respawn.
         let Some(reply) = taken else { continue };
-        shared.stats.expired.fetch_add(1, Ordering::Relaxed);
         shared
             .stats
             .watchdog_escalations
             .fetch_add(1, Ordering::Relaxed);
         chipmunk_trace::counter_add!("serve.watchdog.escalated", 1);
         chipmunk_trace::event!("serve.watchdog.escalate", key = entry.key.as_str());
-        shared.telemetry.record(
-            Stage::EndToEnd,
-            Outcome::Failed,
-            entry.family,
-            entry.enqueued.elapsed().as_micros() as u64,
-        );
-        note_e2e(shared, entry.enqueued);
         // The worker abandoned here exits on its own once the stuck
         // compile returns; its replacement starts now so capacity does
         // not wait on the stall clearing. Respawn before answering so a
@@ -1989,12 +2041,12 @@ fn sweep_watchdog(shared: &Arc<Shared>) {
             .workers_respawned
             .fetch_add(1, Ordering::Relaxed);
         chipmunk_trace::counter_add!("serve.worker.respawned", 1);
-        reply.send(error_response(
+        let expired = error_response(
             "expired",
             "deadline exceeded and the solver did not yield to cancellation; \
              worker abandoned and respawned — safe to retry",
-        ));
-        journal_done(shared, &entry.key);
+        );
+        settle(shared, &entry.key, reply, Verdict::Expired, expired);
     }
 }
 
@@ -2040,125 +2092,61 @@ fn status_response(shared: &Shared) -> Json {
     ])
 }
 
+/// Every figure the daemon reports, each named once here or in the
+/// [`Stats`] list: the ledger, the cache's and the journal's counters,
+/// and the gauges. The `stats` and `telemetry` ops and the Prometheus
+/// exposition all render this list.
+fn report(shared: &Shared) -> Vec<Figure> {
+    use Kind::{Counter, Gauge};
+    let (cache, traces) = (&shared.cache, &shared.trace_store);
+    let (hits, misses) = (cache.hits(), cache.misses());
+    // Over every lookup so far; `null` before the first one.
+    let hit_rate = match hits + misses {
+        0 => Json::Null,
+        lookups => Json::from(hits as f64 / lookups as f64),
+    };
+    // `null` without a journal.
+    let (pending, journal_errors) = match &shared.journal {
+        Some(j) => (Json::from(j.pending_len()), Json::from(j.errors())),
+        None => (Json::Null, Json::Null),
+    };
+    let addr = lock_metrics(shared).as_ref().map(|m| m.addr().to_string());
+    let load = |cell: &AtomicUsize| Json::from(cell.load(Ordering::Relaxed));
+    let mut figures = shared.stats.listing();
+    figures.extend([
+        ("cache_hits", Counter, Json::from(hits)),
+        ("cache_misses", Counter, Json::from(misses)),
+        ("cache_hit_rate", Gauge, hit_rate),
+        ("cache_entries", Gauge, Json::from(cache.len())),
+        ("evictions", Counter, Json::from(cache.evictions())),
+        ("disk_lines", Gauge, Json::from(cache.disk_lines())),
+        ("compactions", Counter, Json::from(cache.compactions())),
+        ("degraded", Gauge, Json::Bool(cache.degraded())),
+        ("disk_errors", Counter, Json::from(cache.disk_errors())),
+        ("journal_pending", Gauge, pending),
+        ("journal_errors", Counter, journal_errors),
+        ("brownout", Gauge, shared.brownout.reading()),
+        ("queue_depth", Gauge, Json::from(shared.queue.depth())),
+        ("in_flight", Gauge, load(&shared.in_flight)),
+        ("connections", Gauge, load(&shared.conns)),
+        ("live_workers", Gauge, load(&shared.live_workers)),
+        ("metrics_addr", Gauge, addr.map_or(Json::Null, Json::from)),
+        ("trace_buffered", Gauge, Json::from(traces.len())),
+        ("trace_dropped", Counter, Json::from(traces.dropped())),
+    ]);
+    figures
+}
+
+/// A response object: `head`, then every [`report`] figure.
+fn reported(shared: &Shared, head: Vec<(&'static str, Json)>) -> Json {
+    let figures = report(shared)
+        .into_iter()
+        .map(|(name, _, value)| (name, value));
+    Json::obj(head.into_iter().chain(figures))
+}
+
 fn stats_response(shared: &Shared) -> Json {
-    let s = &shared.stats;
-    Json::obj([
-        ("ok", Json::Bool(true)),
-        ("submitted", Json::from(s.submitted.load(Ordering::Relaxed))),
-        ("completed", Json::from(s.completed.load(Ordering::Relaxed))),
-        ("failed", Json::from(s.failed.load(Ordering::Relaxed))),
-        ("drained", Json::from(s.drained.load(Ordering::Relaxed))),
-        ("panicked", Json::from(s.panicked.load(Ordering::Relaxed))),
-        ("expired", Json::from(s.expired.load(Ordering::Relaxed))),
-        ("shed", Json::from(s.shed.load(Ordering::Relaxed))),
-        (
-            "watchdog_cancelled",
-            Json::from(s.watchdog_cancelled.load(Ordering::Relaxed)),
-        ),
-        (
-            "watchdog_escalations",
-            Json::from(s.watchdog_escalations.load(Ordering::Relaxed)),
-        ),
-        (
-            "brownout",
-            Json::Bool(shared.brownout.load(Ordering::Relaxed)),
-        ),
-        (
-            "brownout_entered",
-            Json::from(s.brownout_entered.load(Ordering::Relaxed)),
-        ),
-        (
-            "brownout_exited",
-            Json::from(s.brownout_exited.load(Ordering::Relaxed)),
-        ),
-        (
-            "brownout_busy",
-            Json::from(s.brownout_busy.load(Ordering::Relaxed)),
-        ),
-        (
-            "e2e_ms_max",
-            Json::from(s.e2e_ms_max.load(Ordering::Relaxed)),
-        ),
-        (
-            "workers_respawned",
-            Json::from(s.workers_respawned.load(Ordering::Relaxed)),
-        ),
-        (
-            "served_cached",
-            Json::from(s.served_cached.load(Ordering::Relaxed)),
-        ),
-        (
-            "rejected_full",
-            Json::from(s.rejected_full.load(Ordering::Relaxed)),
-        ),
-        (
-            "rejected_busy",
-            Json::from(s.rejected_busy.load(Ordering::Relaxed)),
-        ),
-        ("cache_hits", Json::from(shared.cache.hits())),
-        ("cache_misses", Json::from(shared.cache.misses())),
-        ("cache_entries", Json::from(shared.cache.len())),
-        ("evictions", Json::from(shared.cache.evictions())),
-        ("disk_lines", Json::from(shared.cache.disk_lines())),
-        ("compactions", Json::from(shared.cache.compactions())),
-        ("degraded", Json::Bool(shared.cache.degraded())),
-        ("disk_errors", Json::from(shared.cache.disk_errors())),
-        ("queue_depth", Json::from(shared.queue.depth())),
-        (
-            "synth_ms_total",
-            Json::from(s.synth_ms_total.load(Ordering::Relaxed)),
-        ),
-        (
-            "synth_ms_max",
-            Json::from(s.synth_ms_max.load(Ordering::Relaxed)),
-        ),
-        (
-            "wait_ms_total",
-            Json::from(s.wait_ms_total.load(Ordering::Relaxed)),
-        ),
-        ("recovered", Json::from(s.recovered.load(Ordering::Relaxed))),
-        ("certified", Json::from(s.certified.load(Ordering::Relaxed))),
-        (
-            "uncertified",
-            Json::from(s.uncertified.load(Ordering::Relaxed)),
-        ),
-        (
-            "quarantined",
-            Json::from(s.quarantined.load(Ordering::Relaxed)),
-        ),
-        (
-            "portfolio_cancelled",
-            Json::from(s.portfolio_cancelled.load(Ordering::Relaxed)),
-        ),
-        (
-            "infeasible_certified",
-            Json::from(s.infeasible_certified.load(Ordering::Relaxed)),
-        ),
-        (
-            "infeasible_unchecked",
-            Json::from(s.infeasible_unchecked.load(Ordering::Relaxed)),
-        ),
-        (
-            "metrics_degraded",
-            Json::Bool(s.metrics_degraded.load(Ordering::Relaxed)),
-        ),
-        (
-            "journal_pending",
-            shared
-                .journal
-                .as_ref()
-                .map(|j| Json::from(j.pending_len()))
-                .unwrap_or(Json::Null),
-        ),
-        (
-            "journal_errors",
-            shared
-                .journal
-                .as_ref()
-                .map(|j| Json::from(j.errors()))
-                .unwrap_or(Json::Null),
-        ),
-    ])
+    reported(shared, vec![("ok", Json::Bool(true))])
 }
 
 /// The `trace` op: the buffered span tree for a job's trace id.
@@ -2179,160 +2167,40 @@ fn trace_response(shared: &Shared, trace: &str) -> Json {
     }
 }
 
-/// Cache hit rate over every lookup so far, `Json::Null` before the
-/// first one.
-fn cache_hit_rate(shared: &Shared) -> Json {
-    let hits = shared.cache.hits();
-    let lookups = hits + shared.cache.misses();
-    if lookups == 0 {
-        Json::Null
-    } else {
-        Json::from(hits as f64 / lookups as f64)
-    }
-}
-
 /// The `telemetry` op: per-stage latency summaries (merged across
-/// outcomes and families), per-outcome job counts, cache hit rate, and
-/// solver gauges — everything `chipmunkc top` renders, in one response.
+/// outcomes and families), per-outcome job counts, solver totals, and
+/// every [`report`] figure — everything `chipmunkc top` renders, in one
+/// response.
 fn telemetry_response(shared: &Shared) -> Json {
     let t = &shared.telemetry;
-    let stages = Json::obj(STAGES.map(|s| (s.as_str(), t.stage_summary(s))));
-    let outcomes =
-        Json::obj(OUTCOMES.map(|o| (o.as_str(), Json::from(t.count(Stage::EndToEnd, o)))));
-    let s = &shared.stats;
-    Json::obj([
-        ("ok", Json::Bool(true)),
-        ("stages", stages),
-        ("outcomes", outcomes),
-        ("cache_hit_rate", cache_hit_rate(shared)),
-        (
-            "solver",
-            Json::obj([
-                (
-                    "conflicts",
-                    Json::from(t.solver_conflicts.load(Ordering::Relaxed)),
-                ),
-                (
-                    "propagations",
-                    Json::from(t.solver_propagations.load(Ordering::Relaxed)),
-                ),
-                (
-                    "verify_conflicts",
-                    Json::from(t.solver_verify_conflicts.load(Ordering::Relaxed)),
-                ),
-                (
-                    "verify_propagations",
-                    Json::from(t.solver_verify_propagations.load(Ordering::Relaxed)),
-                ),
-                (
-                    "clause_bytes",
-                    Json::from(t.solver_clause_bytes.load(Ordering::Relaxed)),
-                ),
-                (
-                    "budget_trips",
-                    Json::from(t.solver_budget_trips.load(Ordering::Relaxed)),
-                ),
-            ]),
-        ),
-        ("submitted", Json::from(s.submitted.load(Ordering::Relaxed))),
-        ("completed", Json::from(s.completed.load(Ordering::Relaxed))),
-        ("failed", Json::from(s.failed.load(Ordering::Relaxed))),
-        (
-            "served_cached",
-            Json::from(s.served_cached.load(Ordering::Relaxed)),
-        ),
-        ("queue_depth", Json::from(shared.queue.depth())),
-        (
-            "in_flight",
-            Json::from(shared.in_flight.load(Ordering::Relaxed)),
-        ),
-        (
-            "metrics_addr",
-            lock_metrics(shared)
-                .as_ref()
-                .map(|m| Json::from(m.addr().to_string()))
-                .unwrap_or(Json::Null),
-        ),
-        ("trace_buffered", Json::from(shared.trace_store.len())),
-        ("trace_dropped", Json::from(shared.trace_store.dropped())),
-    ])
+    let outcomes = OUTCOMES.map(|o| (o.as_str(), Json::from(t.count(Stage::EndToEnd, o))));
+    let solver = t.solver_totals().map(|(name, v)| (name, Json::from(v)));
+    reported(
+        shared,
+        vec![
+            ("ok", Json::Bool(true)),
+            (
+                "stages",
+                Json::obj(STAGES.map(|s| (s.as_str(), t.stage_summary(s)))),
+            ),
+            ("outcomes", Json::obj(outcomes)),
+            ("solver", Json::obj(solver)),
+        ],
+    )
 }
 
 /// Render the Prometheus exposition for the scrape endpoint: the
-/// telemetry histograms and solver gauges plus the serve counters.
+/// telemetry histograms and solver totals, then every [`report`] figure
+/// that is a number (a flag as 0/1).
 fn render_exposition(shared: &Shared) -> String {
-    let s = &shared.stats;
-    let counters: Vec<(&str, u64)> = vec![
-        ("submitted", s.submitted.load(Ordering::Relaxed)),
-        ("completed", s.completed.load(Ordering::Relaxed)),
-        ("failed", s.failed.load(Ordering::Relaxed)),
-        ("drained", s.drained.load(Ordering::Relaxed)),
-        ("panicked", s.panicked.load(Ordering::Relaxed)),
-        ("served_cached", s.served_cached.load(Ordering::Relaxed)),
-        ("rejected_full", s.rejected_full.load(Ordering::Relaxed)),
-        ("rejected_busy", s.rejected_busy.load(Ordering::Relaxed)),
-        ("recovered", s.recovered.load(Ordering::Relaxed)),
-        ("certified", s.certified.load(Ordering::Relaxed)),
-        ("uncertified", s.uncertified.load(Ordering::Relaxed)),
-        ("quarantined", s.quarantined.load(Ordering::Relaxed)),
-        (
-            "portfolio_cancelled",
-            s.portfolio_cancelled.load(Ordering::Relaxed),
-        ),
-        (
-            "infeasible_certified",
-            s.infeasible_certified.load(Ordering::Relaxed),
-        ),
-        (
-            "infeasible_unchecked",
-            s.infeasible_unchecked.load(Ordering::Relaxed),
-        ),
-        ("cache_hits", shared.cache.hits()),
-        ("cache_misses", shared.cache.misses()),
-        (
-            "workers_respawned",
-            s.workers_respawned.load(Ordering::Relaxed),
-        ),
-        ("expired", s.expired.load(Ordering::Relaxed)),
-        ("shed", s.shed.load(Ordering::Relaxed)),
-        (
-            "watchdog_cancelled",
-            s.watchdog_cancelled.load(Ordering::Relaxed),
-        ),
-        (
-            "watchdog_escalations",
-            s.watchdog_escalations.load(Ordering::Relaxed),
-        ),
-        (
-            "brownout_entered",
-            s.brownout_entered.load(Ordering::Relaxed),
-        ),
-        ("brownout_exited", s.brownout_exited.load(Ordering::Relaxed)),
-        ("brownout_busy", s.brownout_busy.load(Ordering::Relaxed)),
-    ];
-    let gauges: Vec<(&str, f64)> = vec![
-        (
-            "brownout",
-            if shared.brownout.load(Ordering::Relaxed) {
-                1.0
-            } else {
-                0.0
-            },
-        ),
-        ("e2e_ms_max", s.e2e_ms_max.load(Ordering::Relaxed) as f64),
-        (
-            "cache_hit_rate",
-            cache_hit_rate(shared).as_f64().unwrap_or(0.0),
-        ),
-        ("queue_depth", shared.queue.depth() as f64),
-        ("in_flight", shared.in_flight.load(Ordering::Relaxed) as f64),
-        ("connections", shared.conns.load(Ordering::Relaxed) as f64),
-        (
-            "live_workers",
-            shared.live_workers.load(Ordering::Relaxed) as f64,
-        ),
-        ("cache_entries", shared.cache.len() as f64),
-    ];
+    let (mut counters, mut gauges) = (Vec::new(), Vec::new());
+    for (name, kind, value) in report(shared) {
+        match (kind, value) {
+            (_, Json::Bool(flag)) => gauges.push((name, f64::from(u8::from(flag)))),
+            (Kind::Counter, value) => counters.extend(value.as_u64().map(|v| (name, v))),
+            (Kind::Gauge, value) => gauges.extend(value.as_f64().map(|v| (name, v))),
+        }
+    }
     metrics::render_exposition(&shared.telemetry, &counters, &gauges)
 }
 

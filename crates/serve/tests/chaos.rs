@@ -90,44 +90,51 @@ fn u64_field(resp: &Json, key: &str) -> u64 {
         .unwrap_or_else(|| panic!("missing u64 field {key:?} in {resp}"))
 }
 
-/// `completed + failed + drained + panicked + expired + shed` from a
-/// stats doc: the jobs that reached a terminal state.
-fn terminal_jobs(stats: &Json) -> u64 {
+/// Both sides of each conservation identity, read from one `telemetry`
+/// response (which carries the ledger): `submitted` against `completed +
+/// failed + drained + panicked + expired + shed`, and `outcomes.failed`
+/// against `failed + drained + panicked + expired + shed` — every admitted
+/// job that did not complete recorded one `failed` end-to-end sample.
+fn ledger_sides(telemetry: &Json) -> [(u64, u64); 2] {
+    let unfinished: u64 = ["failed", "drained", "panicked", "expired", "shed"]
+        .iter()
+        .map(|k| u64_field(telemetry, k))
+        .sum();
+    let failed_samples = telemetry
+        .get("outcomes")
+        .map(|o| u64_field(o, "failed"))
+        .unwrap_or_else(|| panic!("not a telemetry response: {telemetry}"));
     [
-        "completed",
-        "failed",
-        "drained",
-        "panicked",
-        "expired",
-        "shed",
+        (
+            u64_field(telemetry, "submitted"),
+            u64_field(telemetry, "completed") + unfinished,
+        ),
+        (failed_samples, unfinished),
     ]
-    .iter()
-    .map(|k| u64_field(stats, k))
-    .sum()
 }
 
-/// `submitted == completed + failed + drained + panicked + expired + shed`
-/// from a stats doc.
-fn assert_conservation(stats: &Json) {
+/// Both conservation identities of [`ledger_sides`] hold.
+fn assert_conservation(telemetry: &Json) {
+    let [jobs, failed] = ledger_sides(telemetry);
+    assert_eq!(jobs.0, jobs.1, "job conservation violated: {telemetry}");
     assert_eq!(
-        u64_field(stats, "submitted"),
-        terminal_jobs(stats),
-        "job conservation violated: {stats}"
+        failed.0, failed.1,
+        "outcomes.failed must equal failed + drained + panicked + expired + shed: {telemetry}"
     );
 }
 
-/// Stats once every submitted job has reached a terminal state, for tests
-/// whose clients retry: a job whose client already got its answer through
-/// a retry may still be compiling, so `submitted` can lead the terminal
-/// counters for a while. Polls until the law holds; a leaked job never
-/// balances, so after the bounded wait the last snapshot is returned for
-/// [`assert_conservation`] to fail on.
+/// A `telemetry` response once every submitted job has reached a terminal
+/// state, for tests whose clients retry: a job whose client already got
+/// its answer through a retry may still be compiling, so `submitted` can
+/// lead the terminal counters for a while. Polls until both identities
+/// hold; a leaked job never balances, so after the bounded wait the last
+/// snapshot is returned for [`assert_conservation`] to fail on.
 fn settled_stats(control: &mut Client) -> Json {
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
-        let stats = control.stats().unwrap();
-        if u64_field(&stats, "submitted") == terminal_jobs(&stats) || Instant::now() >= deadline {
-            return stats;
+        let telemetry = control.telemetry().unwrap();
+        if ledger_sides(&telemetry).iter().all(|(a, b)| a == b) || Instant::now() >= deadline {
+            return telemetry;
         }
         std::thread::sleep(Duration::from_millis(50));
     }
@@ -196,7 +203,7 @@ fn injected_compile_panic_yields_internal_error_and_pool_survives() {
         u64_field(&stats, "submitted") - 1,
         "all queued jobs except the panicked one must complete: {stats}"
     );
-    assert_conservation(&stats);
+    assert_conservation(&client.telemetry().unwrap());
     let status = client.status().unwrap();
     assert_eq!(u64_field(&status, "live_workers"), 2);
 
@@ -248,7 +255,7 @@ fn worker_death_answers_the_job_and_pool_respawns() {
     let stats = client.stats().unwrap();
     assert_eq!(u64_field(&stats, "panicked"), 1);
     assert!(u64_field(&stats, "workers_respawned") >= 1);
-    assert_conservation(&stats);
+    assert_conservation(&client.telemetry().unwrap());
     let status = client.status().unwrap();
     assert_eq!(u64_field(&status, "live_workers"), 1);
 
@@ -590,7 +597,7 @@ fn corrupted_cache_entry_is_quarantined_and_recompiled() {
     assert_eq!(u64_field(&stats, "quarantined"), 1, "stats: {stats}");
     // Both fresh compiles were certified on their way out.
     assert_eq!(u64_field(&stats, "certified"), 2, "stats: {stats}");
-    assert_conservation(&stats);
+    assert_conservation(&client.telemetry().unwrap());
 
     // Fault exhausted: the re-cached entry now serves as a normal
     // (certified) cache hit.
@@ -601,7 +608,7 @@ fn corrupted_cache_entry_is_quarantined_and_recompiled() {
     let stats = client.stats().unwrap();
     assert_eq!(u64_field(&stats, "certified"), 3);
     assert_eq!(u64_field(&stats, "served_cached"), 1);
-    assert_conservation(&stats);
+    assert_conservation(&client.telemetry().unwrap());
 
     let ack = client.shutdown(false).unwrap();
     assert!(ok(&ack));
@@ -646,7 +653,7 @@ fn broken_metrics_socket_degrades_to_stats_only() {
         matches!(t.get("metrics_addr"), Some(Json::Null)),
         "degraded endpoint must report a null address: {t}"
     );
-    assert_conservation(&stats);
+    assert_conservation(&client.telemetry().unwrap());
 
     let ack = client.shutdown(false).unwrap();
     assert!(ok(&ack));
@@ -727,7 +734,7 @@ fn proof_io_fault_degrades_to_unchecked_infeasible_and_daemon_survives() {
         1,
         "stats: {stats}"
     );
-    assert_conservation(&stats);
+    assert_conservation(&client.telemetry().unwrap());
 
     let ack = client.shutdown(false).unwrap();
     assert!(ok(&ack));
@@ -801,7 +808,7 @@ fn portfolio_losers_are_cancelled_not_failed_and_jobs_conserve() {
     // cancelled or finished on their own — never failed the job.
     let cancelled = u64_field(&stats, "portfolio_cancelled");
     eprintln!("portfolio chaos: {cancelled} racing losers cancelled");
-    assert_conservation(&stats);
+    assert_conservation(&client.telemetry().unwrap());
 
     let ack = client.shutdown(false).unwrap();
     assert!(ok(&ack));
@@ -893,7 +900,7 @@ fn journal_replays_unfinished_jobs_into_the_next_daemon() {
     assert_eq!(u64_field(&stats, "submitted"), 1, "stats: {stats}");
     assert_eq!(u64_field(&stats, "completed"), 1, "stats: {stats}");
     assert_eq!(u64_field(&stats, "journal_pending"), 0, "stats: {stats}");
-    assert_conservation(&stats);
+    assert_conservation(&client.telemetry().unwrap());
 
     let ack = client.shutdown(false).unwrap();
     assert!(ok(&ack));
@@ -953,7 +960,7 @@ fn clock_stall_escalates_to_worker_respawn_with_typed_error() {
     assert_eq!(u64_field(&stats, "watchdog_cancelled"), 1);
     assert_eq!(u64_field(&stats, "watchdog_escalations"), 1);
     assert!(u64_field(&stats, "workers_respawned") >= 1);
-    assert_conservation(&stats);
+    assert_conservation(&client.telemetry().unwrap());
 
     // The pool heals: once the stall releases, the abandoned worker
     // notices its reply was taken and exits, settling back to one live
@@ -987,7 +994,7 @@ fn clock_stall_escalates_to_worker_respawn_with_typed_error() {
     // And the daemon is intact for unrelated work.
     let other = client.compile("pkt.fine = pkt.c;", roomy).unwrap();
     assert!(ok(&other), "daemon wedged after escalation: {other}");
-    assert_conservation(&client.stats().unwrap());
+    assert_conservation(&client.telemetry().unwrap());
 
     let ack = client.shutdown(false).unwrap();
     assert!(ok(&ack));

@@ -737,19 +737,32 @@ fn options_with(extra: &[(&str, Json)]) -> Json {
     Json::Obj(pairs)
 }
 
-/// The extended conservation law:
-/// `submitted == completed + failed + drained + panicked + expired + shed`.
-fn assert_conserved(stats: &Json) {
+/// The extended conservation law, both sides read from one `telemetry`
+/// response (which carries the ledger):
+/// `submitted == completed + failed + drained + panicked + expired + shed`,
+/// and every admitted job that did not complete recorded one `failed`
+/// end-to-end sample, so `outcomes.failed` equals the five failure
+/// counters' sum.
+fn assert_conserved(telemetry: &Json) {
     let f = |k: &str| {
-        stats
+        telemetry
             .get(k)
             .and_then(Json::as_u64)
-            .unwrap_or_else(|| panic!("missing u64 field {k:?} in {stats}"))
+            .unwrap_or_else(|| panic!("missing u64 field {k:?} in {telemetry}"))
     };
+    let unfinished = f("failed") + f("drained") + f("panicked") + f("expired") + f("shed");
     assert_eq!(
         f("submitted"),
-        f("completed") + f("failed") + f("drained") + f("panicked") + f("expired") + f("shed"),
-        "job conservation violated: {stats}"
+        f("completed") + unfinished,
+        "job conservation violated: {telemetry}"
+    );
+    assert_eq!(
+        telemetry
+            .get("outcomes")
+            .and_then(|o| o.get("failed"))
+            .and_then(Json::as_u64),
+        Some(unfinished),
+        "outcomes.failed must equal failed + drained + panicked + expired + shed: {telemetry}"
     );
 }
 
@@ -802,7 +815,7 @@ fn queue_expired_jobs_get_a_typed_error_without_compiling() {
     assert_eq!(stats.get("completed").and_then(Json::as_u64), Some(1));
     assert_eq!(stats.get("expired").and_then(Json::as_u64), Some(1));
     assert_eq!(stats.get("failed").and_then(Json::as_u64), Some(0));
-    assert_conserved(&stats);
+    assert_conserved(&client.telemetry().unwrap());
 
     // The expired program was never compiled, so a deadline-free
     // resubmission is a fresh compile, not a cache hit.
@@ -866,7 +879,7 @@ fn timed_out_results_never_enter_the_cache() {
     assert_eq!(healthy.get("cached").and_then(Json::as_bool), Some(false));
     let hit = client.compile(victim, fast_options()).unwrap();
     assert_eq!(hit.get("cached").and_then(Json::as_bool), Some(true));
-    assert_conserved(&client.stats().unwrap());
+    assert_conserved(&client.telemetry().unwrap());
 
     client.shutdown(false).unwrap();
     handle.join();
@@ -939,7 +952,7 @@ fn brownout_refuses_low_priority_work_with_a_pacing_hint() {
         ok(&admitted),
         "high-priority work must pass brownout: {admitted}"
     );
-    assert_conserved(&low.stats().unwrap());
+    assert_conserved(&low.telemetry().unwrap());
 
     low.shutdown(false).unwrap();
     handle.join();
@@ -1014,6 +1027,85 @@ fn saturation_sheds_the_youngest_lowest_priority_job() {
     assert_eq!(aborted.get("id").and_then(Json::as_u64), Some(9));
     let stats = control.stats().unwrap();
     assert_eq!(stats.get("drained").and_then(Json::as_u64), Some(2));
-    assert_conserved(&stats);
+    // The shed victim and both abort drains each recorded one `failed`
+    // end-to-end sample.
+    let telemetry = control.telemetry().unwrap();
+    assert_eq!(
+        telemetry
+            .get("outcomes")
+            .and_then(|o| o.get("failed"))
+            .and_then(Json::as_u64),
+        Some(3),
+        "{telemetry}"
+    );
+    assert_conserved(&telemetry);
+    handle.join();
+}
+
+/// A program nested past the Domino parser's bound is a `parse` error,
+/// not a stack overflow that aborts the daemon: 1,000 parentheses make a
+/// 2 KB request, and the same daemon then compiles as usual.
+#[test]
+fn deeply_nested_program_is_a_parse_error() {
+    let handle = server::start(&ServerConfig {
+        workers: 1,
+        queue_capacity: 4,
+        cache_dir: None,
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let mut client = Client::connect(handle.local_addr()).unwrap();
+    let deep = format!("pkt.x = {}pkt.a{};", "(".repeat(1000), ")".repeat(1000));
+    let refused = client.compile(&deep, fast_options()).unwrap();
+    assert_eq!(
+        refused.get("error").and_then(Json::as_str),
+        Some("parse"),
+        "{refused}"
+    );
+    let compiled = client.compile("pkt.x = pkt.a;", fast_options()).unwrap();
+    assert!(ok(&compiled), "daemon must keep compiling: {compiled}");
+    client.shutdown(false).unwrap();
+    handle.join();
+}
+
+/// A request line past the 1 MiB bound is answered once, with a `parse`
+/// error that has no `id` (nothing was decoded), and its connection is
+/// closed; the daemon serves the next connection.
+#[test]
+fn overlong_request_line_is_refused_and_closed() {
+    use std::io::{BufRead, BufReader, Write};
+    let handle = server::start(&ServerConfig {
+        workers: 1,
+        queue_capacity: 4,
+        cache_dir: None,
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let mut sock = std::net::TcpStream::connect(handle.local_addr()).unwrap();
+    sock.set_read_timeout(Some(std::time::Duration::from_secs(5)))
+        .unwrap();
+    sock.write_all(&vec![b'x'; (1 << 20) + 1]).unwrap();
+    let mut reader = BufReader::new(sock);
+    let mut line = String::new();
+    reader
+        .read_line(&mut line)
+        .expect("an over-long line must be answered");
+    let refused = Json::parse(line.trim()).unwrap();
+    assert_eq!(
+        refused.get("error").and_then(Json::as_str),
+        Some("parse"),
+        "{refused}"
+    );
+    assert!(refused.get("id").is_none(), "{refused}");
+    line.clear();
+    assert_eq!(
+        reader.read_line(&mut line).unwrap(),
+        0,
+        "the connection must close: {line:?}"
+    );
+
+    let mut client = Client::connect(handle.local_addr()).unwrap();
+    assert!(ok(&client.status().unwrap()));
+    client.shutdown(false).unwrap();
     handle.join();
 }

@@ -447,6 +447,44 @@ fn batch_load_populates_metrics_exposition_and_telemetry() {
         "trace ring must hold span records after load: {t}"
     );
 
+    // One vocabulary: every integer or boolean `stats` figure has an
+    // exposition sample of the same value (a flag as 0/1), named
+    // `chipmunk_serve_<key>_total` or `chipmunk_serve_<key>`.
+    // `connections` counts the asking connection. The trace tee is
+    // process-wide, so the trace-ring figures move with other tests'
+    // spans: each sample must lie between the stats read just before and
+    // just after the scrape, which for a figure at rest is equality.
+    let before = control.stats().unwrap();
+    let (_, body) = scrape(metrics_addr);
+    let after = control.stats().unwrap();
+    let number = |v: &Json| match v {
+        Json::Bool(flag) => Some(f64::from(u8::from(*flag))),
+        Json::U64(n) => Some(*n as f64),
+        _ => None,
+    };
+    let Json::Obj(figures) = &before else {
+        panic!("stats is an object: {before}")
+    };
+    for (key, value) in figures {
+        let Some(first) = number(value) else { continue };
+        if key == "ok" || key == "connections" {
+            continue;
+        }
+        let sample = [
+            format!("chipmunk_serve_{key}_total "),
+            format!("chipmunk_serve_{key} "),
+        ]
+        .iter()
+        .find_map(|name| body.lines().find_map(|l| l.strip_prefix(name.as_str())))
+        .unwrap_or_else(|| panic!("stats figure {key:?} has no exposition sample:\n{body}"));
+        let sample: f64 = sample.parse().unwrap();
+        let last = after.get(key).and_then(number).unwrap();
+        assert!(
+            first.min(last) <= sample && sample <= first.max(last),
+            "{key}: exposition {sample}, stats {first} then {last}"
+        );
+    }
+
     let ack = control.shutdown(false).unwrap();
     assert!(ok(&ack));
     handle.join();
