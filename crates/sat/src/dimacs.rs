@@ -9,7 +9,7 @@
 
 use std::fmt::Write as _;
 
-use crate::{Lit, Solver, Var};
+use crate::{Lit, Solver, Var, MAX_VARS};
 
 /// A parsed CNF formula.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -68,8 +68,8 @@ impl std::error::Error for DimacsError {}
 /// Parse DIMACS CNF text.
 ///
 /// Comment lines (`c …`) are skipped; the `p cnf` header is required
-/// before any clause; literals may span lines; variables beyond the header
-/// count are rejected.
+/// before any clause and may declare at most 2^31 variables; literals may
+/// span lines; variables beyond the header count are rejected.
 pub fn parse_dimacs(text: &str) -> Result<Cnf, DimacsError> {
     let mut cnf = Cnf::default();
     let mut saw_header = false;
@@ -97,6 +97,7 @@ pub fn parse_dimacs(text: &str) -> Result<Cnf, DimacsError> {
             let nv = parts
                 .next()
                 .and_then(|t| t.parse::<usize>().ok())
+                .filter(|&nv| nv <= MAX_VARS)
                 .ok_or(DimacsError {
                     line: ln,
                     message: "bad variable count".into(),
@@ -194,6 +195,22 @@ mod tests {
         assert!(over.message.contains("exceeds"));
         let dup = parse_dimacs("p cnf 1 0\np cnf 1 0\n").unwrap_err();
         assert!(dup.message.contains("duplicate"));
+    }
+
+    #[test]
+    fn literals_past_the_31_bit_variable_index_do_not_alias() {
+        // Both literals would otherwise lose their index's top bit and
+        // read as x0; the header declaring them is refused instead.
+        for text in [
+            "p cnf 2147483649 1\n2147483649 0\n",
+            "p cnf 4294967297 1\n4294967297 0\n",
+        ] {
+            let e = parse_dimacs(text).unwrap_err();
+            assert!(e.message.contains("variable count"), "{e}");
+        }
+        assert!(parse_dimacs("p cnf 4294967295 0\n").is_err());
+        let widest = parse_dimacs("p cnf 2147483648 1\n-2147483648 0\n").unwrap();
+        assert_eq!(widest.clauses, vec![vec![Lit::neg(Var((1 << 31) - 1))]]);
     }
 
     #[test]

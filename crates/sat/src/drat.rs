@@ -32,7 +32,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::solver::BudgetAccount;
-use crate::{LBool, Lit, Var};
+use crate::{LBool, Lit, Var, MAX_VARS};
 
 /// One line of a DRAT proof.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -153,7 +153,8 @@ impl Certificate {
         out
     }
 
-    /// Parse the text format produced by [`Certificate::to_text`].
+    /// Parse the text format produced by [`Certificate::to_text`]. The
+    /// header may declare at most 2^31 variables.
     pub fn parse(text: &str) -> Result<Certificate, String> {
         let mut cert = Certificate::default();
         let mut saw_header = false;
@@ -173,6 +174,7 @@ impl Certificate {
                 cert.num_vars = it
                     .next()
                     .and_then(|t| t.parse().ok())
+                    .filter(|&n: &u32| n as usize <= MAX_VARS)
                     .ok_or_else(|| err("malformed p cnf header"))?;
                 declared_clauses = it
                     .next()
@@ -225,8 +227,29 @@ impl Certificate {
 
     /// Validate the certificate by forward unit propagation. See the
     /// module docs for the exact obligation each step carries.
+    ///
+    /// The checker is sized by the largest variable the certificate
+    /// mentions, not by the count its header declares, and a size the
+    /// allocator refuses is [`CheckOutcome::OutOfBudget`].
     pub fn check(&self, budget: &CheckBudget) -> CheckOutcome {
-        let mut chk = Checker::new(self.num_vars, budget.propagations, budget.account.clone());
+        let step_lits = self.steps.iter().flat_map(|s| match s {
+            ProofStep::Add(c) | ProofStep::Delete(c) => c,
+        });
+        // A literal past the declared count fails the check before the
+        // checker reads its variable, so the declared count caps the size.
+        let vars = self
+            .clauses
+            .iter()
+            .flatten()
+            .chain(&self.hypotheses)
+            .chain(step_lits)
+            .map(|l| l.var().index() + 1)
+            .max()
+            .unwrap_or(0)
+            .min(self.num_vars as usize);
+        let Some(mut chk) = Checker::new(vars, budget.propagations, budget.account.clone()) else {
+            return CheckOutcome::OutOfBudget;
+        };
         let outcome = chk.run(self);
         if let Some(acct) = &budget.account {
             acct.charge(0, chk.propagations);
@@ -291,7 +314,13 @@ struct Checker {
 }
 
 impl Checker {
-    fn new(num_vars: u32, limit: Option<u64>, account: Option<Arc<BudgetAccount>>) -> Checker {
+    /// A checker over `num_vars` variables; `None` when the allocator
+    /// refuses its per-variable arrays.
+    fn new(
+        num_vars: usize,
+        limit: Option<u64>,
+        account: Option<Arc<BudgetAccount>>,
+    ) -> Option<Checker> {
         // When a job-wide ledger is shared, the remaining allowance is the
         // ceiling minus what the job already spent — the checker cannot
         // re-arm a budget the solvers consumed.
@@ -302,17 +331,24 @@ impl Checker {
             }
             None => u64::MAX,
         };
-        Checker {
-            assign: vec![LBool::Undef; num_vars as usize],
+        let mut assign = Vec::new();
+        assign.try_reserve_exact(num_vars).ok()?;
+        assign.resize(num_vars, LBool::Undef);
+        let lits = num_vars.checked_mul(2)?;
+        let mut watches = Vec::new();
+        watches.try_reserve_exact(lits).ok()?;
+        watches.resize_with(lits, Vec::new);
+        Some(Checker {
+            assign,
             trail: Vec::new(),
             qhead: 0,
             clauses: Vec::new(),
-            watches: vec![Vec::new(); num_vars as usize * 2],
+            watches,
             by_key: HashMap::new(),
             propagations: 0,
             prop_limit,
             conflict: false,
-        }
+        })
     }
 
     fn lit_value(&self, l: Lit) -> LBool {
@@ -755,6 +791,40 @@ mod tests {
         assert!(Certificate::parse("1 2 0\n").is_err());
         assert!(Certificate::parse("p cnf 2 1\n1 x 0\n").is_err());
         assert!(Certificate::parse("p cnf 2 1\n1 2\n").is_err());
+    }
+
+    #[test]
+    fn header_past_2_31_variables_is_a_parse_error() {
+        let e = Certificate::parse("p cnf 4294967295 0\n").unwrap_err();
+        assert!(e.contains("malformed p cnf header"), "{e}");
+    }
+
+    #[test]
+    fn literal_past_the_31_bit_variable_index_does_not_alias() {
+        // The literal would otherwise lose its index's top bit and read as
+        // x2147483646.
+        let e = Certificate::parse("p cnf 4294967295 1\n4294967295 0\n").unwrap_err();
+        assert!(e.contains("malformed p cnf header"), "{e}");
+    }
+
+    #[test]
+    fn declared_variables_are_not_allocated() {
+        // A 19-byte file declaring 2^31 variables and no clause: the
+        // checker is sized by what the certificate mentions, so it answers
+        // at once instead of asking for 100 GB.
+        let cert = Certificate::parse("p cnf 2147483648 0\n").unwrap();
+        assert!(matches!(
+            cert.check(&CheckBudget::default()),
+            CheckOutcome::Invalid(_)
+        ));
+        // A certificate that uses a high variable still checks.
+        let v = Var(1_000_000);
+        let cert = Certificate {
+            num_vars: 1 << 31,
+            clauses: vec![vec![Lit::pos(v)], vec![Lit::neg(v)]],
+            ..Certificate::default()
+        };
+        assert_eq!(cert.check(&CheckBudget::default()), CheckOutcome::Valid);
     }
 
     #[test]

@@ -28,7 +28,7 @@ impl ActivityHeap {
         self.pos.push(NONE);
     }
 
-    #[allow(dead_code)] // part of the heap's complete interface; used in tests
+    #[cfg(test)]
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
     }
@@ -110,20 +110,6 @@ impl ActivityHeap {
         self.heap[i] = v;
         self.pos[v as usize] = i as u32;
     }
-
-    /// Rebuild the heap from scratch (used after activity rescaling would be
-    /// a no-op, but exposed for completeness of the substrate).
-    #[allow(dead_code)]
-    pub fn rebuild(&mut self, activity: &[f64]) {
-        let vars: Vec<u32> = self.heap.clone();
-        self.heap.clear();
-        for p in self.pos.iter_mut() {
-            *p = NONE;
-        }
-        for v in vars {
-            self.insert(Var(v), activity);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -176,18 +162,6 @@ mod tests {
         let mut h = setup(&acts);
         h.insert(Var(0), &acts);
         assert_eq!(h.pop_max(&acts), Some(Var(0)));
-        assert_eq!(h.pop_max(&acts), None);
-    }
-
-    #[test]
-    fn rebuild_preserves_membership() {
-        let acts = [4.0, 2.0, 9.0, 1.0];
-        let mut h = setup(&acts);
-        h.pop_max(&acts);
-        h.rebuild(&acts);
-        assert_eq!(h.pop_max(&acts), Some(Var(0)));
-        assert_eq!(h.pop_max(&acts), Some(Var(1)));
-        assert_eq!(h.pop_max(&acts), Some(Var(3)));
         assert_eq!(h.pop_max(&acts), None);
     }
 }

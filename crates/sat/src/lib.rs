@@ -11,7 +11,14 @@
 //!
 //! ## Features
 //!
-//! * Two-watched-literal unit propagation with blocker literals.
+//! * Clauses stored back to back in one flat `u32` arena: a three-word
+//!   header (literal count, `lbd << 2 | deleted | learnt`, activity as
+//!   `f32` bits) followed by the literal codes, addressed by offset.
+//!   Adding, learning, analysing and logging a clause allocate nothing of
+//!   their own, and database reduction compacts the arena in place.
+//! * Two-watched-literal unit propagation with blocker literals. A binary
+//!   clause's watchers carry its other literal as the blocker, so it
+//!   propagates or conflicts without reading the arena.
 //! * 1-UIP conflict analysis with recursive clause minimization.
 //! * Exponential VSIDS variable activities with an indexed binary heap.
 //! * Phase saving and Luby restarts.
@@ -47,6 +54,12 @@ mod solver;
 pub use dimacs::{parse_dimacs, Cnf, DimacsError};
 pub use drat::{Certificate, CheckBudget, CheckOutcome, ProofStep};
 pub use solver::{BudgetAccount, ResourceBudget, SolveResult, Solver, SolverStats};
+
+/// The most variables a [`Lit`] can address: it packs a variable index and
+/// a sign into 32 bits, so an index of 2^31 or more would lose its top bit
+/// and alias a smaller variable. Both text parsers refuse a header that
+/// declares more.
+pub(crate) const MAX_VARS: usize = 1 << 31;
 
 /// A propositional variable, identified by a dense index starting at 0.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]

@@ -4,6 +4,13 @@
 //! literals with per-literal reason clauses, two-watched-literal propagation,
 //! first-UIP conflict analysis, VSIDS decision ordering, phase saving, Luby
 //! restarts, and LBD-driven learnt-clause database reduction.
+//!
+//! Clauses live back to back in one `u32` arena and are addressed by
+//! offset, as in MiniSat's region allocator; reduction compacts it. A
+//! binary clause's watchers carry the other literal, so propagating it
+//! never reads the arena (Glucose's implied-literal watches). Storage is
+//! not search: which literals propagate, in what order, and which clauses
+//! are learnt and deleted do not depend on it (DESIGN.md §5).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -152,16 +159,68 @@ pub struct SolverStats {
 
 const REASON_NONE: u32 = u32::MAX;
 
+/// Words of a clause's header in the arena: its literal count, then
+/// `lbd << 2 | deleted | learnt`, then its activity as `f32` bits. The
+/// literal codes follow, and the clause is addressed by the header's
+/// offset.
+const HEADER: usize = 3;
+const LEARNT: u32 = 1;
+const DELETED: u32 = 2;
+/// The largest LBD the header's field holds; larger values saturate.
+const LBD_MAX: u32 = u32::MAX >> 2;
+/// Watcher flag on an offset's top bit: the clause is binary and the
+/// watcher's blocker is its other literal.
+const BINARY: u32 = 1 << 31;
+/// A watcher whose clause database reduction deleted; propagation drops
+/// it where the blocker check lets it through.
+const TOMBSTONE: u32 = u32::MAX;
+/// Offsets share their top bit with [`BINARY`], so the arena holds at
+/// most this many words.
+const ARENA_WORDS: usize = (1 << 31) - 1;
+
+/// Arena offsets of every clause in `arena`, in order.
+fn clause_refs(arena: &[u32]) -> impl Iterator<Item = usize> + '_ {
+    let first = (!arena.is_empty()).then_some(0);
+    std::iter::successors(first, move |&c| {
+        let next = c + HEADER + arena[c] as usize;
+        (next < arena.len()).then_some(next)
+    })
+}
+
+/// The literals of the clause at offset `c`.
+fn lits_of(arena: &[u32], c: usize) -> impl ExactSizeIterator<Item = Lit> + '_ {
+    arena[c + HEADER..c + HEADER + arena[c] as usize]
+        .iter()
+        .map(|&code| Lit(code))
+}
+
+/// Bytes of clause literal storage that [`ResourceBudget::clause_bytes`]
+/// charges for `n` literals: headers are not counted.
+fn lit_bytes(n: usize) -> u64 {
+    (n * std::mem::size_of::<Lit>()) as u64
+}
+
+/// What a proof-log entry is.
+#[derive(Clone, Copy, Debug)]
+enum Logged {
+    Original,
+    Add,
+    Delete,
+}
+
 /// Bounded in-memory DRAT proof log: the original clauses exactly as the
 /// caller added them (pre level-0 simplification) plus every learnt clause
-/// and deletion in derivation order. A hard byte budget keeps a pathological
-/// solve from turning the log into a memory bomb — overflowing marks the
-/// log `truncated` and frees it, which downstream layers surface as an
-/// explicitly unchecked verdict (never a panic, never silent).
+/// and deletion in derivation order, their literals back to back in one
+/// buffer. A hard byte budget keeps a pathological solve from turning the
+/// log into a memory bomb — overflowing marks the log `truncated` and frees
+/// it, which downstream layers surface as an explicitly unchecked verdict
+/// (never a panic, never silent).
 #[derive(Debug)]
 struct ProofLog {
-    originals: Vec<Vec<Lit>>,
-    steps: Vec<ProofStep>,
+    lits: Vec<Lit>,
+    /// One entry per logged clause: what it is, and where its literals end
+    /// in `lits`.
+    entries: Vec<(Logged, usize)>,
     bytes: u64,
     limit: u64,
     truncated: bool,
@@ -173,63 +232,39 @@ const PROOF_CLAUSE_OVERHEAD: u64 = 24;
 impl ProofLog {
     fn new(limit: u64) -> ProofLog {
         ProofLog {
-            originals: Vec::new(),
-            steps: Vec::new(),
+            lits: Vec::new(),
+            entries: Vec::new(),
             bytes: 0,
             limit,
             truncated: false,
         }
     }
 
-    /// Reserve space for a clause of `lits`; on overflow the log degrades
-    /// to the truncated state and drops what it held.
-    fn charge(&mut self, lits: &[Lit]) -> bool {
+    /// Log one clause; on overflow the log degrades to the truncated state
+    /// and drops what it held.
+    fn log(&mut self, kind: Logged, lits: impl ExactSizeIterator<Item = Lit>) {
         if self.truncated {
-            return false;
+            return;
         }
-        let b = std::mem::size_of_val(lits) as u64 + PROOF_CLAUSE_OVERHEAD;
+        let b = lit_bytes(lits.len()) + PROOF_CLAUSE_OVERHEAD;
         if self.bytes + b > self.limit {
             self.truncated = true;
             // A partial log proves nothing; return the memory now.
-            self.originals = Vec::new();
-            self.steps = Vec::new();
-            return false;
+            self.lits = Vec::new();
+            self.entries = Vec::new();
+            return;
         }
         self.bytes += b;
-        true
+        self.lits.extend(lits);
+        self.entries.push((kind, self.lits.len()));
     }
-
-    fn log_original(&mut self, lits: &[Lit]) {
-        if self.charge(lits) {
-            self.originals.push(lits.to_vec());
-        }
-    }
-
-    fn log_add(&mut self, lits: &[Lit]) {
-        if self.charge(lits) {
-            self.steps.push(ProofStep::Add(lits.to_vec()));
-        }
-    }
-
-    fn log_delete(&mut self, lits: Vec<Lit>) {
-        if self.charge(&lits) {
-            self.steps.push(ProofStep::Delete(lits));
-        }
-    }
-}
-
-#[derive(Debug)]
-struct Clause {
-    lits: Vec<Lit>,
-    learnt: bool,
-    deleted: bool,
-    activity: f32,
-    lbd: u32,
 }
 
 #[derive(Clone, Copy)]
 struct Watcher {
-    clause: u32,
+    /// Arena offset of the clause, flagged with [`BINARY`]; or
+    /// [`TOMBSTONE`].
+    cref: u32,
     blocker: Lit,
 }
 
@@ -240,7 +275,8 @@ struct Watcher {
 /// a slice of assumption literals that are treated as temporary top-level
 /// decisions.
 pub struct Solver {
-    clauses: Vec<Clause>,
+    /// Every live clause, back to back: a [`HEADER`] and its literal codes.
+    arena: Vec<u32>,
     watches: Vec<Vec<Watcher>>,
 
     assign: Vec<LBool>,
@@ -257,11 +293,19 @@ pub struct Solver {
 
     cla_inc: f32,
     num_learnts: usize,
+    // Clauses ever attached, original and learnt: with `num_learnts`, the
+    // database size hint that sets `max_learnts`.
+    attached: usize,
     max_learnts: f64,
 
     seen: Vec<bool>,
     analyze_stack: Vec<Lit>,
     analyze_clear: Vec<Lit>,
+    // Reused buffers: the clause `add_clause` simplifies, the clause
+    // `analyze` learns, and the levels `compute_lbd` counts.
+    add_buf: Vec<Lit>,
+    learnt: Vec<Lit>,
+    levels: Vec<u32>,
 
     ok: bool,
     model: Vec<LBool>,
@@ -305,7 +349,7 @@ impl Solver {
     /// Create an empty solver.
     pub fn new() -> Self {
         Solver {
-            clauses: Vec::new(),
+            arena: Vec::new(),
             watches: Vec::new(),
             assign: Vec::new(),
             reason: Vec::new(),
@@ -319,10 +363,14 @@ impl Solver {
             saved_phase: Vec::new(),
             cla_inc: 1.0,
             num_learnts: 0,
+            attached: 0,
             max_learnts: 0.0,
             seen: Vec::new(),
             analyze_stack: Vec::new(),
             analyze_clear: Vec::new(),
+            add_buf: Vec::new(),
+            learnt: Vec::new(),
+            levels: Vec::new(),
             ok: true,
             model: Vec::new(),
             budget: ResourceBudget::UNLIMITED,
@@ -351,10 +399,10 @@ impl Solver {
     pub fn enable_proof(&mut self, limit_bytes: u64) {
         let mut log = ProofLog::new(limit_bytes);
         for &l in &self.trail {
-            log.log_original(std::slice::from_ref(&l));
+            log.log(Logged::Original, std::iter::once(l));
         }
-        for c in self.clauses.iter().filter(|c| !c.deleted) {
-            log.log_original(&c.lits);
+        for c in clause_refs(&self.arena) {
+            log.log(Logged::Original, lits_of(&self.arena, c));
         }
         self.proof = Some(log);
     }
@@ -391,11 +439,23 @@ impl Solver {
         if p.truncated {
             return None;
         }
+        let mut clauses = Vec::new();
+        let mut steps = Vec::new();
+        let mut start = 0;
+        for &(kind, end) in &p.entries {
+            let lits = p.lits[start..end].to_vec();
+            start = end;
+            match kind {
+                Logged::Original => clauses.push(lits),
+                Logged::Add => steps.push(ProofStep::Add(lits)),
+                Logged::Delete => steps.push(ProofStep::Delete(lits)),
+            }
+        }
         Some(Certificate {
             num_vars: self.num_vars() as u32,
-            clauses: p.originals.clone(),
+            clauses,
             hypotheses: self.conflict_core.clone(),
-            steps: p.steps.clone(),
+            steps,
         })
     }
 
@@ -422,7 +482,7 @@ impl Solver {
 
     /// Number of clauses currently alive (original + learnt).
     pub fn num_clauses(&self) -> usize {
-        self.clauses.iter().filter(|c| !c.deleted).count()
+        self.attached - self.stats.deleted as usize
     }
 
     /// Work counters.
@@ -501,19 +561,30 @@ impl Solver {
             return false;
         }
         debug_assert_eq!(self.decision_level(), 0, "clauses are added at level 0");
-        let mut lits: Vec<Lit> = lits.into_iter().collect();
-        lits.sort_unstable();
-        lits.dedup();
+        let mut buf = std::mem::take(&mut self.add_buf);
+        buf.clear();
+        buf.extend(lits);
+        buf.sort_unstable();
+        buf.dedup();
+        let ok = self.add_sorted(&mut buf);
+        self.add_buf = buf;
+        ok
+    }
+
+    /// [`Solver::add_clause`] of a sorted clause without duplicates, which
+    /// it simplifies in place.
+    fn add_sorted(&mut self, lits: &mut Vec<Lit>) -> bool {
         // The proof logs the clause exactly as asserted, *before* the
         // level-0 simplification below: the checker re-derives every
         // simplification by its own unit propagation, so the certificate
         // stays honest about the formula the caller actually gave us.
         if let Some(p) = self.proof.as_mut() {
-            p.log_original(&lits);
+            p.log(Logged::Original, lits.iter().copied());
         }
         // Tautology / level-0 simplification.
-        let mut simplified = Vec::with_capacity(lits.len());
-        for (i, &l) in lits.iter().enumerate() {
+        let mut kept = 0;
+        for i in 0..lits.len() {
+            let l = lits[i];
             debug_assert!(
                 l.var().index() < self.num_vars(),
                 "literal {l:?} references an unallocated variable"
@@ -524,23 +595,27 @@ impl Solver {
             match self.lit_value(l) {
                 LBool::True => return true, // already satisfied at level 0
                 LBool::False => {}          // drop falsified literal
-                LBool::Undef => simplified.push(l),
+                LBool::Undef => {
+                    lits[kept] = l;
+                    kept += 1;
+                }
             }
         }
-        match simplified.len() {
+        lits.truncate(kept);
+        match lits.len() {
             0 => {
                 self.ok = false;
                 false
             }
             1 => {
-                self.unchecked_enqueue(simplified[0], REASON_NONE);
+                self.unchecked_enqueue(lits[0], REASON_NONE);
                 if self.propagate().is_some() {
                     self.ok = false;
                 }
                 self.ok
             }
-            _ => {
-                if self.bytes_over_budget(Self::bytes_of(&simplified)) {
+            n => {
+                if !self.room_for(n) {
                     // Dropping the clause only weakens the formula, so
                     // `Unsat` stays sound; `solve` reports `Unknown`
                     // instead of `Sat` from now on.
@@ -548,22 +623,21 @@ impl Solver {
                     self.stats.budget_trips += 1;
                     return true;
                 }
-                self.attach_clause(simplified, false, 0);
+                self.attach_clause(lits, false, 0);
                 true
             }
         }
     }
 
+    /// Can a clause of `len` literals join the database without crossing
+    /// the byte ceiling or outgrowing the arena's offsets?
     #[inline]
-    fn bytes_of(lits: &[Lit]) -> u64 {
-        std::mem::size_of_val(lits) as u64
-    }
-
-    #[inline]
-    fn bytes_over_budget(&self, extra: u64) -> bool {
-        self.budget
+    fn room_for(&self, len: usize) -> bool {
+        let over_budget = self
+            .budget
             .clause_bytes
-            .is_some_and(|cap| self.clause_bytes + extra > cap)
+            .is_some_and(|cap| self.clause_bytes + lit_bytes(len) > cap);
+        !over_budget && self.arena.len() + HEADER + len <= ARENA_WORDS
     }
 
     /// Solve under the given assumption literals.
@@ -705,7 +779,7 @@ impl Solver {
     // ----- internals -------------------------------------------------------
 
     fn clause_count_hint(&self) -> usize {
-        self.clauses.len() - self.num_learnts
+        self.attached - self.num_learnts
     }
 
     #[inline]
@@ -723,31 +797,46 @@ impl Solver {
         self.trail_lim.len() as u32
     }
 
-    fn attach_clause(&mut self, lits: Vec<Lit>, learnt: bool, lbd: u32) -> u32 {
+    fn attach_clause(&mut self, lits: &[Lit], learnt: bool, lbd: u32) -> u32 {
         debug_assert!(lits.len() >= 2);
-        self.clause_bytes += Self::bytes_of(&lits);
-        let idx = self.clauses.len() as u32;
-        let w0 = Watcher {
-            clause: idx,
+        debug_assert!(self.arena.len() + HEADER + lits.len() <= ARENA_WORDS);
+        self.clause_bytes += lit_bytes(lits.len());
+        self.attached += 1;
+        let c = self.arena.len() as u32;
+        self.arena.extend([
+            lits.len() as u32,
+            lbd.min(LBD_MAX) << 2 | u32::from(learnt),
+            0f32.to_bits(),
+        ]);
+        self.arena.extend(lits.iter().map(|l| l.0));
+        let cref = if lits.len() == 2 { c | BINARY } else { c };
+        self.watches[(!lits[0]).code()].push(Watcher {
+            cref,
             blocker: lits[1],
-        };
-        let w1 = Watcher {
-            clause: idx,
+        });
+        self.watches[(!lits[1]).code()].push(Watcher {
+            cref,
             blocker: lits[0],
-        };
-        self.watches[(!lits[0]).code()].push(w0);
-        self.watches[(!lits[1]).code()].push(w1);
+        });
         if learnt {
             self.num_learnts += 1;
         }
-        self.clauses.push(Clause {
-            lits,
-            learnt,
-            deleted: false,
-            activity: 0.0,
-            lbd,
-        });
-        idx
+        c
+    }
+
+    /// Arena positions of the literals of `r`, the reason `v` was assigned,
+    /// other than the one it implied.
+    #[inline]
+    fn antecedents(&self, r: u32, v: Var) -> std::ops::Range<usize> {
+        let at = r as usize + HEADER;
+        let len = self.arena[r as usize] as usize;
+        // Propagation never reorders a binary clause, so the literal it
+        // implied may be its second.
+        if len == 2 && Lit(self.arena[at]).var() != v {
+            return at..at + 1;
+        }
+        debug_assert_eq!(Lit(self.arena[at]).var(), v);
+        at + 1..at + len
     }
 
     #[inline]
@@ -760,7 +849,7 @@ impl Solver {
         self.trail.push(l);
     }
 
-    /// Unit propagation. Returns the index of a conflicting clause, if any.
+    /// Unit propagation. Returns the offset of a conflicting clause, if any.
     fn propagate(&mut self) -> Option<u32> {
         while self.qhead < self.trail.len() {
             if self.stats.propagations >= self.prop_limit {
@@ -780,37 +869,52 @@ impl Solver {
             'watchers: while i < ws.len() {
                 let w = ws[i];
                 // Blocker shortcut: clause already satisfied.
-                if self.lit_value(w.blocker) == LBool::True {
+                let blocker = self.lit_value(w.blocker);
+                if blocker == LBool::True {
                     i += 1;
                     continue;
                 }
-                let cidx = w.clause as usize;
-                if self.clauses[cidx].deleted {
+                if w.cref == TOMBSTONE {
                     ws.swap_remove(i);
                     continue;
                 }
-                // Normalize: make sure lits[1] is the false watched literal !p.
-                {
-                    let c = &mut self.clauses[cidx];
-                    if c.lits[0] == !p {
-                        c.lits.swap(0, 1);
+                if w.cref & BINARY != 0 {
+                    // The blocker is the other literal: the clause is unit
+                    // or conflicting without being read.
+                    let c = w.cref & !BINARY;
+                    if blocker == LBool::False {
+                        // Analysis reads a conflict in this orientation.
+                        let at = c as usize + HEADER;
+                        self.arena[at] = w.blocker.0;
+                        self.arena[at + 1] = (!p).0;
+                        conflict = Some(c);
+                        self.qhead = self.trail.len();
+                        break;
                     }
-                    debug_assert_eq!(c.lits[1], !p);
+                    self.unchecked_enqueue(w.blocker, c);
+                    i += 1;
+                    continue;
                 }
-                let first = self.clauses[cidx].lits[0];
+                let c = w.cref as usize;
+                let at = c + HEADER;
+                // Normalize: make sure lits[1] is the false watched literal !p.
+                if self.arena[at] == (!p).0 {
+                    self.arena.swap(at, at + 1);
+                }
+                debug_assert_eq!(self.arena[at + 1], (!p).0);
+                let first = Lit(self.arena[at]);
                 if first != w.blocker && self.lit_value(first) == LBool::True {
                     ws[i].blocker = first;
                     i += 1;
                     continue;
                 }
                 // Look for a new literal to watch.
-                let len = self.clauses[cidx].lits.len();
-                for k in 2..len {
-                    let lk = self.clauses[cidx].lits[k];
+                for k in at + 2..at + self.arena[c] as usize {
+                    let lk = Lit(self.arena[k]);
                     if self.lit_value(lk) != LBool::False {
-                        self.clauses[cidx].lits.swap(1, k);
+                        self.arena.swap(at + 1, k);
                         self.watches[(!lk).code()].push(Watcher {
-                            clause: w.clause,
+                            cref: w.cref,
                             blocker: first,
                         });
                         ws.swap_remove(i);
@@ -820,12 +924,12 @@ impl Solver {
                 // No new watch: clause is unit or conflicting.
                 ws[i].blocker = first;
                 if self.lit_value(first) == LBool::False {
-                    conflict = Some(w.clause);
+                    conflict = Some(w.cref);
                     self.qhead = self.trail.len();
                     // Keep the remaining watchers; abort propagation.
                     break;
                 } else {
-                    self.unchecked_enqueue(first, w.clause);
+                    self.unchecked_enqueue(first, w.cref);
                     i += 1;
                 }
             }
@@ -858,15 +962,20 @@ impl Solver {
         self.var_inc /= 0.95;
     }
 
-    fn bump_clause(&mut self, cidx: usize) {
-        let c = &mut self.clauses[cidx];
-        if !c.learnt {
+    fn bump_clause(&mut self, c: u32) {
+        let c = c as usize;
+        if self.arena[c + 1] & LEARNT == 0 {
             return;
         }
-        c.activity += self.cla_inc;
-        if c.activity > 1e20 {
-            for cl in self.clauses.iter_mut().filter(|cl| cl.learnt) {
-                cl.activity *= 1e-20;
+        let activity = f32::from_bits(self.arena[c + 2]) + self.cla_inc;
+        self.arena[c + 2] = activity.to_bits();
+        if activity > 1e20 {
+            let mut d = 0;
+            while d < self.arena.len() {
+                if self.arena[d + 1] & LEARNT != 0 {
+                    self.arena[d + 2] = (f32::from_bits(self.arena[d + 2]) * 1e-20).to_bits();
+                }
+                d += HEADER + self.arena[d] as usize;
             }
             self.cla_inc *= 1e-20;
         }
@@ -878,20 +987,27 @@ impl Solver {
 
     /// First-UIP conflict analysis.
     ///
-    /// Returns the learnt clause (with the asserting literal first) and the
-    /// backtrack level.
-    fn analyze(&mut self, mut conflict: u32) -> (Vec<Lit>, u32) {
-        let mut learnt: Vec<Lit> = vec![Lit::from_code(0)]; // placeholder for UIP
+    /// Leaves the learnt clause in `self.learnt` (with the asserting
+    /// literal first) and returns the backtrack level.
+    fn analyze(&mut self, mut conflict: u32) -> u32 {
+        self.learnt.clear();
+        self.learnt.push(Lit::from_code(0)); // placeholder for UIP
         let mut counter = 0usize;
         let mut p: Option<Lit> = None;
         let mut trail_idx = self.trail.len();
 
         loop {
-            self.bump_clause(conflict as usize);
-            let start = usize::from(p.is_some());
+            self.bump_clause(conflict);
             // Collect literals from the reason/conflict clause.
-            let lits: Vec<Lit> = self.clauses[conflict as usize].lits[start..].to_vec();
-            for q in lits {
+            let lits = match p {
+                None => {
+                    let at = conflict as usize + HEADER;
+                    at..at + self.arena[conflict as usize] as usize
+                }
+                Some(pl) => self.antecedents(conflict, pl.var()),
+            };
+            for k in lits {
+                let q = Lit(self.arena[k]);
                 let v = q.var();
                 if !self.seen[v.index()] && self.level[v.index()] > 0 {
                     self.seen[v.index()] = true;
@@ -899,7 +1015,7 @@ impl Solver {
                     if self.level[v.index()] >= self.decision_level() {
                         counter += 1;
                     } else {
-                        learnt.push(q);
+                        self.learnt.push(q);
                     }
                 }
             }
@@ -914,7 +1030,7 @@ impl Solver {
             self.seen[pl.var().index()] = false;
             counter -= 1;
             if counter == 0 {
-                learnt[0] = !pl;
+                self.learnt[0] = !pl;
                 break;
             }
             p = Some(pl);
@@ -924,25 +1040,26 @@ impl Solver {
 
         // Recursive clause minimization: drop literals implied by the rest.
         self.analyze_clear.clear();
-        for &l in &learnt {
+        for &l in &self.learnt {
             self.seen[l.var().index()] = true;
             self.analyze_clear.push(l);
         }
         let mut j = 1;
-        for i in 1..learnt.len() {
-            let l = learnt[i];
+        for i in 1..self.learnt.len() {
+            let l = self.learnt[i];
             if self.reason[l.var().index()] == REASON_NONE || !self.lit_redundant(l) {
-                learnt[j] = l;
+                self.learnt[j] = l;
                 j += 1;
             }
         }
-        learnt.truncate(j);
-        for &l in &self.analyze_clear.clone() {
+        self.learnt.truncate(j);
+        for l in &self.analyze_clear {
             self.seen[l.var().index()] = false;
         }
 
         // Find backtrack level = second-highest level in the clause.
-        let bt_level = if learnt.len() == 1 {
+        let learnt = &mut self.learnt;
+        if learnt.len() == 1 {
             0
         } else {
             let mut max_i = 1;
@@ -953,8 +1070,7 @@ impl Solver {
             }
             learnt.swap(1, max_i);
             self.level[learnt[1].var().index()]
-        };
-        (learnt, bt_level)
+        }
     }
 
     /// Is `l` implied by the other (seen) literals of the learnt clause?
@@ -965,8 +1081,8 @@ impl Solver {
         while let Some(p) = self.analyze_stack.pop() {
             let r = self.reason[p.var().index()];
             debug_assert_ne!(r, REASON_NONE);
-            let lits: Vec<Lit> = self.clauses[r as usize].lits[1..].to_vec();
-            for q in lits {
+            for k in self.antecedents(r, p.var()) {
+                let q = Lit(self.arena[k]);
                 let vi = q.var().index();
                 if !self.seen[vi] && self.level[vi] > 0 {
                     if self.reason[vi] != REASON_NONE {
@@ -1019,8 +1135,8 @@ impl Solver {
                 );
                 core.push(x);
             } else {
-                for k in 1..self.clauses[r as usize].lits.len() {
-                    let q = self.clauses[r as usize].lits[k];
+                for k in self.antecedents(r, x.var()) {
+                    let q = Lit(self.arena[k]);
                     if self.level[q.var().index()] > 0 {
                         self.seen[q.var().index()] = true;
                     }
@@ -1032,11 +1148,13 @@ impl Solver {
         core
     }
 
-    fn compute_lbd(&self, lits: &[Lit]) -> u32 {
-        let mut levels: Vec<u32> = lits.iter().map(|l| self.level[l.var().index()]).collect();
-        levels.sort_unstable();
-        levels.dedup();
-        levels.len() as u32
+    fn compute_lbd(&mut self, lits: &[Lit]) -> u32 {
+        self.levels.clear();
+        self.levels
+            .extend(lits.iter().map(|l| self.level[l.var().index()]));
+        self.levels.sort_unstable();
+        self.levels.dedup();
+        self.levels.len() as u32
     }
 
     fn cancel_until(&mut self, level: u32) {
@@ -1068,43 +1186,42 @@ impl Solver {
 
     fn reduce_db(&mut self) {
         // Collect candidate learnt clauses (not locked as reasons, lbd > 2).
-        let locked: Vec<u32> = self
-            .trail
-            .iter()
-            .map(|l| self.reason[l.var().index()])
-            .filter(|&r| r != REASON_NONE)
-            .collect();
-        let mut cand: Vec<usize> = (0..self.clauses.len())
-            .filter(|&i| {
-                let c = &self.clauses[i];
-                c.learnt
-                    && !c.deleted
-                    && c.lbd > 2
-                    && c.lits.len() > 2
-                    && !locked.contains(&(i as u32))
+        // A clause implies its first literal, so it is locked exactly when
+        // it is that literal's reason.
+        let arena = &self.arena;
+        let lbd = |c: usize| arena[c + 1] >> 2;
+        let activity = |c: usize| f32::from_bits(arena[c + 2]);
+        let mut cand: Vec<usize> = clause_refs(arena)
+            .filter(|&c| {
+                let first = Lit(arena[c + HEADER]);
+                arena[c + 1] & LEARNT != 0
+                    && lbd(c) > 2
+                    && arena[c] > 2
+                    && self.reason[first.var().index()] != c as u32
             })
             .collect();
         cand.sort_by(|&a, &b| {
-            let ca = &self.clauses[a];
-            let cb = &self.clauses[b];
-            cb.lbd
-                .cmp(&ca.lbd)
-                .then(ca.activity.partial_cmp(&cb.activity).unwrap())
+            lbd(b).cmp(&lbd(a)).then(
+                activity(a)
+                    .partial_cmp(&activity(b))
+                    .expect("clause activities are never NaN"),
+            )
         });
         let to_delete = cand.len() / 2;
-        for &i in cand.iter().take(to_delete) {
-            self.clauses[i].deleted = true;
-            // Free the literal storage so the byte ceiling tracks real
-            // allocation; propagation checks `deleted` before touching
-            // `lits`, and deleted clauses are never reasons. The proof
-            // logs the deletion first, while the literals still exist.
-            let lits = std::mem::take(&mut self.clauses[i].lits);
-            self.clause_bytes -= Self::bytes_of(&lits);
+        for &c in cand.iter().take(to_delete) {
+            self.arena[c + 1] |= DELETED;
+            // Compaction below frees the literals, so the byte ceiling
+            // releases them now; the proof logs the deletion first, while
+            // they are still in the arena.
+            self.clause_bytes -= lit_bytes(self.arena[c] as usize);
             if let Some(p) = self.proof.as_mut() {
-                p.log_delete(lits);
+                p.log(Logged::Delete, lits_of(&self.arena, c));
             }
             self.num_learnts -= 1;
             self.stats.deleted += 1;
+        }
+        if to_delete > 0 {
+            self.compact();
         }
         self.max_learnts *= 1.1;
         chipmunk_trace::event!(
@@ -1112,6 +1229,54 @@ impl Solver {
             deleted = to_delete,
             learnts = self.num_learnts,
         );
+    }
+
+    /// Squeeze the deleted clauses out of the arena. Live clauses move
+    /// down in order; every watcher and every reason on the trail follows
+    /// its clause, and a deleted clause's watchers become tombstones, left
+    /// in place so that watch-list order is what it would have been had
+    /// the clause stayed.
+    fn compact(&mut self) {
+        // Each deleted clause's old offset, with the words freed up to and
+        // including it.
+        let mut gaps: Vec<(u32, u32)> = Vec::new();
+        let mut freed = 0;
+        let mut c = 0;
+        while c < self.arena.len() {
+            let size = HEADER + self.arena[c] as usize;
+            if self.arena[c + 1] & DELETED != 0 {
+                freed += size;
+                gaps.push((c as u32, freed as u32));
+            } else if freed > 0 {
+                self.arena.copy_within(c..c + size, c - freed);
+            }
+            c += size;
+        }
+        self.arena.truncate(self.arena.len() - freed);
+        let forward = |c: u32| {
+            let k = gaps.partition_point(|&(at, _)| at < c);
+            match gaps.get(k) {
+                Some(&(at, _)) if at == c => TOMBSTONE,
+                _ => c - k.checked_sub(1).map_or(0, |k| gaps[k].1),
+            }
+        };
+        for w in self.watches.iter_mut().flatten() {
+            if w.cref != TOMBSTONE {
+                let moved = forward(w.cref & !BINARY);
+                w.cref = if moved == TOMBSTONE {
+                    TOMBSTONE
+                } else {
+                    moved | (w.cref & BINARY)
+                };
+            }
+        }
+        for l in &self.trail {
+            let r = &mut self.reason[l.var().index()];
+            if *r != REASON_NONE {
+                *r = forward(*r);
+                debug_assert_ne!(*r, TOMBSTONE, "a locked clause was deleted");
+            }
+        }
     }
 
     /// Search for up to `conflict_limit` conflicts.
@@ -1130,6 +1295,39 @@ impl Solver {
                 .is_some_and(|b| self.acct_prop_base + (self.stats.propagations - prop_start) >= b)
     }
 
+    /// Record the clause [`Solver::analyze`] learnt and assert its first
+    /// literal. `false` when the clause does not fit the database.
+    fn learn(&mut self, learnt: &[Lit]) -> bool {
+        if learnt.len() == 1 {
+            if let Some(p) = self.proof.as_mut() {
+                p.log(Logged::Add, learnt.iter().copied());
+            }
+            self.unchecked_enqueue(learnt[0], REASON_NONE);
+            return true;
+        }
+        if !self.room_for(learnt.len()) {
+            // Try to make room before giving up; a learnt clause cannot be
+            // silently dropped (it is about to drive the backjump), so
+            // still-over is fatal.
+            self.reduce_db();
+            if !self.room_for(learnt.len()) {
+                // Not sticky: a learnt clause is implied, so skipping it
+                // leaves the formula intact and a roomier budget can retry
+                // later.
+                self.stats.budget_trips += 1;
+                return false;
+            }
+        }
+        let lbd = self.compute_lbd(learnt);
+        if let Some(p) = self.proof.as_mut() {
+            p.log(Logged::Add, learnt.iter().copied());
+        }
+        let c = self.attach_clause(learnt, true, lbd);
+        self.bump_clause(c);
+        self.unchecked_enqueue(learnt[0], c);
+        true
+    }
+
     fn search(
         &mut self,
         conflict_limit: u64,
@@ -1139,7 +1337,7 @@ impl Solver {
     ) -> Option<SolveResult> {
         let mut conflicts_here: u64 = 0;
         loop {
-            if let Some(cidx) = self.propagate() {
+            if let Some(confl) = self.propagate() {
                 // Conflict.
                 self.stats.conflicts += 1;
                 conflicts_here += 1;
@@ -1147,39 +1345,16 @@ impl Solver {
                     self.ok = false;
                     return Some(SolveResult::Unsat);
                 }
-                let (learnt, bt) = self.analyze(cidx);
+                let bt = self.analyze(confl);
                 // Never backtrack past the assumptions: if the asserting
                 // level would strip an assumption, re-deciding will restore
                 // it, so plain backtracking is still sound; we simply cancel.
                 self.cancel_until(bt);
-                if learnt.len() == 1 {
-                    if let Some(p) = self.proof.as_mut() {
-                        p.log_add(&learnt);
-                    }
-                    self.unchecked_enqueue(learnt[0], REASON_NONE);
-                } else {
-                    let bytes = Self::bytes_of(&learnt);
-                    if self.bytes_over_budget(bytes) {
-                        // Try to make room before giving up; a learnt
-                        // clause cannot be silently dropped (it is about
-                        // to drive the backjump), so still-over is fatal.
-                        self.reduce_db();
-                        if self.bytes_over_budget(bytes) {
-                            // Not sticky: a learnt clause is implied, so
-                            // skipping it leaves the formula intact and a
-                            // roomier budget can retry later.
-                            self.stats.budget_trips += 1;
-                            return Some(SolveResult::Unknown);
-                        }
-                    }
-                    let lbd = self.compute_lbd(&learnt);
-                    let l0 = learnt[0];
-                    if let Some(p) = self.proof.as_mut() {
-                        p.log_add(&learnt);
-                    }
-                    let idx = self.attach_clause(learnt, true, lbd);
-                    self.bump_clause(idx as usize);
-                    self.unchecked_enqueue(l0, idx);
+                let learnt = std::mem::take(&mut self.learnt);
+                let fits = self.learn(&learnt);
+                self.learnt = learnt;
+                if !fits {
+                    return Some(SolveResult::Unknown);
                 }
                 self.decay_var_activity();
                 self.decay_clause_activity();
@@ -1791,6 +1966,56 @@ mod tests {
         let cert = s.certificate().expect("proof fits");
         assert_eq!(cert.clauses.len(), 3);
         assert_eq!(cert.check(&CheckBudget::default()), CheckOutcome::Valid);
+    }
+
+    /// The search itself, pinned: a change to how clauses are stored must
+    /// propagate the same literals in the same order and learn, reduce and
+    /// log the same clauses, so every counter below stays exactly as it
+    /// is. The random instance also adds clauses and solves again after a
+    /// database reduction, which nothing else exercises.
+    #[test]
+    fn storage_leaves_the_search_unchanged() {
+        use crate::drat::{CheckBudget, CheckOutcome};
+        use chipmunk_trace::rng::Xoshiro256;
+        let counters = |s: &Solver| {
+            let st = s.stats();
+            (st.conflicts, st.propagations, st.decisions, st.deleted)
+        };
+        let certified = |s: &Solver| {
+            let cert = s.certificate().expect("proof fits its budget");
+            cert.check(&CheckBudget::default())
+        };
+
+        let mut s = solver_with_vars(8 * 7);
+        s.enable_proof(1 << 30);
+        php(&mut s, 8, 7);
+        assert_eq!(s.solve(&[]), SolveResult::Unsat);
+        assert_eq!(counters(&s), (4_932, 72_405, 6_109, 3_297));
+        assert_eq!(certified(&s), CheckOutcome::Valid);
+
+        // Random 3-SAT at clause ratio 4.2: satisfiable, but only after
+        // the learnt database has been reduced once.
+        let vars = 150;
+        let mut rng = Xoshiro256::seed_from_u64(4);
+        let clause = |rng: &mut Xoshiro256| -> Vec<Lit> {
+            (0..3)
+                .map(|_| Lit::new(Var(rng.gen_usize(vars) as u32), rng.gen_bool(0.5)))
+                .collect()
+        };
+        let mut s = solver_with_vars(vars);
+        s.enable_proof(1 << 30);
+        for _ in 0..vars * 42 / 10 {
+            s.add_clause(clause(&mut rng));
+        }
+        assert_eq!(s.solve(&[]), SolveResult::Sat);
+        assert_eq!(counters(&s), (2_318, 72_235, 2_876, 979));
+        // Strengthen the reduced database until it is unsatisfiable.
+        for _ in 0..vars / 2 {
+            s.add_clause(clause(&mut rng));
+        }
+        assert_eq!(s.solve(&[]), SolveResult::Unsat);
+        assert_eq!(counters(&s), (3_184, 98_126, 3_895, 1_952));
+        assert_eq!(certified(&s), CheckOutcome::Valid);
     }
 
     #[test]
