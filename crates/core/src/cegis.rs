@@ -320,6 +320,11 @@ pub fn synthesize_with_cancel(
 /// budget account, and the cross-step counterexample pool. This is the
 /// primitive the plan executor drives; the other entry points are thin
 /// wrappers.
+///
+/// A run that starts with its account already at a work ceiling of
+/// `opts.budget` cannot run one propagation, so it builds nothing and
+/// returns [`SynthesisError::Timeout`] (or [`SynthesisError::Cancelled`]
+/// under a raised flag) at once.
 pub fn synthesize_with_control(
     prog: &Program,
     sketch: &Sketch,
@@ -341,6 +346,38 @@ pub fn synthesize_with_control(
              selector codes would truncate",
             sketch.max_hole_bits()
         )));
+    }
+    // Every solver in this run (synthesis, screening, full-width
+    // verification) debits the same job-wide account, so `opts.budget` is
+    // a cumulative ceiling rather than a per-solver one.
+    let account = ctl
+        .account
+        .clone()
+        .unwrap_or_else(|| Arc::new(BudgetAccount::new()));
+    // With a ceiling already spent, the first solve would refuse at entry
+    // (the test `Solver::solve` applies), so the instance is never built.
+    let spent = [
+        ("conflicts", account.conflicts(), opts.budget.conflicts),
+        (
+            "propagations",
+            account.propagations(),
+            opts.budget.propagations,
+        ),
+    ]
+    .into_iter()
+    .find_map(|(resource, spent, ceiling)| {
+        ceiling
+            .filter(|&c| spent >= c)
+            .map(|c| (resource, spent, c))
+    });
+    if let Some((resource, spent, ceiling)) = spent {
+        chipmunk_trace::event!(
+            "cegis.budget_spent",
+            resource = resource,
+            spent = spent,
+            ceiling = ceiling,
+        );
+        return Err(interrupt_error(&cancel));
     }
     let run_start = Instant::now();
     let num_fields = prog.field_names().len();
@@ -373,14 +410,7 @@ pub fn synthesize_with_control(
         .collect();
     let sk_out = sketch.symbolic(&mut circuit, &hole_terms, &field_terms, &state_terms);
 
-    // --- Incremental synthesis solver with shared hole literals. Every
-    // solver in this run (synthesis, screening, full-width verification)
-    // debits the same job-wide account, so `opts.budget` is a cumulative
-    // ceiling rather than a per-solver one.
-    let account = ctl
-        .account
-        .clone()
-        .unwrap_or_else(|| Arc::new(BudgetAccount::new()));
+    // --- Incremental synthesis solver with shared hole literals.
     let mut stats = CegisStats::default();
     let add_input = |solver: &mut Solver, tru: Lit, hole_bits: &[Vec<Lit>], inp: &PacketState| {
         let want = interp.exec(inp);
@@ -481,22 +511,22 @@ pub fn synthesize_with_control(
 
     // --- Verification instances, one per width, persistent across
     // iterations (the miter is blasted once; each candidate is checked by
-    // solving under assumptions that pin the hole bits).
-    let mut full_verifier = Verifier::new(prog, sketch, w, opts.domain_width);
-    full_verifier.set_budget(opts.budget);
-    full_verifier.set_budget_account(Some(account.clone()));
+    // solving under assumptions that pin the hole bits). They are built
+    // for the first candidate: a run that its first synthesis solve ends
+    // (refuted, or out of budget) never needs them.
+    let new_verifier = |width: u8| {
+        let mut v = Verifier::new(prog, sketch, width, opts.domain_width);
+        v.set_budget(opts.budget);
+        v.set_budget_account(Some(account.clone()));
+        v
+    };
     // The screen width is raised to the widest hole so selector codes
     // survive; if that reaches the full width, screening is pointless.
-    let mut screen_verifier = opts
+    let screen_width = opts
         .screen_width
         .map(|sw| sw.max(sketch.max_hole_bits()))
-        .filter(|&sw| sw < w)
-        .map(|sw| {
-            let mut v = Verifier::new(prog, sketch, sw, opts.domain_width);
-            v.set_budget(opts.budget);
-            v.set_budget_account(Some(account.clone()));
-            v
-        });
+        .filter(|&sw| sw < w);
+    let mut verifiers: Option<Verifiers> = None;
 
     // --- The CEGIS loop.
     let mut cexes: Vec<PacketState> = Vec::new();
@@ -532,12 +562,7 @@ pub fn synthesize_with_control(
         }
         drop(synth_sp);
         stats.synth_time += t0.elapsed();
-        fold_solver_stats(
-            &mut stats,
-            &solver,
-            screen_verifier.as_ref(),
-            &full_verifier,
-        );
+        fold_solver_stats(&mut stats, &solver, verifiers.as_ref());
         let hole_values: Vec<u64> = match res {
             SolveResult::Unsat => {
                 // The terminal UNSAT justifies Infeasible; certify it so
@@ -615,10 +640,15 @@ pub fn synthesize_with_control(
             }
         };
 
+        let vs = verifiers.get_or_insert_with(|| Verifiers {
+            full: new_verifier(w),
+            screen: screen_width.map(new_verifier),
+        });
+
         // Screening verification at a small width (cheap), if enabled.
         let t1 = Instant::now();
         let mut verify_sp = chipmunk_trace::span!("cegis.verify", iter = iter);
-        if let Some(sv) = screen_verifier.as_mut() {
+        if let Some(sv) = vs.screen.as_mut() {
             let screen_res = sv.check(&hole_values, opts.deadline, cancel.clone());
             if let Some(cex) = screen_res? {
                 // Only sound to feed back if it also distinguishes at
@@ -627,12 +657,7 @@ pub fn synthesize_with_control(
                     stats.verify_time += t1.elapsed();
                     stats.counterexamples += 1;
                     stats.screen_counterexamples += 1;
-                    fold_solver_stats(
-                        &mut stats,
-                        &solver,
-                        screen_verifier.as_ref(),
-                        &full_verifier,
-                    );
+                    fold_solver_stats(&mut stats, &solver, Some(vs));
                     verify_sp.record("result", "cex");
                     verify_sp.record("provenance", "screen");
                     drop(verify_sp);
@@ -645,14 +670,9 @@ pub fn synthesize_with_control(
             }
         }
         // Full-width verification (the paper's Z3 role).
-        let cex = full_verifier.check(&hole_values, opts.deadline, cancel.clone());
+        let cex = vs.full.check(&hole_values, opts.deadline, cancel.clone());
         stats.verify_time += t1.elapsed();
-        fold_solver_stats(
-            &mut stats,
-            &solver,
-            screen_verifier.as_ref(),
-            &full_verifier,
-        );
+        fold_solver_stats(&mut stats, &solver, Some(vs));
         match cex? {
             None => {
                 verify_sp.record("result", "equiv");
@@ -742,26 +762,38 @@ fn share_cex(ctl: &SynthControl, cex: &PacketState) {
     }
 }
 
+/// A CEGIS run's verification instances: the full-width one and, when
+/// screening is on, the narrow one.
+struct Verifiers {
+    full: Verifier,
+    screen: Option<Verifier>,
+}
+
+impl Verifiers {
+    /// Solver work summed over both instances:
+    /// `(conflicts, propagations, budget_trips)`.
+    fn work(&self) -> (u64, u64, u64) {
+        let (mut c, mut p, mut t) = self.full.work();
+        if let Some(s) = &self.screen {
+            let (sc, sp, st) = s.work();
+            c += sc;
+            p += sp;
+            t += st;
+        }
+        (c, p, t)
+    }
+}
+
 /// Fold the current solver work counters into `stats`: synthesis counters
 /// from the persistent synthesis solver, verification counters summed over
-/// the per-width verification instances, budget trips over all of them.
-fn fold_solver_stats(
-    stats: &mut CegisStats,
-    synth: &Solver,
-    screen: Option<&Verifier>,
-    full: &Verifier,
-) {
+/// the per-width verification instances (none before they are built),
+/// budget trips over all of them.
+fn fold_solver_stats(stats: &mut CegisStats, synth: &Solver, verifiers: Option<&Verifiers>) {
     let ss = synth.stats();
     stats.synth_conflicts = ss.conflicts;
     stats.synth_propagations = ss.propagations;
     stats.clause_bytes = synth.clause_bytes();
-    let (mut vc, mut vp, mut vt) = full.work();
-    if let Some(s) = screen {
-        let (c, p, t) = s.work();
-        vc += c;
-        vp += p;
-        vt += t;
-    }
+    let (vc, vp, vt) = verifiers.map_or((0, 0, 0), Verifiers::work);
     stats.verify_conflicts = vc;
     stats.verify_propagations = vp;
     stats.budget_trips = ss.budget_trips + vt;
@@ -1677,6 +1709,90 @@ mod tests {
         assert_eq!(
             validate_decoded(&prog, &sketch, &out.decoded, 6, 300, 3),
             None
+        );
+    }
+
+    /// A step that starts with its job's work ceiling already spent
+    /// answers at once and builds nothing: no solver work, no
+    /// counterexample, and the answer its first solve would have given.
+    #[test]
+    fn a_spent_job_budget_builds_nothing() {
+        // The 1-stage `raw` mul grid: level-0 propagation refutes it while
+        // its clauses are added, before any budget is consulted.
+        let prog = chipmunk_lang::parse("pkt.z = pkt.x * pkt.y;").unwrap();
+        let g = GridSpec::new(1, 3, library::raw(2), 2);
+        let sketch = Sketch::new(g, 3, 0, SketchOptions::default()).unwrap();
+        let seed = PacketState {
+            fields: vec![1, 2, 3],
+            states: vec![],
+        };
+        // The error, and whether the account and the pool were left as
+        // they were.
+        let run = |opts: CegisOptions, spent: (u64, u64), flag: bool| {
+            let account = Arc::new(BudgetAccount::new());
+            account.charge(spent.0, spent.1);
+            let pool = Arc::new(Mutex::new(vec![seed.clone()]));
+            let err = synthesize_with_control(
+                &prog,
+                &sketch,
+                &opts,
+                SynthControl {
+                    cancel: Some(Arc::new(AtomicBool::new(flag))),
+                    account: Some(account.clone()),
+                    cex_pool: Some(pool.clone()),
+                },
+            )
+            .map(|_| ())
+            .unwrap_err();
+            let untouched = (account.conflicts(), account.propagations()) == spent
+                && *pool.lock().unwrap() == [seed.clone()];
+            (err, untouched)
+        };
+        let props = CegisOptions {
+            budget: ResourceBudget {
+                propagations: Some(1_000),
+                ..ResourceBudget::UNLIMITED
+            },
+            ..fast_opts()
+        };
+        let conflicts = CegisOptions {
+            budget: ResourceBudget {
+                conflicts: Some(10),
+                ..ResourceBudget::UNLIMITED
+            },
+            ..fast_opts()
+        };
+        for (opts, spent) in [
+            (props, (0, 1_000)),
+            (props, (0, 5_000)),
+            (conflicts, (10, 0)),
+        ] {
+            assert_eq!(
+                run(opts, spent, false),
+                (SynthesisError::Timeout, true),
+                "{spent:?}"
+            );
+            assert_eq!(
+                run(opts, spent, true),
+                (SynthesisError::Cancelled, true),
+                "{spent:?}"
+            );
+            let bad = CegisOptions {
+                verify_width: 0,
+                ..opts
+            };
+            let (err, untouched) = run(bad, spent, false);
+            assert!(
+                matches!(err, SynthesisError::InvalidOptions(_)) && untouched,
+                "{err:?}"
+            );
+        }
+        // One propagation short of the ceiling, the instance is built and
+        // its free refutation is still certified.
+        let (err, _) = run(props, (0, 999), false);
+        assert!(
+            matches!(&err, SynthesisError::Infeasible(cert) if cert.certified),
+            "{err:?}"
         );
     }
 }

@@ -862,6 +862,45 @@ mod tests {
         assert!(!o.portfolio);
     }
 
+    /// Under a small job-wide propagation budget, a two-stage program
+    /// spends the budget at depth 2; depths 3 and 4 start with nothing
+    /// left. Every planned step is still reported once, with its depth
+    /// and outcome.
+    #[test]
+    fn budget_spent_steps_are_still_reported() {
+        use std::sync::Mutex;
+        let prog = parse("state s; s = s + pkt.a; pkt.x = s + pkt.b;").unwrap();
+        let mut opts = CompilerOptions::small_for_tests();
+        opts.max_stages = 4;
+        opts.cegis.budget = chipmunk_sat::ResourceBudget {
+            propagations: Some(20_000),
+            ..chipmunk_sat::ResourceBudget::UNLIMITED
+        };
+        let reports = Mutex::new(Vec::new());
+        let observer = |r: &chipmunk_plan::StepReport| {
+            reports.lock().unwrap().push((r.step, r.stages, r.outcome));
+        };
+        let err = compile_with_control(
+            &prog,
+            &opts,
+            PlanControl {
+                observer: Some(&observer),
+                ..PlanControl::default()
+            },
+        )
+        .unwrap_err();
+        assert_eq!(err, CodegenError::Timeout);
+        assert_eq!(
+            reports.into_inner().unwrap(),
+            [
+                (0, 1, StepOutcome::Infeasible),
+                (1, 2, StepOutcome::Timeout),
+                (2, 3, StepOutcome::Timeout),
+                (3, 4, StepOutcome::Timeout),
+            ]
+        );
+    }
+
     #[test]
     fn hash_programs_compile_via_elimination() {
         let prog = parse("state last; last = hash(pkt.a) ; pkt.out = last;").unwrap();

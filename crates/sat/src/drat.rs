@@ -28,7 +28,9 @@
 //! from the job-wide [`BudgetAccount`]) turns a runaway check into
 //! [`CheckOutcome::OutOfBudget`] rather than a blown SLO.
 
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
+use std::hash::BuildHasher;
 use std::sync::Arc;
 
 use crate::solver::BudgetAccount;
@@ -119,38 +121,31 @@ impl Certificate {
     /// (`h <lit> 0` lines), and the DRAT proof (`<lits> 0` additions,
     /// `d <lits> 0` deletions).
     pub fn to_text(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::new();
-        let _ = writeln!(out, "c chipmunk drat certificate v1");
-        let _ = writeln!(out, "p cnf {} {}", self.num_vars, self.clauses.len());
+        let lines = self.clauses.len() + self.hypotheses.len() + self.steps.len();
+        let mut out = Vec::with_capacity(8 * self.num_lits() + 4 * lines + 64);
+        out.extend_from_slice(b"c chipmunk drat certificate v1\n");
+        out.extend_from_slice(
+            format!("p cnf {} {}\n", self.num_vars, self.clauses.len()).as_bytes(),
+        );
         for c in &self.clauses {
-            for l in c {
-                let _ = write!(out, "{l} ");
-            }
-            let _ = writeln!(out, "0");
+            push_clause(&mut out, c);
         }
-        for h in &self.hypotheses {
-            let _ = writeln!(out, "h {h} 0");
+        for &h in &self.hypotheses {
+            out.extend_from_slice(b"h ");
+            push_lit(&mut out, h);
+            out.extend_from_slice(b" 0\n");
         }
-        let _ = writeln!(out, "c proof");
+        out.extend_from_slice(b"c proof\n");
         for s in &self.steps {
             match s {
-                ProofStep::Add(c) => {
-                    for l in c {
-                        let _ = write!(out, "{l} ");
-                    }
-                    let _ = writeln!(out, "0");
-                }
+                ProofStep::Add(c) => push_clause(&mut out, c),
                 ProofStep::Delete(c) => {
-                    let _ = write!(out, "d ");
-                    for l in c {
-                        let _ = write!(out, "{l} ");
-                    }
-                    let _ = writeln!(out, "0");
+                    out.extend_from_slice(b"d ");
+                    push_clause(&mut out, c);
                 }
             }
         }
-        out
+        String::from_utf8(out).expect("certificate text is ASCII")
     }
 
     /// Parse the text format produced by [`Certificate::to_text`]. The
@@ -230,7 +225,9 @@ impl Certificate {
     ///
     /// The checker is sized by the largest variable the certificate
     /// mentions, not by the count its header declares, and a size the
-    /// allocator refuses is [`CheckOutcome::OutOfBudget`].
+    /// allocator refuses is [`CheckOutcome::OutOfBudget`]. So is a
+    /// certificate of 2^31 or more clause words (a length word per clause
+    /// plus its literals).
     pub fn check(&self, budget: &CheckBudget) -> CheckOutcome {
         let step_lits = self.steps.iter().flat_map(|s| match s {
             ProofStep::Add(c) | ProofStep::Delete(c) => c,
@@ -247,7 +244,20 @@ impl Certificate {
             .max()
             .unwrap_or(0)
             .min(self.num_vars as usize);
-        let Some(mut chk) = Checker::new(vars, budget.propagations, budget.account.clone()) else {
+        // Every clause the checker may store: a length word plus literals.
+        let added = self.steps.iter().filter_map(|s| match s {
+            ProofStep::Add(c) => Some(c),
+            ProofStep::Delete(_) => None,
+        });
+        let words = self
+            .clauses
+            .iter()
+            .chain(added)
+            .map(|c| 1 + c.len())
+            .sum::<usize>()
+            + 2 * self.hypotheses.len();
+        let Some(mut chk) = Checker::new(vars, words, budget.propagations, budget.account.clone())
+        else {
             return CheckOutcome::OutOfBudget;
         };
         let outcome = chk.run(self);
@@ -284,40 +294,88 @@ fn parse_lits(body: &str, num_vars: u32) -> Result<Vec<Lit>, String> {
     Ok(lits)
 }
 
-/// Sorted-literal key used to match deletions against live clauses.
-fn clause_key(lits: &[Lit]) -> Vec<Lit> {
-    let mut k = lits.to_vec();
-    k.sort_unstable();
-    k.dedup();
-    k
+/// Write `lits` as one DIMACS clause line: each literal and a space, then
+/// the terminating `0`.
+fn push_clause(out: &mut Vec<u8>, lits: &[Lit]) {
+    for &l in lits {
+        push_lit(out, l);
+        out.push(b' ');
+    }
+    out.extend_from_slice(b"0\n");
 }
 
-struct CheckerClause {
-    lits: Vec<Lit>,
-    deleted: bool,
+/// Write `l` as its `Display` form does: the 1-based variable, negative
+/// when the literal is negated.
+fn push_lit(out: &mut Vec<u8>, l: Lit) {
+    if l.is_neg() {
+        out.push(b'-');
+    }
+    let mut v = u64::from(l.var().0) + 1;
+    let mut digits = [0u8; 10];
+    let mut i = digits.len();
+    loop {
+        i -= 1;
+        digits[i] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[i..]);
+}
+
+/// The top bit of a stored clause's length word: the clause was deleted.
+const DELETED: u32 = 1 << 31;
+
+/// Order-independent hash of a set of literal codes, for matching a
+/// deletion against the live clauses. Each code is hashed under random
+/// keys, so a crafted certificate cannot pile its clauses into one entry.
+fn set_hash(keys: &RandomState, codes: impl Iterator<Item = u32>) -> u64 {
+    codes.fold(0u64, |h, code| h.wrapping_add(keys.hash_one(code)))
+}
+
+/// Replace `key` with `lits` sorted and deduplicated: the clause as a set.
+fn set_key(key: &mut Vec<Lit>, lits: &[Lit]) {
+    key.clear();
+    key.extend_from_slice(lits);
+    key.sort_unstable();
+    key.dedup();
 }
 
 /// A minimal propagation-only engine: two watched literals, a trail, no
 /// decisions beyond the per-lemma RUP assumptions.
+///
+/// Clauses live in one flat store, each a length word (with the
+/// [`DELETED`] flag in its top bit) followed by its literal codes, and a
+/// clause is named by the offset of its length word. A stored clause is
+/// its literals as a set, sorted and deduplicated, then permuted so that
+/// the watched literals come first.
 struct Checker {
     assign: Vec<LBool>,
     trail: Vec<Lit>,
     qhead: usize,
-    clauses: Vec<CheckerClause>,
+    store: Vec<u32>,
     watches: Vec<Vec<u32>>,
-    /// Sorted lits -> indices of live clauses with those lits (a multiset,
-    /// so duplicate clauses delete one at a time, like the solver does).
-    by_key: HashMap<Vec<Lit>, Vec<u32>>,
+    /// Literal-set hash -> the live clauses with that hash, oldest first,
+    /// so duplicate clauses delete one at a time, most recent first, like
+    /// the solver does. Built on the first deletion.
+    index: Option<HashMap<u64, Vec<u32>>>,
+    /// The keys of [`set_hash`].
+    index_keys: RandomState,
+    /// Scratch for the clause being attached or deleted, as a set.
+    key: Vec<Lit>,
     propagations: u64,
     prop_limit: u64,
     conflict: bool,
 }
 
 impl Checker {
-    /// A checker over `num_vars` variables; `None` when the allocator
-    /// refuses its per-variable arrays.
+    /// A checker over `num_vars` variables with room for `words` words of
+    /// clauses; `None` when the allocator refuses its arrays or the store
+    /// would reach 2^31 words.
     fn new(
         num_vars: usize,
+        words: usize,
         limit: Option<u64>,
         account: Option<Arc<BudgetAccount>>,
     ) -> Option<Checker> {
@@ -331,6 +389,12 @@ impl Checker {
             }
             None => u64::MAX,
         };
+        // Offsets and lengths stay below the deleted flag.
+        if words >= DELETED as usize {
+            return None;
+        }
+        let mut store = Vec::new();
+        store.try_reserve_exact(words).ok()?;
         let mut assign = Vec::new();
         assign.try_reserve_exact(num_vars).ok()?;
         assign.resize(num_vars, LBool::Undef);
@@ -342,9 +406,11 @@ impl Checker {
             assign,
             trail: Vec::new(),
             qhead: 0,
-            clauses: Vec::new(),
+            store,
             watches,
-            by_key: HashMap::new(),
+            index: None,
+            index_keys: RandomState::new(),
+            key: Vec::new(),
             propagations: 0,
             prop_limit,
             conflict: false,
@@ -352,12 +418,7 @@ impl Checker {
     }
 
     fn lit_value(&self, l: Lit) -> LBool {
-        let v = self.assign[l.var().index()];
-        if l.is_neg() {
-            v.negate()
-        } else {
-            v
-        }
+        value(&self.assign, l)
     }
 
     fn enqueue(&mut self, l: Lit) -> bool {
@@ -376,8 +437,12 @@ impl Checker {
         }
     }
 
-    /// Propagate to fixpoint. Returns `false` on conflict, `None`-like
-    /// behavior for budget exhaustion is signalled via `over_budget`.
+    /// Propagate to fixpoint. Returns `Ok(false)` on conflict and
+    /// `Err(())` once the propagation ceiling is reached.
+    ///
+    /// Watchers are visited, swapped out and moved in exactly one order:
+    /// the propagations counted here are charged to the job's account, so
+    /// a different count would change the budget a compile job has left.
     fn propagate(&mut self) -> Result<bool, ()> {
         while self.qhead < self.trail.len() {
             if self.propagations >= self.prop_limit {
@@ -386,34 +451,37 @@ impl Checker {
             let p = self.trail[self.qhead];
             self.qhead += 1;
             self.propagations += 1;
+            let false_code = (!p).code() as u32;
             let mut ws = std::mem::take(&mut self.watches[p.code()]);
             let mut i = 0;
             let mut conflict = false;
             'watchers: while i < ws.len() {
-                let cidx = ws[i] as usize;
-                if self.clauses[cidx].deleted {
+                let c = ws[i] as usize;
+                let head = self.store[c];
+                if head & DELETED != 0 {
                     ws.swap_remove(i);
                     continue;
                 }
-                if self.clauses[cidx].lits[0] == !p {
-                    self.clauses[cidx].lits.swap(0, 1);
+                let lits = &mut self.store[c + 1..=c + head as usize];
+                if lits[0] == false_code {
+                    lits.swap(0, 1);
                 }
-                let first = self.clauses[cidx].lits[0];
-                if self.lit_value(first) == LBool::True {
+                let first = Lit::from_code(lits[0] as usize);
+                let first_value = value(&self.assign, first);
+                if first_value == LBool::True {
                     i += 1;
                     continue;
                 }
-                let len = self.clauses[cidx].lits.len();
-                for k in 2..len {
-                    let lk = self.clauses[cidx].lits[k];
-                    if self.lit_value(lk) != LBool::False {
-                        self.clauses[cidx].lits.swap(1, k);
-                        self.watches[(!lk).code()].push(cidx as u32);
+                for k in 2..lits.len() {
+                    let lk = Lit::from_code(lits[k] as usize);
+                    if value(&self.assign, lk) != LBool::False {
+                        lits.swap(1, k);
+                        self.watches[(!lk).code()].push(c as u32);
                         ws.swap_remove(i);
                         continue 'watchers;
                     }
                 }
-                if self.lit_value(first) == LBool::False {
+                if first_value == LBool::False {
                     conflict = true;
                     break;
                 }
@@ -429,29 +497,42 @@ impl Checker {
         Ok(true)
     }
 
+    /// Append `lits` to the store (and to the deletion index, once it
+    /// exists) and return the clause's offset.
+    fn store_clause(&mut self, lits: &[Lit]) -> u32 {
+        let c = self.store.len() as u32;
+        self.store.push(lits.len() as u32);
+        self.store.extend(lits.iter().map(|l| l.code() as u32));
+        if let Some(index) = &mut self.index {
+            let hash = set_hash(&self.index_keys, lits.iter().map(|l| l.code() as u32));
+            index.entry(hash).or_default().push(c);
+        }
+        c
+    }
+
     /// Attach a clause to the database and keep the base-level fixpoint
     /// current. Returns `false` if the base level is now conflicting.
-    fn attach(&mut self, lits: Vec<Lit>) -> Result<bool, ()> {
-        let key = clause_key(&lits);
-        match key.len() {
+    fn attach(&mut self, lits: &[Lit]) -> Result<bool, ()> {
+        let mut key = std::mem::take(&mut self.key);
+        set_key(&mut key, lits);
+        let attached = self.attach_set(&mut key);
+        self.key = key;
+        attached
+    }
+
+    /// [`Checker::attach`] for a sorted, deduplicated clause, which is
+    /// permuted in place to put its watched literals first.
+    fn attach_set(&mut self, lits: &mut [Lit]) -> Result<bool, ()> {
+        match lits.len() {
             0 => {
                 self.conflict = true;
                 return Ok(false);
             }
             1 => {
-                // Units go straight onto the base trail; keep an entry in
-                // the key map so a (hypothetical) deletion still matches.
-                let idx = self.clauses.len() as u32;
-                self.clauses.push(CheckerClause {
-                    lits: key.clone(),
-                    deleted: false,
-                });
-                self.by_key.entry(key.clone()).or_default().push(idx);
-                if !self.enqueue(key[0]) {
-                    self.conflict = true;
-                    return Ok(false);
-                }
-                if !self.propagate()? {
+                // Units go straight onto the base trail; store them anyway
+                // so a (hypothetical) deletion still matches.
+                self.store_clause(lits);
+                if !self.enqueue(lits[0]) || !self.propagate()? {
                     self.conflict = true;
                     return Ok(false);
                 }
@@ -461,61 +542,37 @@ impl Checker {
         }
         // Tautologies can never propagate or conflict; store them inert so
         // deletions still match, but give them no watches.
-        let tautology = key.windows(2).any(|w| w[1] == !w[0]);
-        let mut lits = key.clone();
-        if !tautology {
-            // Prefer non-false literals in the watch slots.
-            let mut slot = 0usize;
-            for i in 0..lits.len() {
-                if self.lit_value(lits[i]) != LBool::False {
-                    lits.swap(slot, i);
-                    slot += 1;
-                    if slot == 2 {
-                        break;
-                    }
-                }
-            }
-            if slot == 0 {
-                // Every literal false under the base fixpoint: adding this
-                // clause makes the base level conflicting.
-                self.conflict = true;
-                return Ok(false);
-            }
-            if slot == 1 {
-                // Unit under the base fixpoint: propagate now. Store the
-                // clause watched on its first two slots anyway so later
-                // deletions and (unreachable) unassignments stay sound.
-                let unit = lits[0];
-                let idx = self.clauses.len() as u32;
-                self.watches[(!lits[0]).code()].push(idx);
-                self.watches[(!lits[1]).code()].push(idx);
-                self.clauses.push(CheckerClause {
-                    lits,
-                    deleted: false,
-                });
-                self.by_key.entry(key).or_default().push(idx);
-                if !self.enqueue(unit) || !self.propagate()? {
-                    self.conflict = true;
-                    return Ok(false);
-                }
-                return Ok(true);
-            }
-            let idx = self.clauses.len() as u32;
-            self.watches[(!lits[0]).code()].push(idx);
-            self.watches[(!lits[1]).code()].push(idx);
-            self.clauses.push(CheckerClause {
-                lits,
-                deleted: false,
-            });
-            self.by_key.entry(key).or_default().push(idx);
+        if lits.windows(2).any(|w| w[1] == !w[0]) {
+            self.store_clause(lits);
             return Ok(true);
         }
-        let idx = self.clauses.len() as u32;
-        self.clauses.push(CheckerClause {
-            lits,
-            deleted: false,
-        });
-        self.by_key.entry(key).or_default().push(idx);
+        // Prefer non-false literals in the watch slots.
+        let mut slot = 0usize;
+        for i in 0..lits.len() {
+            if self.lit_value(lits[i]) != LBool::False {
+                lits.swap(slot, i);
+                slot += 1;
+                if slot == 2 {
+                    break;
+                }
+            }
+        }
+        if slot == 0 {
+            // Every literal false under the base fixpoint: adding this
+            // clause makes the base level conflicting.
+            self.conflict = true;
+            return Ok(false);
+        }
+        // A clause unit under the base fixpoint is still watched on its
+        // first two slots, so later deletions and (unreachable)
+        // unassignments stay sound.
+        let c = self.store_clause(lits);
+        self.watches[(!lits[0]).code()].push(c);
+        self.watches[(!lits[1]).code()].push(c);
+        if slot == 1 && (!self.enqueue(lits[0]) || !self.propagate()?) {
+            self.conflict = true;
+            return Ok(false);
+        }
         Ok(true)
     }
 
@@ -550,22 +607,57 @@ impl Checker {
         Ok(ok)
     }
 
+    /// Delete the most recently attached live clause with the literal set
+    /// of `lits`; `false` when there is none.
     fn delete(&mut self, lits: &[Lit]) -> bool {
-        let key = clause_key(lits);
-        match self.by_key.get_mut(&key) {
-            Some(stack) => match stack.pop() {
-                Some(idx) => {
-                    if stack.is_empty() {
-                        self.by_key.remove(&key);
-                    }
-                    self.clauses[idx as usize].deleted = true;
-                    self.clauses[idx as usize].lits = Vec::new();
-                    true
+        let mut key = std::mem::take(&mut self.key);
+        set_key(&mut key, lits);
+        let deleted = self.delete_set(&key);
+        self.key = key;
+        deleted
+    }
+
+    /// [`Checker::delete`] for a sorted, deduplicated clause.
+    fn delete_set(&mut self, key: &[Lit]) -> bool {
+        let store = &mut self.store;
+        let keys = &self.index_keys;
+        let index = self.index.get_or_insert_with(|| {
+            let mut index: HashMap<u64, Vec<u32>> = HashMap::new();
+            let mut c = 0;
+            while c < store.len() {
+                let head = store[c];
+                let lits = &store[c + 1..=c + (head & !DELETED) as usize];
+                if head & DELETED == 0 {
+                    let hash = set_hash(keys, lits.iter().copied());
+                    index.entry(hash).or_default().push(c as u32);
                 }
-                None => false,
-            },
-            None => false,
+                c += 1 + lits.len();
+            }
+            index
+        });
+        let hash = set_hash(keys, key.iter().map(|l| l.code() as u32));
+        let Some(live) = index.get_mut(&hash) else {
+            return false;
+        };
+        // The stored clause is a set too, so equal lengths and inclusion
+        // make it the same clause.
+        let same = |&c: &u32| {
+            let c = c as usize;
+            let lits = &store[c + 1..=c + store[c] as usize];
+            lits.len() == key.len()
+                && lits
+                    .iter()
+                    .all(|&code| key.binary_search(&Lit::from_code(code as usize)).is_ok())
+        };
+        let Some(at) = live.iter().rposition(same) else {
+            return false;
+        };
+        let c = live.remove(at) as usize;
+        if live.is_empty() {
+            index.remove(&hash);
         }
+        store[c] |= DELETED;
+        true
     }
 
     fn run(&mut self, cert: &Certificate) -> CheckOutcome {
@@ -583,7 +675,7 @@ impl Checker {
                     "hypothesis {h} exceeds the declared variable count"
                 ));
             }
-            budget!(self.attach(vec![*h]));
+            budget!(self.attach(std::slice::from_ref(h)));
             if self.conflict {
                 return CheckOutcome::Valid;
             }
@@ -594,7 +686,7 @@ impl Checker {
                     "literal {l} exceeds the declared variable count"
                 ));
             }
-            budget!(self.attach(c.clone()));
+            budget!(self.attach(c));
             if self.conflict {
                 // The CNF (plus hypotheses) is UP-unsatisfiable on its
                 // own; any proof over it is trivially complete.
@@ -615,7 +707,7 @@ impl Checker {
                             fmt_clause(c)
                         ));
                     }
-                    budget!(self.attach(c.clone()));
+                    budget!(self.attach(c));
                     if self.conflict {
                         return CheckOutcome::Valid;
                     }
@@ -637,6 +729,16 @@ impl Checker {
         } else {
             CheckOutcome::Invalid("proof does not derive the empty clause".to_string())
         }
+    }
+}
+
+/// The value of `l` under `assign`.
+fn value(assign: &[LBool], l: Lit) -> LBool {
+    let v = assign[l.var().index()];
+    if l.is_neg() {
+        v.negate()
+    } else {
+        v
     }
 }
 
@@ -859,5 +961,239 @@ mod tests {
             cert.check(&CheckBudget::default()),
             CheckOutcome::Invalid(_)
         ));
+    }
+
+    /// A fresh proof-logging solver over `vars` variables.
+    fn proof_solver(vars: usize) -> crate::Solver {
+        let mut s = crate::Solver::new();
+        for _ in 0..vars {
+            s.new_var();
+        }
+        s.enable_proof(1 << 30);
+        s
+    }
+
+    /// The pigeonhole principle PHP(pigeons, holes), refuted.
+    fn php_certificate(pigeons: usize, holes: usize) -> Certificate {
+        let mut s = proof_solver(pigeons * holes);
+        let p = |i: usize, j: usize| Lit::pos(Var((i * holes + j) as u32));
+        for i in 0..pigeons {
+            s.add_clause((0..holes).map(|j| p(i, j)));
+        }
+        for j in 0..holes {
+            for i1 in 0..pigeons {
+                for i2 in (i1 + 1)..pigeons {
+                    s.add_clause([!p(i1, j), !p(i2, j)]);
+                }
+            }
+        }
+        assert_eq!(s.solve(&[]), crate::SolveResult::Unsat);
+        s.certificate().expect("proof fits its budget")
+    }
+
+    /// The solver's pinned random 3-SAT instance (seed 4, 150 variables,
+    /// clause ratio 4.2), strengthened until it is unsatisfiable.
+    fn strengthened_random_certificate() -> Certificate {
+        use chipmunk_trace::rng::Xoshiro256;
+        let vars = 150;
+        let mut rng = Xoshiro256::seed_from_u64(4);
+        let clause = |rng: &mut Xoshiro256| -> Vec<Lit> {
+            (0..3)
+                .map(|_| Lit::new(Var(rng.gen_usize(vars) as u32), rng.gen_bool(0.5)))
+                .collect()
+        };
+        let mut s = proof_solver(vars);
+        for _ in 0..vars * 42 / 10 {
+            s.add_clause(clause(&mut rng));
+        }
+        assert_eq!(s.solve(&[]), crate::SolveResult::Sat);
+        for _ in 0..vars / 2 {
+            s.add_clause(clause(&mut rng));
+        }
+        assert_eq!(s.solve(&[]), crate::SolveResult::Unsat);
+        s.certificate().expect("proof fits its budget")
+    }
+
+    /// The checker's propagations are charged to the job's account, so
+    /// the budget a compile job has left for its next depth, and with it
+    /// the search, depends on this exact count: how the checker stores
+    /// clauses must not move it.
+    #[test]
+    fn checker_charges_are_pinned() {
+        let deletions = |cert: &Certificate| {
+            cert.steps
+                .iter()
+                .filter(|s| matches!(s, ProofStep::Delete(_)))
+                .count()
+        };
+        for (name, cert, want_deletions, want_charge) in [
+            ("php(7,6)", php_certificate(7, 6), None, 22_807),
+            ("php(8,7)", php_certificate(8, 7), Some(3_297), 175_433),
+            (
+                "random 3-SAT",
+                strengthened_random_certificate(),
+                Some(1_952),
+                108_529,
+            ),
+        ] {
+            if let Some(want) = want_deletions {
+                assert_eq!(deletions(&cert), want, "{name}: deletions");
+            }
+            let account = Arc::new(BudgetAccount::new());
+            let budget = CheckBudget {
+                propagations: Some(u64::MAX),
+                account: Some(account.clone()),
+            };
+            assert_eq!(cert.check(&budget), CheckOutcome::Valid, "{name}");
+            assert_eq!(account.propagations(), want_charge, "{name}: charge");
+            assert_eq!(account.conflicts(), 0, "{name}");
+        }
+    }
+
+    /// `split_instance` with `steps` in front of its two-lemma proof.
+    fn split_with(steps: Vec<ProofStep>) -> CheckOutcome {
+        let mut cert = split_instance();
+        cert.steps.splice(0..0, steps);
+        cert.check(&CheckBudget::default())
+    }
+
+    fn assert_invalid(outcome: CheckOutcome, why: &str) {
+        match outcome {
+            CheckOutcome::Invalid(msg) => assert!(msg.contains(why), "{msg}"),
+            other => panic!("expected Invalid({why}), got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn identical_clauses_are_deleted_one_at_a_time() {
+        let mut cert = split_instance();
+        cert.clauses.push(clause(&[2, 1]));
+        let with = |dels: usize| {
+            let mut c = cert.clone();
+            c.steps
+                .splice(0..0, (0..dels).map(|_| ProofStep::Delete(clause(&[1, 2]))));
+            c.check(&CheckBudget::default())
+        };
+        // One deletion leaves the other copy, which the lemma [1] needs.
+        assert_eq!(with(1), CheckOutcome::Valid);
+        // The second removes it; a third finds nothing left to delete.
+        assert_invalid(with(2), "step 2: lemma 1 is not derivable");
+        assert_invalid(with(3), "step 2: deletion of a clause not in the database");
+    }
+
+    #[test]
+    fn an_original_clause_is_deleted_after_lemmas() {
+        // Once [1] is a lemma, (1 2) is redundant and may go.
+        let mut cert = split_instance();
+        cert.steps.insert(1, ProofStep::Delete(clause(&[1, 2])));
+        assert_eq!(cert.check(&CheckBudget::default()), CheckOutcome::Valid);
+        // (-1 3 4) is not redundant: deleting it after [1] was added
+        // breaks the lemma [3].
+        let mut cert = split_instance();
+        cert.steps.insert(1, ProofStep::Delete(clause(&[-1, 3, 4])));
+        assert_invalid(
+            cert.check(&CheckBudget::default()),
+            "step 2: lemma 3 is not derivable",
+        );
+    }
+
+    #[test]
+    fn a_deletion_may_list_its_literals_in_any_order() {
+        // Added as (-1 3 4), deleted as (4 -1 3) and as (3 4 -1 4): both
+        // name the same clause, so the lemma [3] loses its support.
+        for del in [clause(&[4, -1, 3]), clause(&[3, 4, -1, 4])] {
+            assert_invalid(
+                split_with(vec![ProofStep::Delete(del)]),
+                "step 2: lemma 3 is not derivable",
+            );
+        }
+        // A lemma added in one order is deleted in another, and only once.
+        let lemma = ProofStep::Add(clause(&[3, 1]));
+        assert_eq!(
+            split_with(vec![lemma.clone(), ProofStep::Delete(clause(&[1, 3]))]),
+            CheckOutcome::Valid
+        );
+        assert_invalid(
+            split_with(vec![
+                lemma,
+                ProofStep::Delete(clause(&[1, 3])),
+                ProofStep::Delete(clause(&[3, 1])),
+            ]),
+            "step 2: deletion of a clause not in the database",
+        );
+    }
+
+    #[test]
+    fn a_clause_attached_after_the_first_deletion_can_be_deleted() {
+        // The first deletion builds the deletion index; (1 4) is attached
+        // after it and must still be found.
+        let steps = |second: Vec<i32>| {
+            vec![
+                ProofStep::Add(clause(&[1, 3])),
+                ProofStep::Delete(clause(&[3, 1])),
+                ProofStep::Add(clause(&[1, 4])),
+                ProofStep::Delete(clause(&second)),
+            ]
+        };
+        assert_eq!(split_with(steps(vec![4, 1])), CheckOutcome::Valid);
+        assert_invalid(
+            split_with(steps(vec![1, 3])),
+            "step 3: deletion of a clause not in the database",
+        );
+    }
+
+    #[test]
+    fn text_is_the_formatter_rendering() {
+        // The rendering `to_text` had when it wrote each literal through
+        // `write!`.
+        fn formatted(cert: &Certificate) -> String {
+            use std::fmt::Write;
+            let mut out = String::new();
+            let _ = writeln!(out, "c chipmunk drat certificate v1");
+            let _ = writeln!(out, "p cnf {} {}", cert.num_vars, cert.clauses.len());
+            for c in &cert.clauses {
+                for l in c {
+                    let _ = write!(out, "{l} ");
+                }
+                let _ = writeln!(out, "0");
+            }
+            for h in &cert.hypotheses {
+                let _ = writeln!(out, "h {h} 0");
+            }
+            let _ = writeln!(out, "c proof");
+            for s in &cert.steps {
+                let (prefix, c) = match s {
+                    ProofStep::Add(c) => ("", c),
+                    ProofStep::Delete(c) => ("d ", c),
+                };
+                let _ = write!(out, "{prefix}");
+                for l in c {
+                    let _ = write!(out, "{l} ");
+                }
+                let _ = writeln!(out, "0");
+            }
+            out
+        }
+        let big = |v: u32, pos: bool| Lit::new(Var(v), pos);
+        let cert = Certificate {
+            num_vars: 1 << 31,
+            clauses: vec![
+                clause(&[1, -2, 10]),
+                vec![big(1_000_000, true), big(1_234_566, false)],
+                vec![],
+                vec![big((1 << 31) - 1, false), lit(-9), lit(99)],
+            ],
+            hypotheses: vec![lit(-3), big(1_000_001, true)],
+            steps: vec![
+                ProofStep::Add(clause(&[-1, 100_000])),
+                ProofStep::Delete(vec![big(9_999_999, false), lit(7)]),
+                ProofStep::Delete(vec![]),
+                ProofStep::Add(vec![]),
+            ],
+        };
+        let text = cert.to_text();
+        assert_eq!(text, formatted(&cert));
+        assert_eq!(Certificate::parse(&text).unwrap(), cert);
+        assert_eq!(split_instance().to_text(), formatted(&split_instance()));
     }
 }

@@ -6,6 +6,7 @@
 //! appended to the trace on [`crate::flush`] as `kind = "counter"` records
 //! and aggregated by `chipmunkc trace-report`.
 
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -131,45 +132,47 @@ impl Default for Histogram {
 static COUNTERS: Mutex<Vec<(&'static str, &'static Counter)>> = Mutex::new(Vec::new());
 static HISTOGRAMS: Mutex<Vec<(&'static str, &'static Histogram)>> = Mutex::new(Vec::new());
 
-/// Register a counter for inclusion in snapshots. Idempotent per name;
-/// the macro layer guarantees one registration per call site.
+/// Register a counter for inclusion in snapshots. Idempotent per counter;
+/// the macro layer registers each call site's own counter once, and call
+/// sites that share a name are summed in [`counter_snapshot`].
 pub fn register_counter(name: &'static str, c: &'static Counter) {
     let mut v = COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
-    if !v.iter().any(|(n, _)| *n == name) {
+    if !v.iter().any(|(_, r)| std::ptr::eq(*r, c)) {
         v.push((name, c));
     }
 }
 
-/// Register a histogram for inclusion in snapshots.
+/// Register a histogram for inclusion in snapshots. Idempotent per
+/// histogram; call sites that share a name are merged in
+/// [`histogram_snapshot`].
 pub fn register_histogram(name: &'static str, h: &'static Histogram) {
     let mut v = HISTOGRAMS.lock().unwrap_or_else(|e| e.into_inner());
-    if !v.iter().any(|(n, _)| *n == name) {
+    if !v.iter().any(|(_, r)| std::ptr::eq(*r, h)) {
         v.push((name, h));
     }
 }
 
-/// All registered counters with their current values, sorted by name.
+/// Every counter name with the sum of its call sites' values, sorted by
+/// name.
 pub fn counter_snapshot() -> Vec<(&'static str, u64)> {
-    let mut out: Vec<(&'static str, u64)> = COUNTERS
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .iter()
-        .map(|(n, c)| (*n, c.get()))
-        .collect();
-    out.sort_unstable_by_key(|(n, _)| *n);
-    out
+    let mut totals: BTreeMap<&'static str, u64> = BTreeMap::new();
+    for (n, c) in COUNTERS.lock().unwrap_or_else(|e| e.into_inner()).iter() {
+        *totals.entry(*n).or_default() += c.get();
+    }
+    totals.into_iter().collect()
 }
 
-/// All registered histograms with their bucket snapshots, sorted by name.
+/// Every histogram name with its call sites' buckets added together,
+/// sorted by name.
 pub fn histogram_snapshot() -> Vec<(&'static str, Vec<u64>)> {
-    let mut out: Vec<(&'static str, Vec<u64>)> = HISTOGRAMS
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .iter()
-        .map(|(n, h)| (*n, h.snapshot()))
-        .collect();
-    out.sort_unstable_by_key(|(n, _)| *n);
-    out
+    let mut merged: BTreeMap<&'static str, Vec<u64>> = BTreeMap::new();
+    for (n, h) in HISTOGRAMS.lock().unwrap_or_else(|e| e.into_inner()).iter() {
+        let buckets = merged.entry(*n).or_insert_with(|| vec![0; 65]);
+        for (total, b) in buckets.iter_mut().zip(h.snapshot()) {
+            *total += b;
+        }
+    }
+    merged.into_iter().collect()
 }
 
 /// Bump a named counter when tracing is enabled.
@@ -299,6 +302,42 @@ mod tests {
                 assert!(est >= exact, "case {case}: estimate below exact");
             }
         }
+    }
+
+    #[test]
+    fn call_sites_that_share_a_name_are_summed() {
+        // Two call sites of one name, as two `counter_add!` sites have:
+        // one bumps it by 1 and the other by 10, five times each.
+        static ONE: Counter = Counter::new();
+        static TEN: Counter = Counter::new();
+        register_counter("test.counter.shared", &ONE);
+        register_counter("test.counter.shared", &TEN);
+        for _ in 0..5 {
+            ONE.add(1);
+            TEN.add(10);
+        }
+        let shared: Vec<u64> = counter_snapshot()
+            .into_iter()
+            .filter(|(n, _)| *n == "test.counter.shared")
+            .map(|(_, v)| v)
+            .collect();
+        assert_eq!(shared, [55]);
+
+        static SMALL: Histogram = Histogram::new();
+        static LARGE: Histogram = Histogram::new();
+        register_histogram("test.histogram.shared", &SMALL);
+        register_histogram("test.histogram.shared", &LARGE);
+        SMALL.record(1);
+        LARGE.record(1);
+        LARGE.record(1 << 20);
+        let merged: Vec<Vec<u64>> = histogram_snapshot()
+            .into_iter()
+            .filter(|(n, _)| *n == "test.histogram.shared")
+            .map(|(_, b)| b)
+            .collect();
+        assert_eq!(merged.len(), 1);
+        assert_eq!((merged[0][1], merged[0][21]), (2, 1));
+        assert_eq!(merged[0].iter().sum::<u64>(), 3);
     }
 
     #[test]
