@@ -16,11 +16,19 @@
 //!
 //! Gate construction partially evaluates through constant literals so that
 //! a circuit instantiated with concrete inputs mostly collapses at blast
-//! time rather than burdening the solver.
+//! time rather than burdening the solver. What remains is hashed: each
+//! AND, XOR and MUX gate is keyed on its normalized input literals and
+//! built at most once per gate table. [`Blaster::new`] keeps a private
+//! table, so a one-shot blast shares gates within itself; a [`GateSolver`]
+//! keeps one table for its solver's whole life, so every copy of a circuit
+//! blasted into it reuses the gates an earlier copy built over the same
+//! literals — a CEGIS input adds only the gates its constants change.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
-use chipmunk_sat::{Lit, Solver};
+use chipmunk_sat::{Lit, SolveResult, Solver};
 
 use crate::circuit::{mask, Circuit, InputId, Node, TermId};
 use crate::BvOp;
@@ -60,25 +68,165 @@ pub fn assumption_lits(bits: &[Lit], value: u64) -> Vec<Lit> {
         .collect()
 }
 
+/// Decode a literal vector (LSB first) against `solver`'s current model;
+/// `tru` and its negation read as constants.
+fn decode_bits(solver: &Solver, tru: Lit, bits: &[Lit]) -> Option<u64> {
+    let mut v = 0u64;
+    for (i, &l) in bits.iter().enumerate() {
+        let b = if l.var() == tru.var() {
+            l == tru
+        } else {
+            solver.lit_model_value(l)?
+        };
+        if b {
+            v |= 1 << i;
+        }
+    }
+    Some(v)
+}
+
+// ----- gate table ------------------------------------------------------------
+
+/// Gate kinds, in the top bits of a packed key above three 32-bit literal
+/// codes.
+const KEY_AND: u128 = 1 << 96;
+const KEY_XOR: u128 = 2 << 96;
+const KEY_MUX: u128 = 3 << 96;
+
+/// Pack a gate kind and its normalized input literals into one key (a
+/// literal's code is a `u32`). A two-input gate leaves the lowest slot
+/// zero; the kind tells it apart.
+fn gate_key(kind: u128, a: Lit, b: Lit, c: Option<Lit>) -> u128 {
+    let code = |l: Lit| l.code() as u128;
+    kind | code(a) << 64 | code(b) << 32 | c.map_or(0, code)
+}
+
+/// Multiplicative hasher for packed gate keys: two multiplies per key
+/// instead of SipHash's rounds. The keys are literal codes the solver
+/// allocated, not outside input, so the table needs no protection against
+/// crafted collisions.
+#[derive(Default)]
+struct GateHasher(u64);
+
+const GATE_MUL: u64 = 0x9e37_79b9_7f4a_7c15;
+
+impl Hasher for GateHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0.rotate_left(5) ^ u64::from(b)).wrapping_mul(GATE_MUL);
+        }
+    }
+
+    fn write_u128(&mut self, key: u128) {
+        let (lo, hi) = (key as u64, (key >> 64) as u64);
+        self.0 = (lo.wrapping_mul(GATE_MUL) ^ hi).wrapping_mul(GATE_MUL);
+    }
+
+    fn finish(&self) -> u64 {
+        // A product's high bits are its best mixed; the table indexes by
+        // the low ones.
+        self.0.rotate_left(26)
+    }
+}
+
+/// Packed gate key → output literal, for the literals of one solver. Only
+/// looked up, never iterated, so the CNF a blast adds is a function of its
+/// inputs alone.
+type GateTable = HashMap<u128, Lit, BuildHasherDefault<GateHasher>>;
+
+/// The gate table a [`Blaster`] looks gates up in.
+enum Gates<'s> {
+    /// [`Blaster::new`]'s own table, dropped with the blaster.
+    Own(GateTable),
+    /// A [`GateSolver`]'s table, shared by every blaster it hands out.
+    Shared(&'s mut GateTable),
+}
+
+impl Gates<'_> {
+    fn table(&mut self) -> &mut GateTable {
+        match self {
+            Gates::Own(t) => t,
+            Gates::Shared(t) => t,
+        }
+    }
+}
+
+/// A solver together with its constant-true literal and one gate table.
+///
+/// Every [`Blaster`] handed out by [`GateSolver::blaster`] looks its gates
+/// up in that one table, so a gate built for one copy of a circuit is
+/// reused by every later copy whose inputs realize the same literals: in
+/// the CEGIS synthesis instance, the gates over hole literals alone
+/// (selectors, opcode decoders, immediate arithmetic) are built once, not
+/// once per counterexample. A table is valid only for the solver whose
+/// literals it holds; keeping the three together, with the solver never
+/// lent out mutably, is what keeps the pairing right.
+pub struct GateSolver {
+    solver: Solver,
+    tru: Lit,
+    gates: GateTable,
+}
+
+impl GateSolver {
+    /// Take over `solver`, configured as the caller wants it (proof
+    /// logging, budgets, deadline), and assert its constant-true literal.
+    pub fn new(mut solver: Solver) -> GateSolver {
+        let tru = mk_true(&mut solver);
+        GateSolver {
+            solver,
+            tru,
+            gates: GateTable::default(),
+        }
+    }
+
+    /// A blaster over this solver that shares the solver's gate table.
+    pub fn blaster(&mut self) -> Blaster<'_> {
+        Blaster::with_gates(&mut self.solver, self.tru, Gates::Shared(&mut self.gates))
+    }
+
+    /// The solver, to read its statistics, proof log and model.
+    pub fn solver(&self) -> &Solver {
+        &self.solver
+    }
+
+    /// Solve under `assumptions` ([`Solver::solve`]).
+    pub fn solve(&mut self, assumptions: &[Lit]) -> SolveResult {
+        self.solver.solve(assumptions)
+    }
+
+    /// Decode a literal vector against the current model (see
+    /// [`Blaster::decode`]).
+    pub fn decode(&self, bits: &[Lit]) -> Option<u64> {
+        decode_bits(&self.solver, self.tru, bits)
+    }
+}
+
 /// One instantiation of circuit terms into a SAT solver.
 pub struct Blaster<'s> {
     solver: &'s mut Solver,
     tru: Lit,
+    gates: Gates<'s>,
     bindings: HashMap<InputId, Binding>,
     realized: HashMap<InputId, Vec<Lit>>,
-    cache: HashMap<TermId, Vec<Lit>>,
+    /// Each blasted term's literals, indexed by [`TermId`].
+    cache: Vec<Option<Vec<Lit>>>,
 }
 
 impl<'s> Blaster<'s> {
-    /// Create a blaster over `solver`. `tru` must be a literal already
-    /// asserted true (see [`mk_true`]).
+    /// Create a blaster over `solver` with a private gate table. `tru` must
+    /// be a literal already asserted true (see [`mk_true`]).
     pub fn new(solver: &'s mut Solver, tru: Lit) -> Self {
+        Blaster::with_gates(solver, tru, Gates::Own(GateTable::default()))
+    }
+
+    fn with_gates(solver: &'s mut Solver, tru: Lit, gates: Gates<'s>) -> Self {
         Blaster {
             solver,
             tru,
+            gates,
             bindings: HashMap::new(),
             realized: HashMap::new(),
-            cache: HashMap::new(),
+            cache: Vec::new(),
         }
     }
 
@@ -137,33 +285,34 @@ impl<'s> Blaster<'s> {
     ///
     /// Returns `None` if the term was not blasted or the model is absent.
     pub fn model_value(&self, c: &Circuit, t: TermId) -> Option<u64> {
-        let bits = self.cache.get(&t)?;
+        let bits = self.cache.get(t.0 as usize)?.as_ref()?;
         self.decode(bits).map(|v| v & mask(c.term_width(t)))
     }
 
     /// Decode a literal vector against the current model.
     pub fn decode(&self, bits: &[Lit]) -> Option<u64> {
-        let mut v = 0u64;
-        for (i, &l) in bits.iter().enumerate() {
-            let b = self
-                .lit_const(l)
-                .or_else(|| self.solver.lit_model_value(l))?;
-            if b {
-                v |= 1 << i;
-            }
-        }
-        Some(v)
+        decode_bits(self.solver, self.tru, bits)
+    }
+
+    /// The literals of a term this blaster has already blasted.
+    fn bits(&self, t: TermId) -> &[Lit] {
+        self.cache[t.0 as usize]
+            .as_deref()
+            .expect("operands are blasted before their users")
     }
 
     /// Blast a term, returning its literals (LSB first).
     pub fn blast(&mut self, c: &Circuit, t: TermId) -> Vec<Lit> {
-        if let Some(bits) = self.cache.get(&t) {
+        if self.cache.len() < c.num_nodes() {
+            self.cache.resize(c.num_nodes(), None);
+        }
+        if let Some(bits) = &self.cache[t.0 as usize] {
             return bits.clone();
         }
         // Iterative post-order over the DAG.
         let mut stack: Vec<(TermId, bool)> = vec![(t, false)];
         while let Some((id, ready)) = stack.pop() {
-            if self.cache.contains_key(&id) {
+            if self.cache[id.0 as usize].is_some() {
                 continue;
             }
             if !ready {
@@ -184,40 +333,36 @@ impl<'s> Blaster<'s> {
                 continue;
             }
             let bits = self.blast_node(c, id);
-            self.cache.insert(id, bits);
+            self.cache[id.0 as usize] = Some(bits);
             chipmunk_trace::counter_add!("bv.blast.terms", 1);
         }
-        self.cache[&t].clone()
+        self.bits(t).to_vec()
     }
 
     fn blast_node(&mut self, c: &Circuit, id: TermId) -> Vec<Lit> {
         match *c.node(id) {
             Node::Input(i) => self.realize_input(i, c.width()),
             Node::Const { value, width } => self.const_bits(value, width),
-            Node::Not(x) => {
-                let xb = self.cache[&x].clone();
-                xb.into_iter().map(|l| !l).collect()
-            }
+            Node::Not(x) => self.bits(x).iter().map(|&l| !l).collect(),
             Node::ZExt(x) => {
-                let xb = self.cache[&x].clone();
-                let mut out = xb;
+                let mut out = self.bits(x).to_vec();
                 while out.len() < c.width() as usize {
                     out.push(!self.tru);
                 }
                 out
             }
             Node::Mux { cond, t, f } => {
-                let s = self.cache[&cond][0];
-                let tb = self.cache[&t].clone();
-                let fb = self.cache[&f].clone();
+                let s = self.bits(cond)[0];
+                let tb = self.bits(t).to_vec();
+                let fb = self.bits(f).to_vec();
                 tb.iter()
                     .zip(fb.iter())
                     .map(|(&a, &b)| self.mux_gate(s, a, b))
                     .collect()
             }
             Node::Bin { op, a, b } => {
-                let ab = self.cache[&a].clone();
-                let bb = self.cache[&b].clone();
+                let ab = self.bits(a).to_vec();
+                let bb = self.bits(b).to_vec();
                 match op {
                     BvOp::Add => self.add_vec(&ab, &bb, false),
                     BvOp::Sub => {
@@ -292,6 +437,28 @@ impl<'s> Blaster<'s> {
     }
 
     // ----- gates -----------------------------------------------------------
+    //
+    // Each gate folds constants first, then normalizes its inputs and looks
+    // the result up in the gate table, building it only on a miss.
+
+    /// The output of the gate keyed `key`: the table's entry, or a fresh
+    /// literal that `define` constrains with `clauses` clauses, recorded.
+    fn gate(&mut self, key: u128, clauses: u64, define: impl FnOnce(&mut Solver, Lit)) -> Lit {
+        let Blaster { solver, gates, .. } = self;
+        match gates.table().entry(key) {
+            Entry::Occupied(e) => {
+                chipmunk_trace::counter_add!("bv.blast.shared", 1);
+                *e.get()
+            }
+            Entry::Vacant(e) => {
+                let o = Lit::pos(solver.new_var());
+                define(solver, o);
+                chipmunk_trace::counter_add!("bv.blast.gates", 1);
+                chipmunk_trace::counter_add!("bv.blast.clauses", clauses);
+                *e.insert(o)
+            }
+        }
+    }
 
     fn and_gate(&mut self, a: Lit, b: Lit) -> Lit {
         match (self.lit_const(a), self.lit_const(b)) {
@@ -306,13 +473,13 @@ impl<'s> Blaster<'s> {
         if a == !b {
             return self.lit_false();
         }
-        let o = Lit::pos(self.solver.new_var());
-        self.solver.add_clause([!a, !b, o]);
-        self.solver.add_clause([a, !o]);
-        self.solver.add_clause([b, !o]);
-        chipmunk_trace::counter_add!("bv.blast.gates", 1);
-        chipmunk_trace::counter_add!("bv.blast.clauses", 3);
-        o
+        // AND commutes: key on the sorted pair.
+        let (a, b) = (a.min(b), a.max(b));
+        self.gate(gate_key(KEY_AND, a, b, None), 3, |s, o| {
+            s.add_clause([!a, !b, o]);
+            s.add_clause([a, !o]);
+            s.add_clause([b, !o]);
+        })
     }
 
     fn or_gate(&mut self, a: Lit, b: Lit) -> Lit {
@@ -333,14 +500,22 @@ impl<'s> Blaster<'s> {
         if a == !b {
             return self.lit_true();
         }
-        let o = Lit::pos(self.solver.new_var());
-        self.solver.add_clause([!a, !b, !o]);
-        self.solver.add_clause([a, b, !o]);
-        self.solver.add_clause([a, !b, o]);
-        self.solver.add_clause([!a, b, o]);
-        chipmunk_trace::counter_add!("bv.blast.gates", 1);
-        chipmunk_trace::counter_add!("bv.blast.clauses", 4);
-        o
+        // xor(¬a, b) = ¬xor(a, b): key on the sorted positive literals and
+        // negate the output when exactly one input was negative.
+        let flip = a.is_neg() != b.is_neg();
+        let (a, b) = (Lit::pos(a.var()), Lit::pos(b.var()));
+        let (a, b) = (a.min(b), a.max(b));
+        let o = self.gate(gate_key(KEY_XOR, a, b, None), 4, |s, o| {
+            s.add_clause([!a, !b, !o]);
+            s.add_clause([a, b, !o]);
+            s.add_clause([a, !b, o]);
+            s.add_clause([!a, b, o]);
+        });
+        if flip {
+            !o
+        } else {
+            o
+        }
     }
 
     fn mux_gate(&mut self, s: Lit, t: Lit, f: Lit) -> Lit {
@@ -357,18 +532,26 @@ impl<'s> Blaster<'s> {
             (Some(false), Some(true)) => return !s,
             _ => {}
         }
-        let o = Lit::pos(self.solver.new_var());
-        // s -> (o == t), !s -> (o == f)
-        self.solver.add_clause([!s, !t, o]);
-        self.solver.add_clause([!s, t, !o]);
-        self.solver.add_clause([s, !f, o]);
-        self.solver.add_clause([s, f, !o]);
-        // Redundant but propagation-friendly: t & f -> o, !t & !f -> !o
-        self.solver.add_clause([!t, !f, o]);
-        self.solver.add_clause([t, f, !o]);
-        chipmunk_trace::counter_add!("bv.blast.gates", 1);
-        chipmunk_trace::counter_add!("bv.blast.clauses", 6);
-        o
+        // mux(¬s, t, f) = mux(s, f, t) and mux(s, ¬t, ¬f) = ¬mux(s, t, f):
+        // key on a positive select and a positive then-branch.
+        let (s, t, f) = if s.is_neg() { (!s, f, t) } else { (s, t, f) };
+        let flip = t.is_neg();
+        let (t, f) = if flip { (!t, !f) } else { (t, f) };
+        let o = self.gate(gate_key(KEY_MUX, s, t, Some(f)), 6, |sol, o| {
+            // s -> (o == t), !s -> (o == f)
+            sol.add_clause([!s, !t, o]);
+            sol.add_clause([!s, t, !o]);
+            sol.add_clause([s, !f, o]);
+            sol.add_clause([s, f, !o]);
+            // Redundant but propagation-friendly: t & f -> o, !t & !f -> !o
+            sol.add_clause([!t, !f, o]);
+            sol.add_clause([t, f, !o]);
+        });
+        if flip {
+            !o
+        } else {
+            o
+        }
     }
 
     fn full_adder(&mut self, a: Lit, b: Lit, cin: Lit) -> (Lit, Lit) {
@@ -686,6 +869,99 @@ mod tests {
             let dec = Blaster::new(&mut solver, tru).decode(&bits).unwrap();
             assert_eq!(dec, want);
         }
+    }
+
+    /// Build one gate over every sign combination of `arity` fresh
+    /// literals through one table, starting from each combination in turn,
+    /// and check every output against `want` on every assignment. `gates`
+    /// is how many distinct gates the combinations normalize to.
+    fn gate_signs_exhaustive(
+        arity: usize,
+        gates: usize,
+        gate: impl Fn(&mut Blaster<'_>, &[Lit]) -> Lit,
+        want: impl Fn(&[bool]) -> bool,
+    ) {
+        let combos = 1usize << arity;
+        for first in 0..combos {
+            let mut gs = GateSolver::new(Solver::new());
+            let vars = gs.blaster().fresh_bits(arity as u8);
+            let before = gs.solver().num_vars();
+            let signed = |m: usize| -> Vec<Lit> {
+                vars.iter()
+                    .enumerate()
+                    .map(|(i, &l)| if (m >> i) & 1 == 1 { !l } else { l })
+                    .collect()
+            };
+            let outs: Vec<(usize, Lit)> = {
+                let mut b = gs.blaster();
+                std::iter::once(first)
+                    .chain((0..combos).filter(|&m| m != first))
+                    .map(|m| (m, gate(&mut b, &signed(m))))
+                    .collect()
+            };
+            assert_eq!(gs.solver().num_vars() - before, gates, "first {first:b}");
+            for value in 0..combos as u64 {
+                assert_eq!(gs.solve(&assumption_lits(&vars, value)), SolveResult::Sat);
+                for &(m, o) in &outs {
+                    let inputs: Vec<bool> = (0..arity)
+                        .map(|i| ((value >> i) & 1 == 1) != ((m >> i) & 1 == 1))
+                        .collect();
+                    assert_eq!(
+                        gs.decode(&[o]),
+                        Some(want(&inputs) as u64),
+                        "first {first:b}, signs {m:b}, inputs {inputs:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn xor_gate_sign_combinations_share_one_gate() {
+        gate_signs_exhaustive(2, 1, |b, l| b.xor_gate(l[0], l[1]), |v| v[0] != v[1]);
+    }
+
+    #[test]
+    fn mux_gate_sign_combinations_are_exact() {
+        // A negative select swaps the branches and negating both branches
+        // negates the output, so the 8 combinations are 4 gates: which
+        // variable is the then-branch, and whether the branches' signs
+        // agree.
+        gate_signs_exhaustive(
+            3,
+            4,
+            |b, l| b.mux_gate(l[0], l[1], l[2]),
+            |v| if v[0] { v[1] } else { v[2] },
+        );
+    }
+
+    #[test]
+    fn and_gate_sign_combinations_are_exact() {
+        // AND has no sign symmetry: 4 combinations, 4 gates.
+        gate_signs_exhaustive(2, 4, |b, l| b.and_gate(l[0], l[1]), |v| v[0] && v[1]);
+        // Its operands commute.
+        let mut gs = GateSolver::new(Solver::new());
+        let v = gs.blaster().fresh_bits(2);
+        let mut b = gs.blaster();
+        let ab = b.and_gate(v[0], !v[1]);
+        assert_eq!(b.and_gate(!v[1], v[0]), ab);
+    }
+
+    #[test]
+    fn private_tables_stay_private() {
+        // `Blaster::new` shares gates within one blaster only: a second
+        // blaster over the same solver builds the gate again.
+        let mut solver = Solver::new();
+        let tru = mk_true(&mut solver);
+        let v = Blaster::new(&mut solver, tru).fresh_bits(2);
+        let mut b = Blaster::new(&mut solver, tru);
+        let o = b.xor_gate(v[0], v[1]);
+        assert_eq!(b.xor_gate(!v[1], !v[0]), o);
+        drop(b);
+        let before = solver.num_vars();
+        let o2 = Blaster::new(&mut solver, tru).xor_gate(v[0], v[1]);
+        assert_ne!(o2, o);
+        assert_eq!(solver.num_vars(), before + 1);
     }
 
     #[test]

@@ -15,7 +15,12 @@
 //!   can be instantiated repeatedly (with inputs fixed to counterexample
 //!   constants, or wired to shared hole literals) inside one incremental
 //!   solver. This is the mechanism behind the CEGIS loop in the `chipmunk`
-//!   crate.
+//!   crate. Each AND, XOR and MUX gate is hashed on its normalized inputs
+//!   and built at most once per gate table.
+//! * [`GateSolver`] — a solver that keeps one gate table for its whole
+//!   life, so every copy of a circuit blasted into it reuses the gates an
+//!   earlier copy built (the CEGIS synthesis instance's counterexample
+//!   copies share their gates over hole literals).
 //!
 //! In the paper this workspace reproduces, SKETCH bit-blasts integer
 //! programs with holes into SAT, and Z3 decides the wide-bit-width
@@ -44,7 +49,7 @@ mod blast;
 mod circuit;
 mod equiv;
 
-pub use blast::{assumption_lits, mk_true, Binding, Blaster};
+pub use blast::{assumption_lits, mk_true, Binding, Blaster, GateSolver};
 pub use circuit::{BvOp, Circuit, InputId, TermId};
 pub use equiv::{
     check_equiv, check_equiv_many, check_equiv_many_budgeted, Counterexample, TimedOut,

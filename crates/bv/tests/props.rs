@@ -1,10 +1,13 @@
 //! Randomized tests for the bit-vector layer: circuit evaluation must
 //! match `u64` reference semantics, and the blaster must agree with the
-//! evaluator on random expression trees with symbolic inputs. Seeded, so
-//! every run checks the same 200-tree corpus.
+//! evaluator on random expression trees with symbolic inputs, also when
+//! several copies of a tree share one gate table. Seeded, so every run
+//! checks the same 200-tree corpus.
 
-use chipmunk_bv::{check_equiv, mk_true, Binding, Blaster, BvOp, Circuit, TermId};
-use chipmunk_sat::{SolveResult, Solver};
+use chipmunk_bv::{
+    assumption_lits, check_equiv, mk_true, Binding, Blaster, BvOp, Circuit, GateSolver, TermId,
+};
+use chipmunk_sat::{Lit, SolveResult, Solver};
 use chipmunk_trace::rng::Xoshiro256;
 
 const OPS: &[BvOp] = &[
@@ -119,5 +122,62 @@ fn equiv_checker_is_sound_and_complete_on_identities() {
             check_equiv(&c, root, off, None).is_some(),
             "case {case}: accepted an off-by-one: {steps:?}"
         );
+    }
+}
+
+/// Copies of one tree blasted into one solver through one gate table, as
+/// the CEGIS synthesis instance blasts the sketch once per input: `x` is
+/// bound to shared free bits, as holes are, and `y` to a different
+/// constant per copy. Every copy must decode to the evaluator's value, and
+/// a copy that repeats an earlier `y` must add no variable and no clause.
+#[test]
+fn copies_sharing_gates_match_the_evaluator() {
+    let mut rng = Xoshiro256::seed_from_u64(0xb7_0003);
+    for case in 0..200 {
+        let steps = random_steps(&mut rng);
+        let mut c = Circuit::new(6);
+        let x = c.input("x");
+        let y = c.input("y");
+        let root = build(&mut c, x, y, &steps);
+        let mut ys: Vec<u64> = Vec::new();
+        while ys.len() < 3 {
+            let v = rng.gen_u64_below(64);
+            if !ys.contains(&v) {
+                ys.push(v);
+            }
+        }
+        let vx = rng.gen_u64_below(64);
+
+        let mut gs = GateSolver::new(Solver::new());
+        let x_bits = gs.blaster().fresh_bits(6);
+        let copy = |gs: &mut GateSolver, vy: u64| -> Vec<Lit> {
+            let mut b = gs.blaster();
+            b.bind(c.input_id(x), Binding::Bits(x_bits.clone()));
+            b.bind(c.input_id(y), Binding::Const(vy));
+            b.blast(&c, root)
+        };
+        let outs: Vec<Vec<Lit>> = ys.iter().map(|&vy| copy(&mut gs, vy)).collect();
+        let size = (gs.solver().num_vars(), gs.solver().num_clauses());
+        let again = copy(&mut gs, ys[1]);
+        assert_eq!(again, outs[1], "case {case}: the repeated copy differs");
+        assert_eq!(
+            (gs.solver().num_vars(), gs.solver().num_clauses()),
+            size,
+            "case {case}: the repeated copy grew the instance: {steps:?}"
+        );
+
+        assert_eq!(
+            gs.solve(&assumption_lits(&x_bits, vx)),
+            SolveResult::Sat,
+            "case {case}"
+        );
+        for (bits, &vy) in outs.iter().zip(&ys) {
+            let want = c.eval(root, &move |i| if i.0 == 0 { vx } else { vy });
+            assert_eq!(
+                gs.decode(bits),
+                Some(want),
+                "case {case}: {steps:?} on ({vx}, {vy})"
+            );
+        }
     }
 }

@@ -109,6 +109,39 @@ fn compile_emits_wellformed_jsonl_and_report_reads_it() {
     let _ = std::fs::remove_file(&trace);
 }
 
+/// The blaster counts the gates it builds and the gate-table hits it
+/// shares; `trace-report` lists both beside the clause count.
+#[test]
+fn report_lists_built_and_shared_gates() {
+    let prog = scratch("prog3.chip");
+    let trace = scratch("out3.jsonl");
+    std::fs::write(&prog, "state s; s = s + pkt.x;\n").unwrap();
+    let status = Command::new(env!("CARGO_BIN_EXE_chipmunkc"))
+        .args(["compile", prog.to_str().unwrap(), "--width", "6"])
+        .args(["--max-stages", "2", "--trace", trace.to_str().unwrap()])
+        .status()
+        .expect("chipmunkc runs");
+    assert!(status.success(), "compile failed");
+    let out = Command::new(env!("CARGO_BIN_EXE_chipmunkc"))
+        .args(["trace-report", trace.to_str().unwrap()])
+        .output()
+        .expect("chipmunkc runs");
+    assert!(out.status.success(), "trace-report failed");
+    let report = String::from_utf8_lossy(&out.stdout);
+    for counter in ["bv.blast.gates", "bv.blast.clauses", "bv.blast.shared"] {
+        let value = report
+            .lines()
+            .find_map(|l| l.trim().strip_prefix(counter))
+            .and_then(|rest| rest.trim().parse::<u64>().ok());
+        assert!(
+            value.is_some_and(|v| v > 0),
+            "report lists no positive `{counter}`:\n{report}"
+        );
+    }
+    let _ = std::fs::remove_file(&prog);
+    let _ = std::fs::remove_file(&trace);
+}
+
 /// An unopenable CHIPMUNK_TRACE path must degrade to disabled tracing
 /// (one warning, successful compile), not crash. Regression test: the
 /// env-init error path once recursed through `disable → flush → enabled`

@@ -24,7 +24,7 @@ use std::sync::atomic::AtomicBool;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use chipmunk_bv::{Binding, Blaster, BvOp, Circuit, TermId};
+use chipmunk_bv::{Binding, Blaster, BvOp, Circuit, GateSolver, TermId};
 use chipmunk_lang::spec::compile_spec;
 use chipmunk_lang::{Interpreter, PacketState, Program};
 use chipmunk_pisa::Pipeline;
@@ -32,7 +32,7 @@ use chipmunk_sat::{
     BudgetAccount, CheckBudget, CheckOutcome, Lit, ResourceBudget, SolveResult, Solver,
 };
 
-use crate::sketch::{DecodedConfig, Sketch};
+use crate::sketch::{DecodedConfig, Sketch, SketchOutputs};
 
 /// Hard byte budget for the synthesis solver's DRAT proof log. Overflow
 /// degrades to an explicitly-flagged unchecked verdict — never a panic,
@@ -389,88 +389,25 @@ pub fn synthesize_with_control(
         states = num_states,
         verify_width = w,
     );
-    let interp = Interpreter::new(prog, w);
-
-    // --- Build the sketch circuit once at the semantic width.
-    let mut circuit = Circuit::new(w);
-    let hole_terms: Vec<TermId> = sketch
-        .holes()
-        .iter()
-        .map(|hd| circuit.input(&format!("hole_{}", hd.name)))
-        .collect();
-    let field_terms: Vec<TermId> = prog
-        .field_names()
-        .iter()
-        .map(|n| circuit.input(&format!("pkt_{n}")))
-        .collect();
-    let state_terms: Vec<TermId> = prog
-        .state_names()
-        .iter()
-        .map(|n| circuit.input(&format!("state_{n}")))
-        .collect();
-    let sk_out = sketch.symbolic(&mut circuit, &hole_terms, &field_terms, &state_terms);
-
-    // --- Incremental synthesis solver with shared hole literals.
+    // --- The sketch circuit, built once at the semantic width.
+    let enc = SynthEncoder::new(prog, sketch, w);
     let mut stats = CegisStats::default();
-    let add_input = |solver: &mut Solver, tru: Lit, hole_bits: &[Vec<Lit>], inp: &PacketState| {
-        let want = interp.exec(inp);
-        let mut b = Blaster::new(solver, tru);
-        sketch.bind_holes(&circuit, &hole_terms, hole_bits, &mut b);
-        for (i, &t) in field_terms.iter().enumerate() {
-            b.bind(circuit.input_id(t), Binding::Const(inp.fields[i]));
-        }
-        for (i, &t) in state_terms.iter().enumerate() {
-            b.bind(circuit.input_id(t), Binding::Const(inp.states[i]));
-        }
-        for (outs, wants) in [
-            (&sk_out.field_outs, &want.fields),
-            (&sk_out.state_outs, &want.states),
-        ] {
-            for (k, &t) in outs.iter().enumerate() {
-                let bits = b.blast(&circuit, t);
-                for (bi, &lit) in bits.iter().enumerate() {
-                    let expect = (wants[k] >> bi) & 1 == 1;
-                    b.assert_bit(lit, expect);
-                }
-            }
-        }
-    };
 
-    // --- Build one synthesis solver over a set of test inputs: the
-    // incremental instance with shared hole literals, plus a DRAT proof
-    // log so a terminal UNSAT can be certified. Packaged as a closure
-    // because the certification ladder may need to reconstruct an
+    // --- Build one synthesis instance over a set of test inputs, with a
+    // DRAT proof log so a terminal UNSAT can be certified. Packaged as a
+    // closure because the certification ladder may need to reconstruct an
     // *identical but independent* instance for a from-scratch re-solve
-    // (fresh literal numbering, fresh proof log). Every solver debits the
-    // same job-wide account, so `opts.budget` stays a cumulative ceiling.
-    let build_synth = |inputs: &[PacketState]| -> (Solver, Lit, Vec<Vec<Lit>>) {
+    // (fresh literal numbering, fresh gate table, fresh proof log). Every
+    // solver debits the same job-wide account, so `opts.budget` stays a
+    // cumulative ceiling.
+    let build_synth = |inputs: &[PacketState]| -> SynthInstance {
         let mut solver = Solver::new();
         solver.enable_proof(DEFAULT_PROOF_BYTES);
         solver.set_cancel_flag(cancel.clone());
         solver.set_budget(opts.budget);
         solver.set_budget_account(Some(account.clone()));
-        let tru = chipmunk_bv::mk_true(&mut solver);
-        let hole_bits: Vec<Vec<Lit>> = {
-            let mut b = Blaster::new(&mut solver, tru);
-            sketch.fresh_hole_bits(&mut b)
-        };
-        // Allocation constraints involve only holes: assert once.
-        if !sk_out.constraints.is_empty() {
-            let mut b = Blaster::new(&mut solver, tru);
-            sketch.bind_holes(&circuit, &hole_terms, &hole_bits, &mut b);
-            // Fields/states are irrelevant to the constraints; bind to
-            // zero so the blaster never allocates fresh input literals.
-            for &t in field_terms.iter().chain(state_terms.iter()) {
-                b.bind(circuit.input_id(t), Binding::Const(0));
-            }
-            for &ct in &sk_out.constraints {
-                b.assert_term(&circuit, ct);
-            }
-        }
-        for inp in inputs {
-            add_input(&mut solver, tru, &hole_bits, inp);
-        }
-        (solver, tru, hole_bits)
+        solver.set_deadline(opts.deadline);
+        enc.instance(solver, inputs)
     };
 
     // --- Initial test inputs: all-zeros plus seeded random small values.
@@ -479,7 +416,7 @@ pub fn synthesize_with_control(
         None => opts.synth_input_bits,
     };
     let small_mask = if input_bits >= w {
-        circuit.mask()
+        enc.sc.circuit.mask()
     } else {
         (1u64 << input_bits) - 1
     };
@@ -507,7 +444,7 @@ pub fn synthesize_with_control(
             }
         }
     }
-    let (mut solver, tru, hole_bits) = build_synth(&initial);
+    let mut synth = build_synth(&initial);
 
     // --- Verification instances, one per width, persistent across
     // iterations (the miter is blasted once; each candidate is checked by
@@ -546,10 +483,9 @@ pub fn synthesize_with_control(
             }
         }
         // Synthesis phase.
-        solver.set_deadline(opts.deadline);
         let t0 = Instant::now();
         let mut synth_sp = chipmunk_trace::span!("cegis.synth", iter = iter);
-        let res = solver.solve(&[]);
+        let res = synth.gs.solve(&[]);
         if chipmunk_trace::enabled() {
             synth_sp.record(
                 "result",
@@ -562,29 +498,28 @@ pub fn synthesize_with_control(
         }
         drop(synth_sp);
         stats.synth_time += t0.elapsed();
-        fold_solver_stats(&mut stats, &solver, verifiers.as_ref());
+        fold_solver_stats(&mut stats, synth.gs.solver(), verifiers.as_ref());
         let hole_values: Vec<u64> = match res {
             SolveResult::Unsat => {
                 // The terminal UNSAT justifies Infeasible; certify it so
                 // "does not fit" is as trustworthy as "here is a config".
                 let mut info = InfeasibleCert::default();
-                let first = certify_unsat_solver(&solver, &account, &mut info);
+                let first = certify_unsat_solver(synth.gs.solver(), &account, &mut info);
                 if matches!(first, CertifyOutcome::CheckFailed) {
                     // An invalid proof impeaches the verdict itself:
                     // quarantine it and re-derive it once from scratch —
                     // rebuild the whole instance (own solver, literals,
-                    // proof log) over every input accumulated so far,
-                    // solve once, certify that.
+                    // gate table, proof log) over every input accumulated
+                    // so far, solve once, certify that.
                     info.quarantined = true;
                     info.fresh_resolve = true;
                     chipmunk_trace::event!("cegis.infeasible_quarantined", iter = iter);
                     let mut all_inputs = initial.clone();
                     all_inputs.extend(cexes.iter().cloned());
-                    let (mut fs, _tru, _bits) = build_synth(&all_inputs);
-                    fs.set_deadline(opts.deadline);
-                    match fs.solve(&[]) {
+                    let mut fresh = build_synth(&all_inputs);
+                    match fresh.gs.solve(&[]) {
                         SolveResult::Unsat => {
-                            certify_unsat_solver(&fs, &account, &mut info);
+                            certify_unsat_solver(fresh.gs.solver(), &account, &mut info);
                         }
                         SolveResult::Unknown => {
                             if cancel
@@ -631,13 +566,11 @@ pub fn synthesize_with_control(
                 chipmunk_trace::event!("cegis.deadline", iter = iter, phase = "synth");
                 return Err(SynthesisError::Timeout);
             }
-            SolveResult::Sat => {
-                let dec = Blaster::new(&mut solver, tru);
-                hole_bits
-                    .iter()
-                    .map(|bits| dec.decode(bits).expect("model is total"))
-                    .collect()
-            }
+            SolveResult::Sat => synth
+                .hole_bits
+                .iter()
+                .map(|bits| synth.gs.decode(bits).expect("model is total"))
+                .collect(),
         };
 
         let vs = verifiers.get_or_insert_with(|| Verifiers {
@@ -657,12 +590,12 @@ pub fn synthesize_with_control(
                     stats.verify_time += t1.elapsed();
                     stats.counterexamples += 1;
                     stats.screen_counterexamples += 1;
-                    fold_solver_stats(&mut stats, &solver, Some(vs));
+                    fold_solver_stats(&mut stats, synth.gs.solver(), Some(vs));
                     verify_sp.record("result", "cex");
                     verify_sp.record("provenance", "screen");
                     drop(verify_sp);
                     chipmunk_trace::event!("cegis.cex", iter = iter, provenance = "screen");
-                    add_input(&mut solver, tru, &hole_bits, &cex);
+                    enc.add_input(&mut synth, &cex);
                     share_cex(&ctl, &cex);
                     cexes.push(cex);
                     continue;
@@ -672,7 +605,7 @@ pub fn synthesize_with_control(
         // Full-width verification (the paper's Z3 role).
         let cex = vs.full.check(&hole_values, opts.deadline, cancel.clone());
         stats.verify_time += t1.elapsed();
-        fold_solver_stats(&mut stats, &solver, Some(vs));
+        fold_solver_stats(&mut stats, synth.gs.solver(), Some(vs));
         match cex? {
             None => {
                 verify_sp.record("result", "equiv");
@@ -697,7 +630,7 @@ pub fn synthesize_with_control(
                 verify_sp.record("provenance", "full");
                 drop(verify_sp);
                 chipmunk_trace::event!("cegis.cex", iter = iter, provenance = "full");
-                add_input(&mut solver, tru, &hole_bits, &cex);
+                enc.add_input(&mut synth, &cex);
                 share_cex(&ctl, &cex);
                 cexes.push(cex);
             }
@@ -705,6 +638,129 @@ pub fn synthesize_with_control(
     }
     chipmunk_trace::event!("cegis.iter_cap", max_iters = opts.max_iters);
     Err(SynthesisError::Timeout)
+}
+
+/// The sketch over one circuit at one width: an input per hole, packet
+/// field and state variable, and the sketch's symbolic outputs.
+struct SketchCircuit {
+    circuit: Circuit,
+    hole_terms: Vec<TermId>,
+    field_terms: Vec<TermId>,
+    state_terms: Vec<TermId>,
+    out: SketchOutputs,
+}
+
+impl SketchCircuit {
+    fn new(prog: &Program, sketch: &Sketch, width: u8) -> SketchCircuit {
+        let mut circuit = Circuit::new(width);
+        let hole_terms: Vec<TermId> = sketch
+            .holes()
+            .iter()
+            .map(|hd| circuit.input(&format!("hole_{}", hd.name)))
+            .collect();
+        let field_terms: Vec<TermId> = prog
+            .field_names()
+            .iter()
+            .map(|n| circuit.input(&format!("pkt_{n}")))
+            .collect();
+        let state_terms: Vec<TermId> = prog
+            .state_names()
+            .iter()
+            .map(|n| circuit.input(&format!("state_{n}")))
+            .collect();
+        let out = sketch.symbolic(&mut circuit, &hole_terms, &field_terms, &state_terms);
+        SketchCircuit {
+            circuit,
+            hole_terms,
+            field_terms,
+            state_terms,
+            out,
+        }
+    }
+}
+
+/// The CEGIS synthesis instance (Equation 2): one incremental solver with a
+/// literal per hole bit and one copy of the sketch per test input.
+struct SynthInstance {
+    gs: GateSolver,
+    hole_bits: Vec<Vec<Lit>>,
+}
+
+/// Builds a run's synthesis instances: the sketch circuit at the semantic
+/// width, and the interpreter that supplies each input's expected outputs
+/// (the spec side is executed, not encoded).
+struct SynthEncoder<'a> {
+    sketch: &'a Sketch,
+    interp: Interpreter<'a>,
+    sc: SketchCircuit,
+}
+
+impl<'a> SynthEncoder<'a> {
+    fn new(prog: &'a Program, sketch: &'a Sketch, width: u8) -> SynthEncoder<'a> {
+        SynthEncoder {
+            sketch,
+            interp: Interpreter::new(prog, width),
+            sc: SketchCircuit::new(prog, sketch, width),
+        }
+    }
+
+    /// Take over `solver` (configured by the caller) and build the instance
+    /// over `inputs`: fresh hole literals, the allocation constraints once,
+    /// then one copy per input.
+    fn instance(&self, solver: Solver, inputs: &[PacketState]) -> SynthInstance {
+        let sc = &self.sc;
+        let mut gs = GateSolver::new(solver);
+        let hole_bits = self.sketch.fresh_hole_bits(&mut gs.blaster());
+        // Allocation constraints involve only holes: assert once.
+        if !sc.out.constraints.is_empty() {
+            let mut b = gs.blaster();
+            self.sketch
+                .bind_holes(&sc.circuit, &sc.hole_terms, &hole_bits, &mut b);
+            // Fields/states are irrelevant to the constraints; bind to
+            // zero so the blaster never allocates fresh input literals.
+            for &t in sc.field_terms.iter().chain(sc.state_terms.iter()) {
+                b.bind(sc.circuit.input_id(t), Binding::Const(0));
+            }
+            for &ct in &sc.out.constraints {
+                b.assert_term(&sc.circuit, ct);
+            }
+        }
+        let mut inst = SynthInstance { gs, hole_bits };
+        for inp in inputs {
+            self.add_input(&mut inst, inp);
+        }
+        inst
+    }
+
+    /// Add one copy of the sketch with its inputs pinned to `inp` and its
+    /// outputs to the interpreter's answer. Every copy blasts through the
+    /// instance's one gate table, so it adds only the gates its constants
+    /// change: gates over hole literals alone are built by the first copy.
+    fn add_input(&self, inst: &mut SynthInstance, inp: &PacketState) {
+        let sc = &self.sc;
+        let want = self.interp.exec(inp);
+        let mut b = inst.gs.blaster();
+        self.sketch
+            .bind_holes(&sc.circuit, &sc.hole_terms, &inst.hole_bits, &mut b);
+        for (i, &t) in sc.field_terms.iter().enumerate() {
+            b.bind(sc.circuit.input_id(t), Binding::Const(inp.fields[i]));
+        }
+        for (i, &t) in sc.state_terms.iter().enumerate() {
+            b.bind(sc.circuit.input_id(t), Binding::Const(inp.states[i]));
+        }
+        for (outs, wants) in [
+            (&sc.out.field_outs, &want.fields),
+            (&sc.out.state_outs, &want.states),
+        ] {
+            for (k, &t) in outs.iter().enumerate() {
+                let bits = b.blast(&sc.circuit, t);
+                for (bi, &lit) in bits.iter().enumerate() {
+                    let expect = (wants[k] >> bi) & 1 == 1;
+                    b.assert_bit(lit, expect);
+                }
+            }
+        }
+    }
 }
 
 /// Pull the DRAT certificate off an UNSAT solver and validate it,
@@ -885,23 +941,13 @@ fn decode_input(
 }
 
 fn build_miter(prog: &Program, sketch: &Sketch, width: u8, domain_width: Option<u8>) -> Miter {
-    let mut circuit = Circuit::new(width);
-    let hole_terms: Vec<TermId> = sketch
-        .holes()
-        .iter()
-        .map(|hd| circuit.input(&format!("hole_{}", hd.name)))
-        .collect();
-    let field_terms: Vec<TermId> = prog
-        .field_names()
-        .iter()
-        .map(|n| circuit.input(&format!("pkt_{n}")))
-        .collect();
-    let state_terms: Vec<TermId> = prog
-        .state_names()
-        .iter()
-        .map(|n| circuit.input(&format!("state_{n}")))
-        .collect();
-    let sk_out = sketch.symbolic(&mut circuit, &hole_terms, &field_terms, &state_terms);
+    let SketchCircuit {
+        mut circuit,
+        hole_terms,
+        field_terms,
+        state_terms,
+        out: sk_out,
+    } = SketchCircuit::new(prog, sketch, width);
     let spec_out = compile_spec(prog, &mut circuit, &field_terms, &state_terms);
 
     let mut diffs: Vec<TermId> = Vec::new();
@@ -1286,6 +1332,46 @@ mod tests {
         // one counterexample; initial inputs are not counterexamples.
         assert_eq!(s.iterations, s.counterexamples + 1);
         assert!(s.screen_counterexamples <= s.counterexamples);
+    }
+
+    /// The synthesis instance's size, built by the path
+    /// `synthesize_with_control` takes: the corpus's `blue-increase`
+    /// program on a depth-2 grid (Banzai stateless ALUs with 4-bit
+    /// immediates, its `if_else_raw` stateful template, width 10) over five
+    /// fixed inputs, before any solve. Every copy shares the solver's one
+    /// gate table. Before gates were hashed this instance had 23,071
+    /// variables and 90,338 clauses; with gates shared within each copy
+    /// only, 14,526 and 59,340. A change that loses the sharing fails here.
+    #[test]
+    fn synthesis_instance_size_is_pinned() {
+        let prog = chipmunk_lang::parse(
+            "state p_mark; state last_update;
+             if (pkt.now - last_update > 5) {
+                 p_mark = p_mark + 1;
+                 last_update = pkt.now;
+             }
+             pkt.mark = p_mark;",
+        )
+        .unwrap();
+        let grid = GridSpec::new(2, 2, library::if_else_raw(4), 4);
+        let sketch = Sketch::new(grid, 2, 2, SketchOptions::default()).unwrap();
+        // (pkt.now, pkt.mark, p_mark, last_update)
+        let inputs: Vec<PacketState> = [
+            [0, 0, 0, 0],
+            [7, 0, 2, 1],
+            [12, 3, 9, 4],
+            [1023, 5, 600, 1022],
+            [300, 0, 299, 17],
+        ]
+        .iter()
+        .map(|v| PacketState {
+            fields: v[..2].to_vec(),
+            states: v[2..].to_vec(),
+        })
+        .collect();
+        let inst = SynthEncoder::new(&prog, &sketch, 10).instance(Solver::new(), &inputs);
+        let solver = inst.gs.solver();
+        assert_eq!((solver.num_vars(), solver.num_clauses()), (12_495, 52_620));
     }
 
     #[test]

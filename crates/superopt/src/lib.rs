@@ -34,7 +34,7 @@
 use std::fmt;
 use std::time::Instant;
 
-use chipmunk_bv::{mk_true, Binding, Blaster, BvOp, Circuit, TermId};
+use chipmunk_bv::{mk_true, Binding, Blaster, BvOp, Circuit, GateSolver, TermId};
 use chipmunk_lang::spec::compile_spec;
 use chipmunk_lang::{Interpreter, PacketState, Program};
 use chipmunk_pisa::{stateless, StatelessAluSpec, StatelessOp};
@@ -275,19 +275,21 @@ fn cegis_at_len(
     }
     let result = *regs.last().expect("len >= 1");
 
-    // --- Incremental CEGIS.
+    // --- Incremental CEGIS: every input's copy of the program blasts
+    // through the solver's one gate table, so gates over hole literals
+    // alone are built once.
     let mut solver = Solver::new();
     solver.set_deadline(opts.deadline);
-    let tru = mk_true(&mut solver);
+    let mut gs = GateSolver::new(solver);
     let hole_bits: Vec<Vec<Lit>> = {
-        let mut b = Blaster::new(&mut solver, tru);
+        let mut b = gs.blaster();
         hole_meta
             .iter()
             .map(|(_, bits)| b.fresh_bits(*bits))
             .collect()
     };
 
-    let add_input = |solver: &mut Solver, vals: &[u64]| {
+    let add_input = |gs: &mut GateSolver, vals: &[u64]| {
         let inp = PacketState {
             fields: {
                 let mut f = vec![0u64; num_inputs];
@@ -297,11 +299,12 @@ fn cegis_at_len(
             states: vec![],
         };
         let want = interp.exec(&inp).fields[out_field];
-        let mut b = Blaster::new(solver, tru);
+        let mut b = gs.blaster();
+        let fals = !b.true_lit();
         for (k, &t) in hole_terms.iter().enumerate() {
             let mut padded = hole_bits[k].clone();
             while padded.len() < w as usize {
-                padded.push(!tru);
+                padded.push(fals);
             }
             b.bind(c.input_id(t), Binding::Bits(padded));
         }
@@ -317,7 +320,7 @@ fn cegis_at_len(
     // Seed inputs.
     let small = (1u64 << opts.synth_input_bits.min(w)) - 1;
     let mut s = opts.seed;
-    add_input(&mut solver, &vec![0; num_inputs]);
+    add_input(&mut gs, &vec![0; num_inputs]);
     for _ in 0..3 {
         let vals: Vec<u64> = (0..num_inputs)
             .map(|_| {
@@ -325,20 +328,19 @@ fn cegis_at_len(
                 (s >> 23) & small
             })
             .collect();
-        add_input(&mut solver, &vals);
+        add_input(&mut gs, &vals);
     }
 
     loop {
         *iterations += 1;
-        match solver.solve(&[]) {
+        match gs.solve(&[]) {
             SolveResult::Unsat => return Ok(None),
             SolveResult::Unknown => return Err(SuperoptError::Timeout),
             SolveResult::Sat => {}
         }
-        let dec = Blaster::new(&mut solver, tru);
         let hv: Vec<u64> = hole_bits
             .iter()
-            .map(|bits| dec.decode(bits).expect("total model"))
+            .map(|bits| gs.decode(bits).expect("total model"))
             .collect();
         let instrs = decode(&hv, num_inputs, len, &opts.alu);
         let mut cand_sp = chipmunk_trace::span!("superopt.candidate", len = len);
@@ -381,7 +383,7 @@ fn cegis_at_len(
                     .iter()
                     .map(|bits| vdec.decode(bits).expect("total"))
                     .collect();
-                add_input(&mut solver, &cex);
+                add_input(&mut gs, &cex);
             }
         }
     }
