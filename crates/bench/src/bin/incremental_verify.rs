@@ -32,6 +32,7 @@ use chipmunk::cegis::verify_at;
 use chipmunk::{compile, CegisOptions, CompilerOptions, Sketch, Verifier};
 use chipmunk_bench::corpus::{corpus, Benchmark};
 use chipmunk_pisa::StatelessAluSpec;
+use chipmunk_trace::rng::SplitMix64;
 
 struct Config {
     verify_width: u8,
@@ -97,15 +98,6 @@ fn options(b: &Benchmark, cfg: &Config) -> CompilerOptions {
     }
 }
 
-/// SplitMix64 — deterministic perturbation stream without a `rand` dep.
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e3779b97f4a7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-    z ^ (z >> 31)
-}
-
 struct Row {
     name: String,
     stages: usize,
@@ -149,13 +141,13 @@ fn main() {
             opts.sketch,
         )
         .expect("winning sketch reconstructs");
-        let mut rng = cfg.seed ^ 0xd1ff;
+        let mut rng = SplitMix64(cfg.seed ^ 0xd1ff);
         let mut candidates = vec![out.hole_values.clone()];
         while candidates.len() < cfg.queries {
             let mut hv = out.hole_values.clone();
-            let i = (splitmix(&mut rng) as usize) % hv.len();
+            let i = (rng.next_u64() as usize) % hv.len();
             let bits = u64::from(sketch.holes()[i].bits.max(1));
-            hv[i] ^= 1 << (splitmix(&mut rng) % bits);
+            hv[i] ^= 1 << (rng.next_u64() % bits);
             candidates.push(hv);
         }
         let w = opts.cegis.verify_width;

@@ -19,6 +19,7 @@
 //! | anything else | uniform over the width |
 
 use chipmunk_lang::Program;
+use chipmunk_trace::rng::SplitMix64;
 
 /// Deterministic trace generator.
 pub struct Workload {
@@ -26,15 +27,11 @@ pub struct Workload {
     width: u8,
 }
 
-struct Rng(u64);
+struct Rng(SplitMix64);
 
 impl Rng {
     fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e3779b97f4a7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-        z ^ (z >> 31)
+        self.0.next_u64()
     }
 
     fn below(&mut self, n: u64) -> u64 {
@@ -63,7 +60,7 @@ impl Workload {
             (1u64 << self.width) - 1
         };
         let names = prog.field_names();
-        let mut rng = Rng(self.seed);
+        let mut rng = Rng(SplitMix64(self.seed));
         let mut clock: u64 = rng.below(8);
         let mut seq: u64 = 0;
         let mut burst_left: u64 = 0;

@@ -19,6 +19,7 @@ use chipmunk::cegis::{distinguishes_at, verify_at};
 use chipmunk::{compile, CompilerOptions, Sketch, Verifier};
 use chipmunk_bench::corpus::corpus;
 use chipmunk_pisa::StatelessAluSpec;
+use chipmunk_trace::rng::SplitMix64;
 
 /// Fast, deterministic options for one benchmark — small verify widths so
 /// the whole corpus stays inside tier-1 time even in debug builds.
@@ -28,15 +29,6 @@ fn bench_options(b: &chipmunk_bench::corpus::Benchmark) -> CompilerOptions {
     opts.stateless = StatelessAluSpec::banzai(3);
     opts.max_stages = 3;
     opts
-}
-
-/// SplitMix64 — deterministic perturbation stream without a `rand` dep.
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e3779b97f4a7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-    z ^ (z >> 31)
 }
 
 #[test]
@@ -82,12 +74,12 @@ fn incremental_and_rebuild_verifiers_agree_on_the_corpus() {
 
         // Seeded single-bit perturbations: verdicts agree, and every
         // returned counterexample is genuine.
-        let mut rng = 0x1ec4e5b9_u64 ^ ((bi as u64) << 32) ^ 0xd1ff;
+        let mut rng = SplitMix64(0x1ec4e5b9_u64 ^ ((bi as u64) << 32) ^ 0xd1ff);
         for round in 0..12 {
             let mut hv = out.hole_values.clone();
-            let i = (splitmix(&mut rng) as usize) % hv.len();
+            let i = (rng.next_u64() as usize) % hv.len();
             let bits = u64::from(sketch.holes()[i].bits.max(1));
-            hv[i] ^= 1 << (splitmix(&mut rng) % bits);
+            hv[i] ^= 1 << (rng.next_u64() % bits);
             let fresh = verify_at(&prog, &sketch, &hv, w, dw, None).unwrap();
             let pinned = inc.check(&hv, None, None).unwrap();
             assert_eq!(

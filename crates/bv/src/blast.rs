@@ -30,7 +30,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 
 use chipmunk_sat::{Lit, SolveResult, Solver};
 
-use crate::circuit::{mask, Circuit, InputId, Node, TermId};
+use crate::circuit::{Circuit, InputId, Node, TermId};
 use crate::BvOp;
 
 /// How an input of a circuit is realized inside the solver.
@@ -279,14 +279,6 @@ impl<'s> Blaster<'s> {
             })
             .collect();
         self.solver.add_clause(lits);
-    }
-
-    /// Decode the value of a term from the solver's current model.
-    ///
-    /// Returns `None` if the term was not blasted or the model is absent.
-    pub fn model_value(&self, c: &Circuit, t: TermId) -> Option<u64> {
-        let bits = self.cache.get(t.0 as usize)?.as_ref()?;
-        self.decode(bits).map(|v| v & mask(c.term_width(t)))
     }
 
     /// Decode a literal vector against the current model.
@@ -675,6 +667,7 @@ impl<'s> Blaster<'s> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::circuit::mask;
     use chipmunk_sat::SolveResult;
 
     /// Exhaustively compare blasted semantics against the evaluator for a

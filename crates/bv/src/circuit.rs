@@ -134,11 +134,6 @@ impl Circuit {
         self.input_names.len()
     }
 
-    /// The name given to an input at declaration.
-    pub fn input_name(&self, i: InputId) -> &str {
-        &self.input_names[i.index()]
-    }
-
     /// The width of a term.
     pub fn term_width(&self, t: TermId) -> u8 {
         self.widths[t.0 as usize]

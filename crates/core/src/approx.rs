@@ -15,8 +15,9 @@
 //! the configuration.
 
 use chipmunk_lang::{Interpreter, PacketState, Program};
+use chipmunk_trace::rng::SplitMix64;
 
-use crate::cegis::{exec_decoded, SplitMix64};
+use crate::cegis::exec_decoded;
 use crate::search::{compile, CodegenError, CodegenSuccess, CompilerOptions};
 use crate::sketch::Sketch;
 
@@ -84,8 +85,8 @@ pub fn compile_approximate(
         let mut diverged = 0usize;
         for _ in 0..opts.error_samples {
             let inp = PacketState {
-                fields: (0..nf).map(|_| rng.next() & mask).collect(),
-                states: (0..ns).map(|_| rng.next() & mask).collect(),
+                fields: (0..nf).map(|_| rng.next_u64() & mask).collect(),
+                states: (0..ns).map(|_| rng.next_u64() & mask).collect(),
             };
             let want = interp.exec(&inp);
             let got = exec_decoded(&hashfree, &sketch, &result.decoded, &inp, width);

@@ -28,17 +28,8 @@ use chipmunk_lang::Program;
 
 use crate::search::CompilerOptions;
 
-/// 64-bit FNV-1a. Stable, dependency-free, and plenty for a cache keyed by
-/// canonical text (collisions would need two distinct canonical
-/// descriptions hashing equal — acceptable for a result cache).
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+/// The cache key's hash, shared with the plan fingerprint.
+pub use chipmunk_plan::fnv1a64;
 
 /// The canonical source text of a program: hash calls eliminated, then
 /// normalized by [`chipmunk_lang::passes::canonicalize`] at `width` bits.

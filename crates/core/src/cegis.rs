@@ -28,9 +28,11 @@ use chipmunk_bv::{Binding, Blaster, BvOp, Circuit, GateSolver, TermId};
 use chipmunk_lang::spec::compile_spec;
 use chipmunk_lang::{Interpreter, PacketState, Program};
 use chipmunk_pisa::Pipeline;
+use chipmunk_plan::{InfeasibleRecord, StepError};
 use chipmunk_sat::{
     BudgetAccount, CheckBudget, CheckOutcome, Lit, ResourceBudget, SolveResult, Solver,
 };
+use chipmunk_trace::rng::SplitMix64;
 
 use crate::sketch::{DecodedConfig, Sketch, SketchOutputs};
 
@@ -41,8 +43,9 @@ const DEFAULT_PROOF_BYTES: u64 = 64 << 20;
 
 /// Propagation ceiling for one DRAT-checker pass, layered under the
 /// job-wide [`BudgetAccount`] so certification cannot blow an SLO even on
-/// an otherwise-unlimited job.
-const CHECK_PROPAGATION_LIMIT: u64 = 200_000_000;
+/// an otherwise-unlimited job. The serving layer's re-check of a shipped
+/// proof uses the same ceiling.
+pub const CHECK_PROPAGATION_LIMIT: u64 = 200_000_000;
 
 /// Largest proof transcript shipped inside an [`InfeasibleCert`] (and
 /// hence over the serve wire). Bigger proofs are still checked locally;
@@ -86,6 +89,13 @@ pub struct CegisOptions {
     /// [`SynthesisError::Timeout`], exactly like a wall-clock deadline —
     /// the run gives up gracefully instead of growing without bound.
     pub budget: ResourceBudget,
+}
+
+impl CegisOptions {
+    /// Ceiling on [`CegisOptions::num_initial_inputs`]: each initial input
+    /// adds one copy of the sketch to the synthesis instance, so a larger
+    /// value from the wire or the CLI is refused before anything is built.
+    pub const MAX_INITIAL_INPUTS: usize = 1024;
 }
 
 impl Default for CegisOptions {
@@ -155,7 +165,9 @@ pub struct Synthesized {
     pub stats: CegisStats,
 }
 
-/// How trustworthy an [`SynthesisError::Infeasible`] verdict is, and why.
+/// How trustworthy an [`SynthesisError::Infeasible`] verdict is, and why —
+/// the record the plan executor reads ([`InfeasibleRecord`]) and ships in
+/// [`crate::CodegenError::Infeasible`].
 ///
 /// The terminal UNSAT behind every Infeasible is certified by pulling a
 /// DRAT [`Certificate`](chipmunk_sat::Certificate) off the synthesis
@@ -207,60 +219,19 @@ impl InfeasibleCert {
     }
 }
 
-/// How one certification attempt ended (internal to the degrade ladder).
-enum CertifyOutcome {
-    /// Proof validated; the verdict is trustworthy.
-    Certified,
-    /// No certificate exists: the proof log overflowed its byte budget.
-    NoProof,
-    /// The certificate failed validation — the verdict is impeached.
-    CheckFailed,
-    /// The checker ran out of its propagation budget.
-    CheckOutOfBudget,
-}
-
-/// Why synthesis did not produce a configuration.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub enum SynthesisError {
-    /// No hole assignment satisfies all accumulated test inputs: the
-    /// program does not fit this grid. Carries the certification status
-    /// of the UNSAT verdict — complete-strategy depth decisions must only
-    /// trust it when `certified` is set.
-    Infeasible(InfeasibleCert),
-    /// The deadline, iteration cap, or a resource budget was exhausted.
-    Timeout,
-    /// The run observed its cooperative cancellation flag and stopped —
-    /// raced out by a sibling strategy (portfolio race) or an external
-    /// abort. Distinct from [`SynthesisError::Timeout`] so a
-    /// cancelled racing loser is never attributed as a budget failure.
-    Cancelled,
-    /// The options are self-inconsistent (e.g. a `verify_width` narrower
-    /// than the sketch's widest hole, or outside `1..=64`). Returned as a
-    /// typed error rather than panicking because options can come from
-    /// untrusted serve requests.
-    InvalidOptions(String),
-}
-
-impl std::fmt::Display for SynthesisError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SynthesisError::Infeasible(cert) => write!(
-                f,
-                "sketch is infeasible for this grid ({})",
-                if cert.certified {
-                    "proof-certified"
-                } else {
-                    "unchecked"
-                }
-            ),
-            SynthesisError::Timeout => write!(f, "synthesis timed out"),
-            SynthesisError::Cancelled => write!(f, "synthesis was cancelled"),
-            SynthesisError::InvalidOptions(why) => write!(f, "invalid options: {why}"),
-        }
+impl InfeasibleRecord for InfeasibleCert {
+    fn certified(&self) -> bool {
+        self.certified
     }
 }
 
-impl std::error::Error for SynthesisError {}
+/// Why synthesis did not produce a configuration: the plan executor's
+/// step error, carrying an [`InfeasibleCert`] when synthesis proved the
+/// program does not fit this grid. A tripped resource budget surfaces as
+/// `Timeout`, a raised cancellation flag as `Cancelled`, and
+/// self-inconsistent options (e.g. a `verify_width` outside `1..=64` or
+/// narrower than the sketch's widest hole) as `InvalidOptions`.
+pub type SynthesisError = StepError<InfeasibleCert>;
 
 /// Run CEGIS for `prog` against `sketch`.
 ///
@@ -271,7 +242,7 @@ pub fn synthesize(
     sketch: &Sketch,
     opts: &CegisOptions,
 ) -> Result<Synthesized, SynthesisError> {
-    synthesize_with_cancel(prog, sketch, opts, None)
+    synthesize_with_control(prog, sketch, opts, SynthControl::default())
 }
 
 /// Shared context a CEGIS run participates in beyond its own options:
@@ -296,30 +267,9 @@ pub struct SynthControl {
     pub cex_pool: Option<Arc<Mutex<Vec<PacketState>>>>,
 }
 
-/// [`synthesize`] with a cooperative cancellation flag: when another
-/// thread sets it, the run stops at the next solver checkpoint and reports
-/// [`SynthesisError::Cancelled`].
-pub fn synthesize_with_cancel(
-    prog: &Program,
-    sketch: &Sketch,
-    opts: &CegisOptions,
-    cancel: Option<Arc<AtomicBool>>,
-) -> Result<Synthesized, SynthesisError> {
-    synthesize_with_control(
-        prog,
-        sketch,
-        opts,
-        SynthControl {
-            cancel,
-            ..SynthControl::default()
-        },
-    )
-}
-
 /// [`synthesize`] with full run control: cancellation, a shared job-wide
 /// budget account, and the cross-step counterexample pool. This is the
-/// primitive the plan executor drives; the other entry points are thin
-/// wrappers.
+/// primitive the plan executor drives; [`synthesize`] is a thin wrapper.
 ///
 /// A run that starts with its account already at a work ceiling of
 /// `opts.budget` cannot run one propagation, so it builds nothing and
@@ -345,6 +295,13 @@ pub fn synthesize_with_control(
             "verify_width {w} is narrower than the sketch's widest hole ({} bits); \
              selector codes would truncate",
             sketch.max_hole_bits()
+        )));
+    }
+    if opts.num_initial_inputs > CegisOptions::MAX_INITIAL_INPUTS {
+        return Err(SynthesisError::InvalidOptions(format!(
+            "num_initial_inputs {} exceeds the ceiling of {}",
+            opts.num_initial_inputs,
+            CegisOptions::MAX_INITIAL_INPUTS
         )));
     }
     // Every solver in this run (synthesis, screening, full-width
@@ -427,8 +384,12 @@ pub fn synthesize_with_control(
     }];
     for _ in 0..opts.num_initial_inputs {
         initial.push(PacketState {
-            fields: (0..num_fields).map(|_| rng.next() & small_mask).collect(),
-            states: (0..num_states).map(|_| rng.next() & small_mask).collect(),
+            fields: (0..num_fields)
+                .map(|_| rng.next_u64() & small_mask)
+                .collect(),
+            states: (0..num_states)
+                .map(|_| rng.next_u64() & small_mask)
+                .collect(),
         });
     }
     // Counterexamples inherited from earlier plan steps (failed shallower
@@ -504,14 +465,13 @@ pub fn synthesize_with_control(
                 // The terminal UNSAT justifies Infeasible; certify it so
                 // "does not fit" is as trustworthy as "here is a config".
                 let mut info = InfeasibleCert::default();
-                let first = certify_unsat_solver(synth.gs.solver(), &account, &mut info);
-                if matches!(first, CertifyOutcome::CheckFailed) {
+                certify_unsat_solver(synth.gs.solver(), &account, &mut info);
+                if info.quarantined {
                     // An invalid proof impeaches the verdict itself:
-                    // quarantine it and re-derive it once from scratch —
-                    // rebuild the whole instance (own solver, literals,
-                    // gate table, proof log) over every input accumulated
-                    // so far, solve once, certify that.
-                    info.quarantined = true;
+                    // re-derive it once from scratch — rebuild the whole
+                    // instance (own solver, literals, gate table, proof
+                    // log) over every input accumulated so far, solve
+                    // once, certify that.
                     info.fresh_resolve = true;
                     chipmunk_trace::event!("cegis.infeasible_quarantined", iter = iter);
                     let mut all_inputs = initial.clone();
@@ -764,18 +724,17 @@ impl<'a> SynthEncoder<'a> {
 }
 
 /// Pull the DRAT certificate off an UNSAT solver and validate it,
-/// recording the outcome into `info`. Checker work is charged to the
-/// job-wide `account` and capped by [`CHECK_PROPAGATION_LIMIT`].
-fn certify_unsat_solver(
-    solver: &Solver,
-    account: &Arc<BudgetAccount>,
-    info: &mut InfeasibleCert,
-) -> CertifyOutcome {
+/// recording how that ended into `info`: `certified`, or `truncated` (no
+/// certificate exists), or `quarantined` (the checker rejected the proof,
+/// which impeaches the verdict), or a `reason` naming an exhausted check
+/// budget. Checker work is charged to the job-wide `account` and capped
+/// by [`CHECK_PROPAGATION_LIMIT`].
+fn certify_unsat_solver(solver: &Solver, account: &Arc<BudgetAccount>, info: &mut InfeasibleCert) {
     info.truncated = solver.proof_truncated();
     info.proof_bytes = solver.proof_bytes();
     let Some(cert) = solver.certificate() else {
         info.reason = Some("proof log overflowed its byte budget".to_string());
-        return CertifyOutcome::NoProof;
+        return;
     };
     #[cfg(test)]
     let cert = tests::corrupt_if_armed(cert);
@@ -792,17 +751,15 @@ fn certify_unsat_solver(
             if text.len() <= PROOF_TEXT_MAX_BYTES {
                 info.proof = Some(text);
             }
-            CertifyOutcome::Certified
         }
         CheckOutcome::Invalid(why) => {
             info.certified = false;
+            info.quarantined = true;
             info.reason = Some(format!("proof check failed: {why}"));
-            CertifyOutcome::CheckFailed
         }
         CheckOutcome::OutOfBudget => {
             info.certified = false;
             info.reason = Some("proof check exhausted its propagation budget".to_string());
-            CertifyOutcome::CheckOutOfBudget
         }
     }
 }
@@ -1185,8 +1142,8 @@ pub fn validate_decoded(
     let num_states = prog.state_names().len();
     for _ in 0..samples {
         let inp = PacketState {
-            fields: (0..num_fields).map(|_| rng.next() & mask).collect(),
-            states: (0..num_states).map(|_| rng.next() & mask).collect(),
+            fields: (0..num_fields).map(|_| rng.next_u64() & mask).collect(),
+            states: (0..num_states).map(|_| rng.next_u64() & mask).collect(),
         };
         let want = interp.exec(&inp);
         let got = exec_decoded(prog, sketch, decoded, &inp, width);
@@ -1195,20 +1152,6 @@ pub fn validate_decoded(
         }
     }
     None
-}
-
-/// Minimal deterministic RNG (SplitMix64) — keeps this crate free of the
-/// `rand` dependency while staying reproducible.
-pub(crate) struct SplitMix64(pub(crate) u64);
-
-impl SplitMix64 {
-    pub(crate) fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e3779b97f4a7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-        z ^ (z >> 31)
-    }
 }
 
 #[cfg(test)]
@@ -1475,9 +1418,9 @@ mod tests {
         }
         assert_eq!(solver.solve(&[]), SolveResult::Unsat);
         let mut info = InfeasibleCert::default();
-        let outcome = certify_unsat_solver(&solver, &Arc::new(BudgetAccount::new()), &mut info);
-        assert!(matches!(outcome, CertifyOutcome::NoProof));
+        certify_unsat_solver(&solver, &Arc::new(BudgetAccount::new()), &mut info);
         assert!(info.truncated, "{info:?}");
+        assert!(!info.quarantined, "{info:?}");
         assert!(!info.certified, "{info:?}");
         assert!(info.proof.is_none(), "{info:?}");
         let reason = info.reason.as_deref().expect("unchecked verdict says why");
@@ -1704,9 +1647,9 @@ mod tests {
         let mut rng = SplitMix64(0xfeed);
         for round in 0..16 {
             let mut hv = out.hole_values.clone();
-            let i = (rng.next() as usize) % hv.len();
+            let i = (rng.next_u64() as usize) % hv.len();
             let bits = sketch.holes()[i].bits.max(1);
-            hv[i] ^= 1 << (rng.next() % bits as u64);
+            hv[i] ^= 1 << (rng.next_u64() % bits as u64);
             let fresh = verify_at(&prog, &sketch, &hv, w, None, None).unwrap();
             let pinned = inc.check(&hv, None, None).unwrap();
             assert_eq!(

@@ -18,8 +18,8 @@
 
 use chipmunk_lang::{Interpreter, PacketState, Program};
 use chipmunk_pisa::{GridSpec, Pipeline, PipelineConfig};
+use chipmunk_trace::rng::SplitMix64;
 
-use crate::cegis::SplitMix64;
 use crate::search::{CodegenSuccess, CompilerOptions};
 
 /// Number of random-sweep inputs used by [`certify_success`].
@@ -189,8 +189,8 @@ fn certify_config_impl(prog: &Program, req: &CertifyRequest<'_>) -> Result<Certi
     let mut rng = SplitMix64(req.seed);
     for _ in 0..req.samples {
         let inp = PacketState {
-            fields: (0..num_fields).map(|_| rng.next() & mask).collect(),
-            states: (0..num_states).map(|_| rng.next() & mask).collect(),
+            fields: (0..num_fields).map(|_| rng.next_u64() & mask).collect(),
+            states: (0..num_states).map(|_| rng.next_u64() & mask).collect(),
         };
         check(&inp)?;
         checked += 1;

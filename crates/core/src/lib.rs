@@ -66,6 +66,7 @@ pub use chipmunk_sat::{BudgetAccount, Certificate, CheckBudget, CheckOutcome, Re
 /// without a direct `chipmunk-plan` dependency.
 pub mod plan {
     pub use chipmunk_plan::{
-        CompilePlan, PlanGroup, PlanStep, RaceMode, StepOutcome, StepReport, Strategy,
+        panic_text, CompilePlan, PlanGroup, PlanStep, RaceMode, StepError, StepOutcome, StepReport,
+        Strategy,
     };
 }

@@ -70,6 +70,15 @@ impl CompilerOptions {
     pub const SERVICE_MAX_STAGES: usize = 4;
     /// Wall-clock budget shared by the CLI and serve defaults.
     pub const SERVICE_TIMEOUT_MS: u64 = 300_000;
+    /// Ceiling on [`CompilerOptions::max_stages`]. The plan holds one
+    /// step per depth, so a larger value from the wire or the CLI is
+    /// refused before anything is planned. Far above any real pipeline
+    /// (Tofino has 12 stages).
+    pub const MAX_STAGES: usize = 1024;
+    /// Ceiling on the grid width, requested ([`CompilerOptions::slots`])
+    /// or derived from the program's field and state counts: every sketch
+    /// is sized by it.
+    pub const MAX_SLOTS: usize = 1024;
 
     /// Paper-like defaults for a given stateful ALU template.
     pub fn new(stateful: StatefulAluSpec) -> Self {
@@ -136,9 +145,8 @@ pub struct CodegenSuccess {
     pub stats: CegisStats,
     /// Wall time of the whole search.
     pub elapsed: Duration,
-    /// Grid depths attempted: the winning depth, since depths escalate
-    /// smallest-first.
-    pub stages_tried: usize,
+    /// The hole-restriction strategy of the plan step that won.
+    pub strategy: Strategy,
     /// The CEGIS counterexamples that shaped this result — replayed by
     /// [`crate::certify`] whenever the configuration is re-checked (e.g.
     /// after a cache hit in the serving layer).
@@ -210,6 +218,16 @@ fn resolve_program(
     prog: &Program,
     opts: &CompilerOptions,
 ) -> Result<ResolvedProgram, CodegenError> {
+    for (name, value, ceiling) in [
+        ("max_stages", opts.max_stages, CompilerOptions::MAX_STAGES),
+        ("slots", opts.slots.unwrap_or(0), CompilerOptions::MAX_SLOTS),
+    ] {
+        if value > ceiling {
+            return Err(CodegenError::InvalidOptions(format!(
+                "{name} {value} exceeds the ceiling of {ceiling}"
+            )));
+        }
+    }
     let mut prog = prog.clone();
     if prog.stmts().iter().any(|s| s.contains_hash()) {
         chipmunk_lang::passes::eliminate_hashes(&mut prog);
@@ -222,6 +240,12 @@ fn resolve_program(
     if num_fields > slots || num_states > slots {
         return Err(CodegenError::TooLarge(format!(
             "{num_fields} fields / {num_states} states exceed {slots} slots"
+        )));
+    }
+    if slots > CompilerOptions::MAX_SLOTS {
+        return Err(CodegenError::TooLarge(format!(
+            "{num_fields} fields / {num_states} states need more than {} slots",
+            CompilerOptions::MAX_SLOTS
         )));
     }
     Ok(ResolvedProgram {
@@ -248,7 +272,10 @@ fn plan_for(resolved: &ResolvedProgram, opts: &CompilerOptions) -> CompilePlan {
 ///
 /// Hash calls are eliminated and the grid width resolved exactly as in
 /// [`compile`], so the plan's step shapes match the attempts a real run
-/// would make. Fails with [`CodegenError::TooLarge`] when no grid fits.
+/// would make. Fails with [`CodegenError::TooLarge`] when no grid fits,
+/// and with [`CodegenError::InvalidOptions`] when `max_stages` or `slots`
+/// is above its ceiling ([`CompilerOptions::MAX_STAGES`],
+/// [`CompilerOptions::MAX_SLOTS`]).
 pub fn plan_compilation(
     prog: &Program,
     opts: &CompilerOptions,
@@ -302,14 +329,14 @@ fn strategy_config(
 /// index in each list, so indices are translated op-by-op. Steps whose
 /// spec *is* the base spec are left byte-identical (the default plan's
 /// behavior-equivalence guarantee). An op missing from `base` makes the
-/// candidate unusable on the caller's hardware: the step reports
-/// [`StepError::Infeasible`], which portfolio grouping already treats as
-/// non-authoritative for restricted strategies.
+/// candidate unusable on the caller's hardware: the step reports an
+/// unchecked [`StepError::Infeasible`], which the executor never adopts
+/// from a restricted strategy.
 fn remap_stateless_ops(
     pipeline: &mut chipmunk_pisa::grid::PipelineConfig,
     from: &StatelessAluSpec,
     base: &StatelessAluSpec,
-) -> Result<(), StepError> {
+) -> Result<(), SynthesisError> {
     if from == base {
         return Ok(());
     }
@@ -323,7 +350,11 @@ fn remap_stateless_ops(
                 .position(|o| *o == op)
                 // Not a proof-backed verdict — the candidate just cannot
                 // run on the caller's hardware — so never authoritative.
-                .ok_or(StepError::Infeasible { certified: false })?;
+                .ok_or_else(|| {
+                    StepError::Infeasible(InfeasibleCert::unchecked(
+                        "the candidate uses an operation the caller's stateless ALU lacks",
+                    ))
+                })?;
             alu.opcode = idx as u64;
         }
     }
@@ -404,15 +435,10 @@ pub fn compile_with_control(
     // depth/strategy seed the next step's initial test set, so escalation
     // and racing inherit the work already paid for.
     let cex_pool = Arc::new(std::sync::Mutex::new(Vec::new()));
-    // The plan executor's StepError carries only a `certified` bit; the
-    // full certification record of the *deepest* infeasible depth is
-    // parked here so a final Infeasible can ship its proof to the caller.
-    let infeasible_cert: std::sync::Mutex<Option<(usize, InfeasibleCert)>> =
-        std::sync::Mutex::new(None);
 
     let runner = |step: &PlanStep,
                   cancel: Option<Arc<AtomicBool>>|
-     -> Result<(Synthesized, GridSpec), StepError> {
+     -> Result<(Synthesized, GridSpec), SynthesisError> {
         let (stateless, sketch_opts) = strategy_config(opts, step.strategy);
         let grid = GridSpec {
             stages: step.stages,
@@ -436,17 +462,11 @@ pub fn compile_with_control(
         // Deterministic and solver-free, so it needs no SAT proof to be
         // authoritative — but the certification record says so explicitly.
         .map_err(|_| {
-            let cert = InfeasibleCert {
+            StepError::Infeasible(InfeasibleCert {
                 certified: true,
                 reason: Some("structural: sketch cannot be constructed on this grid".to_string()),
                 ..InfeasibleCert::default()
-            };
-            let mut slot = infeasible_cert.lock().unwrap_or_else(|p| p.into_inner());
-            match &*slot {
-                Some((stages, _)) if *stages >= step.stages => {}
-                _ => *slot = Some((step.stages, cert)),
-            }
-            StepError::Infeasible { certified: true }
+            })
         })?;
         let cegis_opts = CegisOptions {
             budget: step.budget,
@@ -467,27 +487,14 @@ pub fn compile_with_control(
                 "result",
                 match &res {
                     Ok(_) => "ok",
-                    Err(SynthesisError::Infeasible(_)) => "infeasible",
-                    Err(SynthesisError::Timeout) => "timeout",
-                    Err(SynthesisError::Cancelled) => "cancelled",
-                    Err(SynthesisError::InvalidOptions(_)) => "invalid_options",
+                    Err(StepError::Infeasible(_)) => "infeasible",
+                    Err(StepError::Timeout) => "timeout",
+                    Err(StepError::Cancelled) => "cancelled",
+                    Err(StepError::InvalidOptions(_)) => "invalid_options",
                 },
             );
         }
-        let mut synthesized = res.map_err(|e| match e {
-            SynthesisError::Infeasible(cert) => {
-                let certified = cert.certified;
-                let mut slot = infeasible_cert.lock().unwrap_or_else(|p| p.into_inner());
-                match &*slot {
-                    Some((stages, _)) if *stages >= step.stages => {}
-                    _ => *slot = Some((step.stages, cert)),
-                }
-                StepError::Infeasible { certified }
-            }
-            SynthesisError::Timeout => StepError::Timeout,
-            SynthesisError::Cancelled => StepError::Cancelled,
-            SynthesisError::InvalidOptions(m) => StepError::InvalidOptions(m),
-        })?;
+        let mut synthesized = res?;
         // A winner synthesized under a strategy-restricted ALU must leave
         // the step encoded against the caller's spec: downstream consumers
         // (the wire document, the result cache, serve-side recertification)
@@ -528,13 +535,12 @@ pub fn compile_with_control(
     );
     match res {
         Ok(ExecSuccess {
+            step,
             value: (synthesized, grid),
-            ..
         }) => {
             let resources = resources_of(&grid, &synthesized.decoded.pipeline);
-            let stages = grid.stages;
             search_sp.record("result", "ok");
-            search_sp.record("stages", stages as u64);
+            search_sp.record("stages", grid.stages as u64);
             Ok(CodegenSuccess {
                 decoded: synthesized.decoded,
                 hole_values: synthesized.hole_values,
@@ -542,22 +548,18 @@ pub fn compile_with_control(
                 resources,
                 stats: synthesized.stats,
                 elapsed: start.elapsed(),
-                stages_tried: stages,
+                strategy: plan.steps[step].strategy,
                 counterexamples: synthesized.counterexamples,
             })
         }
         Err(e) => {
             let err = match e {
-                ExecError::Infeasible => {
-                    let cert = infeasible_cert
-                        .lock()
-                        .unwrap_or_else(|p| p.into_inner())
-                        .take()
-                        .map(|(_, c)| c)
-                        .unwrap_or_else(|| {
-                            InfeasibleCert::unchecked("no certification record retained")
-                        });
-                    CodegenError::Infeasible(cert)
+                // The executor adopted the deepest group's record; only a
+                // plan that ran no group has none.
+                ExecError::Infeasible(cert) => {
+                    CodegenError::Infeasible(cert.unwrap_or_else(|| {
+                        InfeasibleCert::unchecked("no certification record retained")
+                    }))
                 }
                 // External cancellation keeps its historic wire meaning:
                 // the caller's budget ran out either way.
@@ -688,7 +690,7 @@ mod tests {
         };
         assert!(matches!(
             remap_stateless_ops(&mut foreign, &exotic, &from),
-            Err(StepError::Infeasible { certified: false })
+            Err(StepError::Infeasible(cert)) if !cert.certified
         ));
     }
 
@@ -782,31 +784,107 @@ mod tests {
             &prog,
             &opts,
             PlanControl {
-                resume_from: full.stages_tried,
+                resume_from: full.grid.stages,
                 ..PlanControl::default()
             },
         )
         .expect("resume fits deeper");
-        assert!(resumed.stages_tried > full.stages_tried);
+        assert!(resumed.grid.stages > full.grid.stages);
+    }
+
+    /// The `p cnf` header of a shipped proof: (variables, clauses).
+    fn proof_header(cert: &InfeasibleCert) -> (usize, usize) {
+        let text = cert
+            .proof
+            .as_deref()
+            .expect("certified verdicts ship the proof");
+        let header = text
+            .lines()
+            .find(|l| l.starts_with("p cnf"))
+            .expect("the proof names its formula");
+        let n: Vec<usize> = header[5..]
+            .split_whitespace()
+            .map(|t| t.parse().unwrap())
+            .collect();
+        (n[0], n[1])
     }
 
     #[test]
     fn infeasible_program_reports_infeasible() {
         let prog = parse("pkt.z = pkt.x * pkt.y;").unwrap();
-        let mut opts = CompilerOptions::small_for_tests();
-        opts.max_stages = 2;
-        let err = compile(&prog, &opts).unwrap_err();
-        let CodegenError::Infeasible(cert) = err else {
-            panic!("expected Infeasible, got {err:?}");
+        let mut headers = Vec::new();
+        // Solo plans under both field encodings, then the portfolio.
+        for (canonical_fields, portfolio) in [(true, false), (false, false), (true, true)] {
+            let mut opts = CompilerOptions::small_for_tests();
+            opts.max_stages = 2;
+            opts.sketch.canonical_fields = canonical_fields;
+            opts.portfolio = portfolio;
+            let err = compile(&prog, &opts).unwrap_err();
+            let CodegenError::Infeasible(cert) = err else {
+                panic!("expected Infeasible, got {err:?}");
+            };
+            // End-to-end: the compile-level verdict carries a validated
+            // proof for the deepest depth, and it re-validates from the
+            // transcript.
+            assert!(cert.certified, "unchecked: {:?}", cert.reason);
+            let text = cert
+                .proof
+                .as_deref()
+                .expect("certified verdicts ship the proof");
+            let parsed = chipmunk_sat::Certificate::parse(text).expect("parses");
+            assert!(parsed
+                .check(&chipmunk_sat::CheckBudget::default())
+                .is_valid());
+            headers.push(proof_header(&cert));
+        }
+        // The evidence matches the claim: the portfolio ships a complete
+        // strategy's proof, the same formula a solo compile of that
+        // encoding refutes, never the opcode-restricted step's (which
+        // proves only "infeasible under the restricted ALU").
+        assert_eq!(headers[0], (5_905, 26_227));
+        assert_eq!(headers[1], (6_394, 28_756));
+        assert!(headers[..2].contains(&headers[2]), "{headers:?}");
+    }
+
+    /// Size-shaped options are refused before anything is planned or
+    /// built; at their ceilings they still plan.
+    #[test]
+    fn size_options_above_their_ceilings_are_refused() {
+        let prog = parse("pkt.x = pkt.a;").unwrap();
+        let invalid = |opts: &CompilerOptions| {
+            matches!(
+                plan_compilation(&prog, opts),
+                Err(CodegenError::InvalidOptions(_))
+            ) && matches!(compile(&prog, opts), Err(CodegenError::InvalidOptions(_)))
         };
-        // End-to-end: the driver-level verdict carries a validated proof
-        // for the deepest depth, and it re-validates from the transcript.
-        assert!(cert.certified, "unchecked: {:?}", cert.reason);
-        let text = cert.proof.expect("certified verdicts ship the proof");
-        let parsed = chipmunk_sat::Certificate::parse(&text).expect("parses");
-        assert!(parsed
-            .check(&chipmunk_sat::CheckBudget::default())
-            .is_valid());
+        let mut opts = CompilerOptions::small_for_tests();
+        opts.max_stages = 100_000;
+        assert!(invalid(&opts), "max_stages");
+        opts.max_stages = CompilerOptions::MAX_STAGES;
+        let plan = plan_compilation(&prog, &opts).expect("the ceiling plans");
+        assert_eq!(plan.steps.len(), CompilerOptions::MAX_STAGES);
+
+        let mut opts = CompilerOptions::small_for_tests();
+        opts.slots = Some(100_000);
+        assert!(invalid(&opts), "slots");
+        opts.slots = Some(CompilerOptions::MAX_SLOTS);
+        assert!(plan_compilation(&prog, &opts).is_ok());
+
+        let mut opts = CompilerOptions::small_for_tests();
+        opts.cegis.num_initial_inputs = CegisOptions::MAX_INITIAL_INPUTS + 1;
+        assert!(matches!(
+            compile(&prog, &opts),
+            Err(CodegenError::InvalidOptions(_))
+        ));
+
+        // A program wider than any allowed grid is too large to fit.
+        let wide: String = (0..=CompilerOptions::MAX_SLOTS)
+            .map(|i| format!("pkt.f{i} = pkt.f{i};"))
+            .collect();
+        assert!(matches!(
+            plan_compilation(&parse(&wide).unwrap(), &CompilerOptions::small_for_tests()),
+            Err(CodegenError::TooLarge(_))
+        ));
     }
 
     #[test]

@@ -26,8 +26,12 @@
 //!
 //! This crate knows nothing about sketches or CEGIS: [`execute`] is
 //! generic over a *runner* callback that maps one step to a synthesis
-//! attempt and a *certifier* callback that accepts or rejects a win. The
-//! `chipmunk` core crate supplies both.
+//! attempt, a *certifier* callback that accepts or rejects a win, and the
+//! runner's infeasibility record ([`InfeasibleRecord`]). It is the one
+//! place a plan's answer is decided: it returns the winning step, or the
+//! record of the infeasibility verdict it adopted. The `chipmunk` core
+//! crate supplies the callbacks and the record, and its CEGIS loop
+//! returns this crate's [`StepError`] directly.
 
 #![warn(missing_docs)]
 
@@ -216,8 +220,9 @@ fn budget_text(b: &ResourceBudget) -> String {
     parts.join(",")
 }
 
-/// FNV-1a 64-bit — tiny, deterministic, dependency-free.
-fn fnv1a64(bytes: &[u8]) -> u64 {
+/// FNV-1a 64-bit — tiny, deterministic, dependency-free. It hashes plan
+/// fingerprints here and result-cache keys in the `chipmunk` core crate.
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf29ce484222325;
     for &b in bytes {
         h ^= b as u64;
@@ -309,24 +314,32 @@ pub fn plan(inputs: &PlanInputs) -> CompilePlan {
 // Executor
 // ---------------------------------------------------------------------------
 
-/// Why one step did not produce a result (reported by the runner).
+/// What the executor reads off a step's infeasibility record: whether the
+/// UNSAT behind it carries a proof the in-repo DRAT checker validated. The
+/// record itself is the runner's; the executor only chooses which step's
+/// record a group adopts and hands it back in [`ExecError::Infeasible`].
+pub trait InfeasibleRecord {
+    /// The UNSAT behind this verdict carries a validated proof.
+    fn certified(&self) -> bool;
+}
+
+/// Why one step did not produce a result, with `C` the runner's
+/// infeasibility record. The CEGIS loop returns this type itself, so a
+/// step's error reaches the executor unchanged.
 #[derive(Clone, PartialEq, Eq, Debug)]
-pub enum StepError {
+pub enum StepError<C> {
     /// Synthesis proved the sketch infeasible for this step's grid. The
     /// verdict is meaningful only from a [`Strategy::is_complete`]
-    /// strategy; `certified` records whether the solver's UNSAT came
-    /// with a proof the in-repo DRAT checker validated. Certification is
-    /// *authority*, not admissibility: only a certified verdict settles
-    /// a depth early — its group's racing or later steps are cancelled —
-    /// and only a certified verdict outranks a sibling's timeout. An
-    /// uncertified one merely classifies the group once every sibling has
-    /// drained decisively, and reaches the caller explicitly flagged
-    /// unchecked (the degrade ladder's contract: never silent, never a
-    /// masqueraded timeout).
-    Infeasible {
-        /// The UNSAT behind this verdict carries a validated proof.
-        certified: bool,
-    },
+    /// strategy; [`InfeasibleRecord::certified`] says whether the solver's
+    /// UNSAT came with a proof the in-repo DRAT checker validated.
+    /// Certification is *authority*, not admissibility: only a certified
+    /// verdict settles a depth early — its group's racing or later steps
+    /// are cancelled — and only a certified verdict outranks a sibling's
+    /// timeout. An uncertified one merely classifies the group once every
+    /// sibling has drained decisively, and reaches the caller explicitly
+    /// flagged unchecked (the degrade ladder's contract: never silent,
+    /// never a masqueraded timeout).
+    Infeasible(C),
     /// A deadline, iteration cap, or resource budget ran out.
     Timeout,
     /// The step observed its cancellation flag and stopped.
@@ -387,11 +400,13 @@ pub struct StepReport {
     pub elapsed: Duration,
 }
 
-/// Why the whole plan failed.
+/// Why the whole plan failed, with `C` the runner's infeasibility record.
 #[derive(Clone, PartialEq, Eq, Debug)]
-pub enum ExecError {
-    /// Every depth was conclusively infeasible.
-    Infeasible,
+pub enum ExecError<C> {
+    /// Every depth was conclusively infeasible. Carries the record the
+    /// deepest group adopted (see [`execute`]), or `None` when the plan
+    /// ran no group at all (no steps, or every step resumed past).
+    Infeasible(Option<C>),
     /// Budgets or deadlines ran out before a verdict.
     Timeout,
     /// The external cancellation flag stopped the plan.
@@ -509,16 +524,26 @@ pub fn budget_for_remaining(remaining: Duration, explicit: ResourceBudget) -> Re
 /// panic-isolated and certifies its own candidate, so only a certified
 /// win takes a group; an uncertified candidate drops out, and a group
 /// whose candidates all failed certification fails the plan.
-pub fn execute<T, R, C>(
+///
+/// This is the one place a plan's answer is decided. A win returns the
+/// winning step. A group that ends infeasible adopts the record of one
+/// step: a complete strategy's certified verdict if any, else a complete
+/// strategy's unchecked one, and among equals the earliest in plan order,
+/// so the choice does not depend on which racer finished first. An
+/// incomplete strategy's record is never adopted. When every group ends
+/// infeasible, [`ExecError::Infeasible`] carries the deepest group's
+/// record.
+pub fn execute<T, C, R, V>(
     plan: &CompilePlan,
     runner: R,
-    certify: C,
+    certify: V,
     ctl: ExecControl<'_>,
-) -> Result<ExecSuccess<T>, ExecError>
+) -> Result<ExecSuccess<T>, ExecError<C>>
 where
     T: Send,
-    R: Fn(&PlanStep, Option<Arc<AtomicBool>>) -> Result<T, StepError> + Sync,
-    C: Fn(&PlanStep, &T) -> Result<(), String> + Sync,
+    C: InfeasibleRecord + Send,
+    R: Fn(&PlanStep, Option<Arc<AtomicBool>>) -> Result<T, StepError<C>> + Sync,
+    V: Fn(&PlanStep, &T) -> Result<(), String> + Sync,
 {
     // Deadline-aware budget tightening: when the plan has a wall-clock
     // deadline, every step launch re-derives its solver budget from the
@@ -526,7 +551,7 @@ where
     // past its client's patience. Steps launched later in the plan get
     // proportionally smaller ceilings; explicit budgets still cap.
     let deadline = ctl.deadline;
-    let runner = |step: &PlanStep, cancel: Option<Arc<AtomicBool>>| -> Result<T, StepError> {
+    let runner = |step: &PlanStep, cancel: Option<Arc<AtomicBool>>| -> Result<T, StepError<C>> {
         match deadline {
             Some(d) => {
                 let remaining = d.saturating_duration_since(Instant::now());
@@ -541,6 +566,7 @@ where
     };
     let mut saw_timeout = false;
     let mut panicked: Option<String> = None;
+    let mut infeasible: Option<C> = None;
     for group in &plan.groups {
         // Resume: a group whose steps all completed in a previous run of
         // this plan is skipped wholesale (the journal only records steps
@@ -553,7 +579,7 @@ where
         }
         match run_group(plan, group, &runner, &certify, &ctl)? {
             GroupVerdict::Won(success) => return Ok(success),
-            GroupVerdict::Infeasible => {}
+            GroupVerdict::Infeasible(record) => infeasible = Some(record),
             GroupVerdict::Timeout => {
                 saw_timeout = true;
                 if ctl.deadline.is_some_and(|d| Instant::now() >= d) {
@@ -572,14 +598,15 @@ where
     } else if let Some(msg) = panicked {
         Err(ExecError::Internal(msg))
     } else {
-        Err(ExecError::Infeasible)
+        Err(ExecError::Infeasible(infeasible))
     }
 }
 
-enum GroupVerdict<T> {
+enum GroupVerdict<T, C> {
     Won(ExecSuccess<T>),
-    /// Conclusively infeasible at this group's depth(s); escalate.
-    Infeasible,
+    /// Conclusively infeasible at this group's depth(s), with the adopted
+    /// record; escalate.
+    Infeasible(C),
     /// Undecided for budget/deadline reasons; escalate, but remember.
     Timeout,
     /// Undecided because a step panicked; escalate, but remember.
@@ -606,17 +633,26 @@ fn observe(ctl: &ExecControl<'_>, step: &PlanStep, outcome: StepOutcome, started
 }
 
 /// What a group's steps reported, folded in as each one ends.
-struct Tally<T> {
+struct Tally<T, C> {
     winner: Option<ExecSuccess<T>>,
     invalid: Option<String>,
     uncertified: Option<String>,
     panicked: Option<String>,
-    /// A complete strategy's proof-checked `Infeasible`.
-    proven_infeasible: bool,
-    /// A complete strategy's `Infeasible` without a checked proof.
-    unproven_infeasible: bool,
+    /// The earliest (in plan order) complete strategy's proof-checked
+    /// `Infeasible`, with its step index.
+    proven: Option<(usize, C)>,
+    /// The earliest complete strategy's `Infeasible` without a checked
+    /// proof.
+    unproven: Option<(usize, C)>,
     /// A `Timeout` that no cancellation explains.
     timeout: bool,
+}
+
+/// Keep `step`'s record in `slot` unless it holds an earlier step's.
+fn keep_earliest<C>(slot: &mut Option<(usize, C)>, step: usize, record: C) {
+    if slot.as_ref().is_none_or(|&(kept, _)| step < kept) {
+        *slot = Some((step, record));
+    }
 }
 
 /// Run the unfinished steps (`index >= resume_from`) of one group.
@@ -643,17 +679,18 @@ struct Tally<T> {
 /// loser. The observer sees every step exactly once, so per-strategy
 /// attribution and the serve daemon's `portfolio_cancelled` accounting do
 /// not depend on the worker count.
-fn run_group<T, R, C>(
+fn run_group<T, C, R, V>(
     plan: &CompilePlan,
     group: &PlanGroup,
     runner: &R,
-    certify: &C,
+    certify: &V,
     ctl: &ExecControl<'_>,
-) -> Result<GroupVerdict<T>, ExecError>
+) -> Result<GroupVerdict<T, C>, ExecError<C>>
 where
     T: Send,
-    R: Fn(&PlanStep, Option<Arc<AtomicBool>>) -> Result<T, StepError> + Sync,
-    C: Fn(&PlanStep, &T) -> Result<(), String> + Sync,
+    C: InfeasibleRecord + Send,
+    R: Fn(&PlanStep, Option<Arc<AtomicBool>>) -> Result<T, StepError<C>> + Sync,
+    V: Fn(&PlanStep, &T) -> Result<(), String> + Sync,
 {
     let steps: Vec<&PlanStep> = group
         .steps
@@ -667,8 +704,8 @@ where
         invalid: None,
         uncertified: None,
         panicked: None,
-        proven_infeasible: false,
-        unproven_infeasible: false,
+        proven: None,
+        unproven: None,
         timeout: false,
     });
     let lock = || tally.lock().unwrap_or_else(PoisonError::into_inner);
@@ -709,13 +746,13 @@ where
                     t.uncertified.get_or_insert(why);
                     StepOutcome::Uncertified
                 }
-                Ok(Err(StepError::Infeasible { certified })) => {
+                Ok(Err(StepError::Infeasible(record))) => {
                     if step.strategy.is_complete() {
-                        if certified {
-                            t.proven_infeasible = true;
+                        if record.certified() {
+                            keep_earliest(&mut t.proven, step.index, record);
                             settled.store(true, Ordering::Relaxed);
                         } else {
-                            t.unproven_infeasible = true;
+                            keep_earliest(&mut t.unproven, step.index, record);
                         }
                     }
                     StepOutcome::Infeasible
@@ -783,29 +820,31 @@ where
         // instead of silently escalating to a deeper grid.
         return Err(ExecError::Uncertified(why));
     }
-    Ok(if t.proven_infeasible {
+    Ok(if let Some((_, record)) = t.proven {
         // A complete strategy *proved* the depth infeasible; losers that
         // timed out do not weaken that checked verdict.
-        GroupVerdict::Infeasible
+        GroupVerdict::Infeasible(record)
     } else if t.timeout {
         GroupVerdict::Timeout
     } else if let Some(msg) = t.panicked {
         GroupVerdict::Panicked(msg)
-    } else if t.unproven_infeasible {
+    } else if let Some((_, record)) = t.unproven {
         // A complete strategy's UNSAT without a checked proof never
         // settles the group or outranks a timeout, but once every step
         // ended decisively it is the honest classification — the caller's
         // record is explicitly flagged unchecked rather than the verdict
         // being erased.
-        GroupVerdict::Infeasible
+        GroupVerdict::Infeasible(record)
     } else {
         // Only incomplete strategies reported Infeasible — inconclusive.
         GroupVerdict::Timeout
     })
 }
 
-/// Short, bounded rendering of a `catch_unwind` payload.
-fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
+/// Short, bounded rendering of a `catch_unwind` payload (at most 200
+/// bytes, cut on a character boundary), so a huge formatted panic cannot
+/// bloat an error message or a response.
+pub fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
     const MAX: usize = 200;
     let msg = if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
@@ -839,16 +878,56 @@ mod tests {
         }
     }
 
+    /// A test infeasibility record naming the step that reported it.
+    #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+    struct Rec {
+        step: usize,
+        certified: bool,
+    }
+
+    impl InfeasibleRecord for Rec {
+        fn certified(&self) -> bool {
+            self.certified
+        }
+    }
+
+    type Step = StepError<Rec>;
+
+    fn infeasible(step: &PlanStep, certified: bool) -> Step {
+        StepError::Infeasible(Rec {
+            step: step.index,
+            certified,
+        })
+    }
+
+    /// The plan failed infeasible with step `step`'s record.
+    fn infeasible_from(step: usize, certified: bool) -> ExecError<Rec> {
+        ExecError::Infeasible(Some(Rec { step, certified }))
+    }
+
     fn ok_at<'a>(
         depth: usize,
-    ) -> impl Fn(&PlanStep, Option<Arc<AtomicBool>>) -> Result<usize, StepError> + Sync + 'a {
+    ) -> impl Fn(&PlanStep, Option<Arc<AtomicBool>>) -> Result<usize, Step> + Sync + 'a {
         move |step, _| {
             if step.stages == depth {
                 Ok(step.index)
             } else {
-                Err(StepError::Infeasible { certified: true })
+                Err(infeasible(step, true))
             }
         }
+    }
+
+    /// A racing step that grinds until its group's flag goes up
+    /// (`Cancelled`), or for 5 s if it never does (`Timeout`).
+    fn grind(flag: Option<Arc<AtomicBool>>) -> Step {
+        let flag = flag.expect("racing steps get a flag");
+        for _ in 0..5000 {
+            if flag.load(Ordering::Relaxed) {
+                return StepError::Cancelled;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        StepError::Timeout
     }
 
     fn certify_all(_: &PlanStep, _: &usize) -> Result<(), String> {
@@ -938,16 +1017,7 @@ mod tests {
                 // The restricted strategy wins instantly.
                 Strategy::OpcodeRestricted => Ok(step.index),
                 // The others grind until cancelled.
-                _ => {
-                    let flag = flag.expect("racing steps get a flag");
-                    for _ in 0..5000 {
-                        if flag.load(Ordering::Relaxed) {
-                            return Err(StepError::Cancelled);
-                        }
-                        std::thread::sleep(Duration::from_millis(1));
-                    }
-                    Err(StepError::Timeout)
-                }
+                _ => Err(grind(flag)),
             }
         };
         let reports: Mutex<Vec<StepReport>> = Mutex::new(Vec::new());
@@ -983,7 +1053,7 @@ mod tests {
         // (Full-ALU must not report Infeasible here: a complete strategy's
         // infeasibility cancels the race — covered by its own test below.)
         let runner = |step: &PlanStep, flag: Option<Arc<AtomicBool>>| match step.strategy {
-            Strategy::OpcodeRestricted => Ok(step.index),
+            Strategy::OpcodeRestricted => Ok::<_, Step>(step.index),
             Strategy::CanonicalAllocation => {
                 std::thread::sleep(Duration::from_millis(30));
                 if flag.is_some_and(|f| f.load(Ordering::Relaxed)) {
@@ -1021,7 +1091,7 @@ mod tests {
         });
         // Restricted says infeasible; complete strategies time out.
         let runner = |step: &PlanStep, _: Option<Arc<AtomicBool>>| match step.strategy {
-            Strategy::OpcodeRestricted => Err(StepError::Infeasible { certified: true }),
+            Strategy::OpcodeRestricted => Err::<usize, _>(infeasible(step, true)),
             _ => Err(StepError::Timeout),
         };
         for race_threads in [Some(3), Some(1)] {
@@ -1050,19 +1120,8 @@ mod tests {
         // authoritative verdict cancels them, and the plan fails
         // Infeasible in far less than their natural runtime.
         let runner = |step: &PlanStep, flag: Option<Arc<AtomicBool>>| match step.strategy {
-            Strategy::CanonicalAllocation => {
-                Err::<usize, StepError>(StepError::Infeasible { certified: true })
-            }
-            _ => {
-                let flag = flag.expect("racing steps get a flag");
-                for _ in 0..5000 {
-                    if flag.load(Ordering::Relaxed) {
-                        return Err(StepError::Cancelled);
-                    }
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-                Err(StepError::Timeout)
-            }
+            Strategy::CanonicalAllocation => Err::<usize, _>(infeasible(step, true)),
+            _ => Err(grind(flag)),
         };
         let reports: Mutex<Vec<StepReport>> = Mutex::new(Vec::new());
         let obs = |r: &StepReport| reports.lock().unwrap().push(*r);
@@ -1078,7 +1137,7 @@ mod tests {
             },
         )
         .unwrap_err();
-        assert_eq!(err, ExecError::Infeasible);
+        assert_eq!(err, infeasible_from(1, true));
         assert!(
             t0.elapsed() < Duration::from_secs(2),
             "siblings were waited out instead of cancelled"
@@ -1100,8 +1159,19 @@ mod tests {
             portfolio: true,
             ..inputs(2)
         });
-        let runner = |_: &PlanStep, _: Option<Arc<AtomicBool>>| {
-            Err::<usize, StepError>(StepError::Infeasible { certified: true })
+        // Every step proves its depth infeasible; racing, full-ALU's proof
+        // lands only after canonical's has settled the group. The plan
+        // reports the deepest group's record, and that is canonical's
+        // (step 4), never the incomplete restricted strategy's (step 3).
+        let runner = |step: &PlanStep, flag: Option<Arc<AtomicBool>>| {
+            if step.strategy == Strategy::FullAlu {
+                if let Some(flag) = flag {
+                    while !flag.load(Ordering::Relaxed) {
+                        std::thread::sleep(Duration::from_millis(1));
+                    }
+                }
+            }
+            Err::<usize, _>(infeasible(step, true))
         };
         for race_threads in [Some(3), Some(1)] {
             let err = execute(
@@ -1114,7 +1184,11 @@ mod tests {
                 },
             )
             .unwrap_err();
-            assert_eq!(err, ExecError::Infeasible, "race_threads {race_threads:?}");
+            assert_eq!(
+                err,
+                infeasible_from(4, true),
+                "race_threads {race_threads:?}"
+            );
         }
     }
 
@@ -1130,7 +1204,7 @@ mod tests {
         let runner = |step: &PlanStep, _: Option<Arc<AtomicBool>>| {
             ran.lock().unwrap().push(step.strategy);
             match step.strategy {
-                Strategy::OpcodeRestricted => Ok(step.index),
+                Strategy::OpcodeRestricted => Ok::<_, Step>(step.index),
                 _ => panic!("sibling ran after the group was settled"),
             }
         };
@@ -1167,32 +1241,45 @@ mod tests {
             ..inputs(1)
         });
         // Restricted can't decide (incomplete), canonical proves the
-        // depth infeasible; full-ALU must never run.
-        let runner = |step: &PlanStep, _: Option<Arc<AtomicBool>>| match step.strategy {
-            Strategy::OpcodeRestricted => {
-                Err::<usize, StepError>(StepError::Infeasible { certified: true })
+        // depth infeasible; full-ALU must never run one at a time, and
+        // racing it is cancelled. Either way the plan ships canonical's
+        // record (step 1), not restricted's certified one (step 0).
+        let runner = |step: &PlanStep, flag: Option<Arc<AtomicBool>>| match step.strategy {
+            Strategy::OpcodeRestricted | Strategy::CanonicalAllocation => {
+                Err::<usize, _>(infeasible(step, true))
             }
-            Strategy::CanonicalAllocation => Err(StepError::Infeasible { certified: true }),
-            Strategy::FullAlu => panic!("full-ALU ran after an authoritative verdict"),
-        };
-        let reports: Mutex<Vec<StepReport>> = Mutex::new(Vec::new());
-        let obs = |r: &StepReport| reports.lock().unwrap().push(*r);
-        let err = execute(
-            &p,
-            runner,
-            certify_all,
-            ExecControl {
-                observer: Some(&obs),
-                race_threads: Some(1),
-                ..ExecControl::default()
+            Strategy::FullAlu => match flag {
+                Some(_) => Err(grind(flag)),
+                None => panic!("full-ALU ran after an authoritative verdict"),
             },
-        )
-        .unwrap_err();
-        assert_eq!(err, ExecError::Infeasible);
-        let reports = reports.into_inner().unwrap();
-        assert_eq!(reports.len(), 3);
-        assert_eq!(reports[2].strategy, Strategy::FullAlu);
-        assert_eq!(reports[2].outcome, StepOutcome::Cancelled);
+        };
+        for race_threads in [Some(1), Some(3)] {
+            let reports: Mutex<Vec<StepReport>> = Mutex::new(Vec::new());
+            let obs = |r: &StepReport| reports.lock().unwrap().push(*r);
+            let err = execute(
+                &p,
+                runner,
+                certify_all,
+                ExecControl {
+                    observer: Some(&obs),
+                    race_threads,
+                    ..ExecControl::default()
+                },
+            )
+            .unwrap_err();
+            assert_eq!(
+                err,
+                infeasible_from(1, true),
+                "race_threads {race_threads:?}"
+            );
+            let reports = reports.into_inner().unwrap();
+            assert_eq!(reports.len(), 3);
+            let full = reports
+                .iter()
+                .find(|r| r.strategy == Strategy::FullAlu)
+                .expect("full-ALU is reported");
+            assert_eq!(full.outcome, StepOutcome::Cancelled);
+        }
     }
 
     #[test]
@@ -1204,17 +1291,22 @@ mod tests {
         // explicitly flagged unchecked rather than a masqueraded Timeout,
         // which would make a truncated proof log erase the verdict class
         // entirely.
-        let runner = |_: &PlanStep, _: Option<Arc<AtomicBool>>| {
-            Err::<usize, StepError>(StepError::Infeasible { certified: false })
-        };
+        // The record is the deepest group's, from its earliest complete
+        // strategy whichever racer finished first: the solo plan's step 1,
+        // the portfolio's canonical step 4.
+        let runner =
+            |step: &PlanStep, _: Option<Arc<AtomicBool>>| Err::<usize, _>(infeasible(step, false));
         let plans = [
-            plan(&inputs(2)),
-            plan(&PlanInputs {
-                portfolio: true,
-                ..inputs(2)
-            }),
+            (plan(&inputs(2)), 1),
+            (
+                plan(&PlanInputs {
+                    portfolio: true,
+                    ..inputs(2)
+                }),
+                4,
+            ),
         ];
-        for p in &plans {
+        for (p, step) in &plans {
             for race_threads in [Some(3), Some(1)] {
                 let err = execute(
                     p,
@@ -1226,7 +1318,11 @@ mod tests {
                     },
                 )
                 .unwrap_err();
-                assert_eq!(err, ExecError::Infeasible, "race_threads {race_threads:?}");
+                assert_eq!(
+                    err,
+                    infeasible_from(*step, false),
+                    "race_threads {race_threads:?}"
+                );
             }
         }
     }
@@ -1236,15 +1332,16 @@ mod tests {
         // The authority half of the certification bit: a *checked* UNSAT
         // from a complete strategy outranks racing losers' timeouts; an
         // unchecked one does not — the depth stays inconclusive.
-        for (certified, want) in [(true, ExecError::Infeasible), (false, ExecError::Timeout)] {
+        for (certified, want) in [
+            (true, infeasible_from(1, true)),
+            (false, ExecError::Timeout),
+        ] {
             let p = plan(&PlanInputs {
                 portfolio: true,
                 ..inputs(1)
             });
             let runner = |step: &PlanStep, _: Option<Arc<AtomicBool>>| match step.strategy {
-                Strategy::CanonicalAllocation => {
-                    Err::<usize, StepError>(StepError::Infeasible { certified })
-                }
+                Strategy::CanonicalAllocation => Err::<usize, _>(infeasible(step, certified)),
                 _ => Err(StepError::Timeout),
             };
             for race_threads in [Some(3), Some(1)] {
@@ -1277,9 +1374,10 @@ mod tests {
             ..inputs(1)
         });
         let runner = |step: &PlanStep, _: Option<Arc<AtomicBool>>| match step.strategy {
-            Strategy::CanonicalAllocation => Err(StepError::Infeasible { certified: false }),
+            Strategy::CanonicalAllocation | Strategy::OpcodeRestricted => {
+                Err(infeasible(step, false))
+            }
             Strategy::FullAlu => Ok(step.index),
-            Strategy::OpcodeRestricted => Err(StepError::Infeasible { certified: false }),
         };
         let won = execute(
             &p,
@@ -1304,7 +1402,7 @@ mod tests {
         // infeasibility instantly; full-ALU keeps racing and wins. A
         // certified verdict would have cancelled it.
         let runner = |step: &PlanStep, flag: Option<Arc<AtomicBool>>| match step.strategy {
-            Strategy::CanonicalAllocation => Err(StepError::Infeasible { certified: false }),
+            Strategy::CanonicalAllocation => Err(infeasible(step, false)),
             Strategy::FullAlu => {
                 std::thread::sleep(Duration::from_millis(50));
                 if flag.is_some_and(|f| f.load(Ordering::Relaxed)) {
@@ -1345,6 +1443,29 @@ mod tests {
     }
 
     #[test]
+    fn a_plan_that_runs_no_group_has_no_record() {
+        let p = plan(&inputs(2));
+        let ctl = ExecControl {
+            resume_from: 2,
+            ..ExecControl::default()
+        };
+        let err = execute(&p, ok_at(1), certify_all, ctl).unwrap_err();
+        assert_eq!(err, ExecError::Infeasible(None));
+    }
+
+    #[test]
+    fn panic_text_truncates_and_handles_payload_types() {
+        let payload: Box<dyn std::any::Any + Send> = Box::new("é".repeat(150));
+        let msg = panic_text(payload.as_ref());
+        assert!(msg.len() <= 200 + '…'.len_utf8(), "{}", msg.len());
+        assert!(msg.ends_with('…'));
+        let payload: Box<dyn std::any::Any + Send> = Box::new("short");
+        assert_eq!(panic_text(payload.as_ref()), "short");
+        let payload: Box<dyn std::any::Any + Send> = Box::new(42u32);
+        assert_eq!(panic_text(payload.as_ref()), "non-string panic payload");
+    }
+
+    #[test]
     fn resume_skips_completed_groups() {
         let p = plan(&inputs(4));
         let ran: Mutex<Vec<usize>> = Mutex::new(Vec::new());
@@ -1353,7 +1474,7 @@ mod tests {
             if step.stages == 4 {
                 Ok(step.index)
             } else {
-                Err(StepError::Infeasible { certified: true })
+                Err(infeasible(step, true))
             }
         };
         let won = execute(
@@ -1381,7 +1502,7 @@ mod tests {
                 ran.lock().unwrap().push(step.index);
                 match step.strategy {
                     Strategy::CanonicalAllocation => Ok(step.index),
-                    _ => Err(StepError::Timeout),
+                    _ => Err::<_, Step>(StepError::Timeout),
                 }
             };
             let won = execute(
@@ -1407,11 +1528,11 @@ mod tests {
             portfolio: true,
             ..inputs(3)
         });
-        let runner = |step: &PlanStep, _: Option<Arc<AtomicBool>>| -> Result<usize, StepError> {
+        let runner = |step: &PlanStep, _: Option<Arc<AtomicBool>>| -> Result<usize, Step> {
             if step.stages == 2 {
                 panic!("injected depth-2 panic");
             }
-            Err(StepError::Infeasible { certified: true })
+            Err(infeasible(step, true))
         };
         // The default plan's solo steps are isolated the same way.
         for p in [&portfolio, &plan(&inputs(3))] {
@@ -1439,7 +1560,7 @@ mod tests {
             portfolio: true,
             ..inputs(2)
         });
-        let runner = |step: &PlanStep, _: Option<Arc<AtomicBool>>| -> Result<usize, StepError> {
+        let runner = |step: &PlanStep, _: Option<Arc<AtomicBool>>| -> Result<usize, Step> {
             if step.stages == 1 {
                 panic!("injected depth-1 panic");
             }
@@ -1525,7 +1646,7 @@ mod tests {
     fn executor_tightens_step_budgets_under_a_deadline() {
         let p = plan(&inputs(1));
         let seen = Mutex::new(Vec::new());
-        let runner = |step: &PlanStep, _: Option<Arc<AtomicBool>>| -> Result<usize, StepError> {
+        let runner = |step: &PlanStep, _: Option<Arc<AtomicBool>>| -> Result<usize, Step> {
             seen.lock().unwrap().push(step.budget);
             Ok(step.index)
         };
@@ -1543,7 +1664,7 @@ mod tests {
         assert!(b.propagations.unwrap() <= 5 * DEADLINE_PROPAGATIONS_PER_SEC);
         // No deadline → budget untouched.
         let seen2 = Mutex::new(Vec::new());
-        let runner2 = |step: &PlanStep, _: Option<Arc<AtomicBool>>| -> Result<usize, StepError> {
+        let runner2 = |step: &PlanStep, _: Option<Arc<AtomicBool>>| -> Result<usize, Step> {
             seen2.lock().unwrap().push(step.budget);
             Ok(step.index)
         };

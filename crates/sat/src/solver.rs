@@ -493,14 +493,6 @@ impl Solver {
         }
     }
 
-    /// Limit the number of conflicts a single `solve` call may spend
-    /// (`None` = unlimited). When exhausted, `solve` returns
-    /// [`SolveResult::Unknown`]. Shorthand for setting
-    /// [`ResourceBudget::conflicts`] via [`Solver::set_budget`].
-    pub fn set_conflict_budget(&mut self, budget: Option<u64>) {
-        self.budget.conflicts = budget;
-    }
-
     /// Install hard resource ceilings (see [`ResourceBudget`]). Tripping
     /// any of them makes `solve` return [`SolveResult::Unknown`].
     pub fn set_budget(&mut self, budget: ResourceBudget) {
@@ -1599,9 +1591,12 @@ mod tests {
                 }
             }
         }
-        s.set_conflict_budget(Some(5));
+        s.set_budget(ResourceBudget {
+            conflicts: Some(5),
+            ..ResourceBudget::UNLIMITED
+        });
         assert_eq!(s.solve(&[]), SolveResult::Unknown);
-        s.set_conflict_budget(None);
+        s.set_budget(ResourceBudget::UNLIMITED);
         assert_eq!(s.solve(&[]), SolveResult::Unsat);
     }
 

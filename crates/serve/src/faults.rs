@@ -136,7 +136,6 @@ struct Plan {
     prob: [f64; NUM_KINDS],
     stall: Duration,
     rng: Xoshiro256,
-    spec: String,
 }
 
 struct State {
@@ -335,16 +334,6 @@ pub fn init_from_env() {
     }
 }
 
-/// The spec string of the installed plan, if any. Lets a test harness
-/// echo the schedule it is running under on failure.
-pub fn active_spec() -> Option<String> {
-    let st = match STATE.lock() {
-        Ok(g) => g,
-        Err(p) => p.into_inner(),
-    };
-    st.plan.as_ref().map(|p| p.spec.clone())
-}
-
 fn parse_plan(spec: &str) -> Result<Plan, String> {
     let mut seed = 0u64;
     let mut explicit: [Vec<u64>; NUM_KINDS] = Default::default();
@@ -398,31 +387,7 @@ fn parse_plan(spec: &str) -> Result<Plan, String> {
         prob,
         stall,
         rng: Xoshiro256::seed_from_u64(seed),
-        spec: spec.to_string(),
     })
-}
-
-/// Extract a short human-readable message from a panic payload, as
-/// returned by `catch_unwind`, truncated to a bounded length so a huge
-/// formatted panic cannot bloat an error response.
-pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    const MAX: usize = 200;
-    let msg = if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    };
-    if msg.len() > MAX {
-        let mut cut = MAX;
-        while !msg.is_char_boundary(cut) {
-            cut -= 1;
-        }
-        format!("{}…", &msg[..cut])
-    } else {
-        msg
-    }
 }
 
 /// Serializes the crate's unit tests on the process-global fault state:
@@ -564,18 +529,5 @@ mod tests {
         ] {
             assert!(parse_plan(bad).is_err(), "spec `{bad}` should be rejected");
         }
-    }
-
-    #[test]
-    fn panic_message_truncates_and_handles_payload_types() {
-        let long = "x".repeat(500);
-        let payload: Box<dyn std::any::Any + Send> = Box::new(long);
-        let msg = panic_message(payload.as_ref());
-        assert!(msg.len() < 250);
-        assert!(msg.ends_with('…'));
-        let payload: Box<dyn std::any::Any + Send> = Box::new("short");
-        assert_eq!(panic_message(payload.as_ref()), "short");
-        let payload: Box<dyn std::any::Any + Send> = Box::new(42u32);
-        assert_eq!(panic_message(payload.as_ref()), "non-string panic payload");
     }
 }

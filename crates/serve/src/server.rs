@@ -32,14 +32,15 @@
 
 use std::collections::HashMap;
 use std::io::Read;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use chipmunk::plan::{StepOutcome, Strategy};
+use chipmunk::cegis::CHECK_PROPAGATION_LIMIT;
+use chipmunk::plan::{panic_text, StepOutcome, Strategy};
 use chipmunk::{
     cache_key, certify_config, compile_with_control, layout_names, plan_compilation, Certificate,
     CertifyRequest, CheckBudget, CodegenError, CompilerOptions, InfeasibleCert, PlanControl,
@@ -535,8 +536,6 @@ struct Shared {
     /// The running exposition endpoint, if one bound. Shut down first,
     /// joined by [`ServerHandle::join`].
     metrics: Mutex<Option<MetricsServer>>,
-    /// Sequence for server-assigned trace ids.
-    next_trace: AtomicU64,
     /// Slow-job threshold in milliseconds (`None` = never dump).
     slow_ms: Option<u64>,
     /// Server-wide default for requests that carry no `deadline_ms`.
@@ -736,7 +735,6 @@ pub fn start(config: &ServerConfig) -> std::io::Result<ServerHandle> {
         telemetry: Arc::new(Telemetry::new()),
         trace_store: TraceStore::new(crate::trace_store::DEFAULT_CAPACITY),
         metrics: Mutex::new(None),
-        next_trace: AtomicU64::new(1),
         slow_ms: config.slow_ms,
         default_deadline_ms: config.default_deadline_ms,
         deadline_grace: Duration::from_millis(config.deadline_grace_ms),
@@ -842,10 +840,7 @@ fn replay_journal(shared: &Arc<Shared>, replay: Vec<crate::journal::PendingJob>)
         // The replayed job keeps its original trace id (when the journal
         // recorded one), so telemetry from the recompile correlates with
         // the pre-crash submission.
-        let trace = pending
-            .trace
-            .clone()
-            .unwrap_or_else(|| next_trace_id(shared));
+        let trace = pending.trace.clone().unwrap_or_else(next_trace_id);
         // Journaled plan progress is honored only when this daemon derives
         // the *same* plan fingerprint the previous one journaled — a
         // planner (or options) change restarts the plan from step 0.
@@ -1165,13 +1160,24 @@ fn handle_line(
 
 /// Mint a server-assigned trace id: the daemon's pid plus a process-wide
 /// sequence, so ids stay unique across a kill-restart pair sharing a
-/// journal.
-fn next_trace_id(shared: &Shared) -> String {
+/// journal and across daemons in one process, whose spans all reach every
+/// daemon's trace store.
+fn next_trace_id() -> String {
+    static NEXT_TRACE: AtomicU64 = AtomicU64::new(1);
     format!(
         "{:08x}-{:04x}",
         std::process::id(),
-        shared.next_trace.fetch_add(1, Ordering::Relaxed)
+        NEXT_TRACE.fetch_add(1, Ordering::Relaxed)
     )
+}
+
+/// The compile-stage latency label of a plan strategy.
+fn strat_of(strategy: Strategy) -> Strat {
+    match strategy {
+        Strategy::CanonicalAllocation => Strat::Canonical,
+        Strategy::OpcodeRestricted => Strat::Restricted,
+        Strategy::FullAlu => Strat::Full,
+    }
 }
 
 /// Spec family label: does the program touch stateful registers?
@@ -1235,11 +1241,6 @@ fn certify_wire(program: &Program, opts: &CompilerOptions, doc: &Json) -> Result
     .unwrap_or_else(|_| Err("certification panicked on this document".to_string()))
 }
 
-/// How many unit propagations the serve-side proof re-check may spend
-/// before degrading the verdict to unchecked instead of blocking a
-/// worker. Mirrors the compiler-side check budget.
-const RECHECK_PROPAGATION_LIMIT: u64 = 200_000_000;
-
 /// Serve-side proof certification — the infeasibility twin of
 /// [`certify_wire`]: the DRAT certificate text that rides the response
 /// is re-parsed and re-checked in-process before the verdict leaves the
@@ -1269,7 +1270,10 @@ fn recheck_infeasible(shared: &Shared, mut cert: InfeasibleCert) -> InfeasibleCe
                 let parsed =
                     Certificate::parse(&text).map_err(|e| format!("proof re-parse failed: {e}"))?;
                 match parsed.check(&CheckBudget {
-                    propagations: Some(RECHECK_PROPAGATION_LIMIT),
+                    // The compiler's own check ceiling: past it the
+                    // verdict degrades to unchecked instead of blocking a
+                    // worker.
+                    propagations: Some(CHECK_PROPAGATION_LIMIT),
                     account: None,
                 }) {
                     chipmunk::CheckOutcome::Valid => Ok(()),
@@ -1392,7 +1396,7 @@ fn start_compile(
     let accepted = Instant::now();
     // Every compile request gets a trace id — the client's when supplied,
     // a minted one otherwise — echoed on whatever response answers it.
-    let trace = client_trace.unwrap_or_else(|| next_trace_id(shared));
+    let trace = client_trace.unwrap_or_else(next_trace_id);
     let answer = |resp: Json, id: Option<Json>| {
         queue_response(&shared.unwritten, tx, with_id(with_trace(resp, &trace), id));
     };
@@ -1682,20 +1686,10 @@ fn run_job(shared: &Arc<Shared>, job: Job) -> bool {
     let started = Instant::now();
     // The plan observer runs on this thread once per executed step. It
     // journals finished (non-winning) steps so a kill-restart resumes
-    // mid-plan, counts cancelled portfolio losers separately from
-    // failures, and remembers the winning strategy for the compile-stage
-    // latency label.
-    let win_strat = AtomicUsize::new(3); // STRATS index of Strat::Na
+    // mid-plan, and counts cancelled portfolio losers separately from
+    // failures.
     let observer = |report: &chipmunk::plan::StepReport| {
-        let (strat, idx) = match report.strategy {
-            Strategy::CanonicalAllocation => (Strat::Canonical, 0),
-            Strategy::OpcodeRestricted => (Strat::Restricted, 1),
-            Strategy::FullAlu => (Strat::Full, 2),
-        };
         match report.outcome {
-            StepOutcome::Success => {
-                win_strat.store(idx, Ordering::Relaxed);
-            }
             StepOutcome::Cancelled => {
                 // A racing loser another strategy beat: spent search, not
                 // a failure — it gets its own outcome label and counter.
@@ -1708,7 +1702,7 @@ fn run_job(shared: &Arc<Shared>, job: Job) -> bool {
                     Stage::Compile,
                     Outcome::Cancelled,
                     family,
-                    strat,
+                    strat_of(report.strategy),
                     report.elapsed.as_micros() as u64,
                 );
             }
@@ -1776,6 +1770,11 @@ fn run_job(shared: &Arc<Shared>, job: Job) -> bool {
     // `trace-report` can aggregate them per span.
     sp.record("wait_ms", wait_ms);
     sp.record("synth_ms", synth_ms);
+    // The compile sample carries the strategy of the step that won.
+    let win = match &res {
+        Ok(Ok(out)) => strat_of(out.strategy),
+        _ => Strat::Na,
+    };
     let mut fresh_certify_us = 0u64;
     let (response, verdict) = match res {
         Ok(Ok(out)) => {
@@ -1859,7 +1858,7 @@ fn run_job(shared: &Arc<Shared>, job: Job) -> bool {
                     "internal",
                     &format!(
                         "compiler panicked: {} — safe to retry",
-                        faults::panic_message(payload.as_ref())
+                        panic_text(payload.as_ref())
                     ),
                 ),
                 Verdict::Panicked,
@@ -1869,12 +1868,6 @@ fn run_job(shared: &Arc<Shared>, job: Job) -> bool {
     // Close the job span before the telemetry sample and the slow-job
     // check: the dumped tree then includes the root's duration.
     drop(sp);
-    let win = match win_strat.load(Ordering::Relaxed) {
-        0 => Strat::Canonical,
-        1 => Strat::Restricted,
-        2 => Strat::Full,
-        _ => Strat::Na,
-    };
     observe(verdict.outcome(), win, compile_us, fresh_certify_us, 0);
     let e2e_ms = micros(admitted) / 1000;
     settle(shared, &job.req.key, reply, verdict, response);
@@ -2243,11 +2236,4 @@ fn write_line(w: &mut TcpStream, doc: &Json) -> std::io::Result<()> {
     line.push('\n');
     w.write_all(line.as_bytes())?;
     w.flush()
-}
-
-/// Resolve a user-supplied address string early, for friendlier CLI errors.
-pub fn resolve_addr(addr: &str) -> std::io::Result<SocketAddr> {
-    addr.to_socket_addrs()?
-        .next()
-        .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::InvalidInput, "no address"))
 }

@@ -725,6 +725,41 @@ fn compile_errors_are_reported_not_fatal() {
     handle.join();
 }
 
+/// Size-shaped options above their ceilings are answered `bad_request`
+/// before the daemon plans anything: one request must not make it build a
+/// plan step per requested stage, or a sketch per requested slot or
+/// initial input.
+#[test]
+fn options_above_their_ceilings_are_bad_requests() {
+    let handle = server::start(&ServerConfig {
+        workers: 1,
+        queue_capacity: 4,
+        cache_dir: None,
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let mut client = Client::connect(handle.local_addr()).unwrap();
+    let initial_inputs = chipmunk::CegisOptions::MAX_INITIAL_INPUTS as u64 + 1;
+    for (key, value) in [
+        ("max_stages", 100_000),
+        ("slots", 100_000),
+        ("num_initial_inputs", initial_inputs),
+    ] {
+        let resp = client
+            .compile("pkt.x = pkt.a;", options_with(&[(key, Json::from(value))]))
+            .unwrap();
+        assert_eq!(
+            resp.get("error").and_then(Json::as_str),
+            Some("bad_request"),
+            "{key} {value}: {resp}"
+        );
+    }
+    let alive = client.compile("pkt.x = pkt.a;", fast_options()).unwrap();
+    assert!(ok(&alive), "server wedged: {alive}");
+    client.shutdown(false).unwrap();
+    handle.join();
+}
+
 /// `fast_options()` plus extra request fields.
 fn options_with(extra: &[(&str, Json)]) -> Json {
     let Json::Obj(mut pairs) = fast_options() else {

@@ -190,6 +190,52 @@ fn server_assigns_a_trace_id_when_the_client_sends_none() {
     handle.join();
 }
 
+/// Server-assigned trace ids are unique per process, not per daemon: two
+/// daemons in one process mint distinct ids, and since every daemon's
+/// trace store sees the whole process's spans, each daemon's `trace` op
+/// must still answer with its own job's tree.
+#[test]
+fn two_daemons_in_one_process_mint_distinct_trace_ids() {
+    let config = ServerConfig {
+        workers: 1,
+        queue_capacity: 8,
+        ..ServerConfig::default()
+    };
+    let daemons = [
+        server::start(&config).expect("server A starts"),
+        server::start(&config).expect("server B starts"),
+    ];
+    let mut jobs = Vec::new();
+    for (handle, program) in daemons.iter().zip(["pkt.x = pkt.a;", "pkt.y = pkt.a + 1;"]) {
+        let mut client = Client::connect(handle.local_addr()).expect("client connects");
+        let resp = client.compile(program, fast_options()).unwrap();
+        assert!(ok(&resp), "compile failed: {resp}");
+        let field = |name: &str| {
+            resp.get(name)
+                .and_then(Json::as_str)
+                .unwrap_or_else(|| panic!("response has no `{name}`: {resp}"))
+                .to_string()
+        };
+        jobs.push((client, field("trace"), field("key")));
+    }
+    assert_ne!(jobs[0].1, jobs[1].1, "both daemons minted one trace id");
+    for (client, trace, key) in &mut jobs {
+        let traced = client.trace(trace).unwrap();
+        let tree = traced.get("tree").expect("the job's tree is found");
+        assert_eq!(
+            tree.get("fields")
+                .and_then(|f| f.get("key"))
+                .and_then(Json::as_str),
+            Some(key.as_str()),
+            "trace {trace} answered with another daemon's job: {tree}"
+        );
+    }
+    for ((mut client, _, _), handle) in jobs.into_iter().zip(daemons) {
+        assert!(ok(&client.shutdown(false).unwrap()));
+        handle.join();
+    }
+}
+
 /// Trace correlation across a crash: a job accepted (under a client
 /// trace id) by a daemon that dies before answering is replayed by the
 /// next daemon **under the same trace id** — the replayed job's span

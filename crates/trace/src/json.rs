@@ -102,11 +102,6 @@ impl Json {
         }
     }
 
-    /// Is this `null`?
-    pub fn is_null(&self) -> bool {
-        matches!(self, Json::Null)
-    }
-
     /// Serialize compactly (single line).
     pub fn to_compact(&self) -> String {
         let mut s = String::new();
