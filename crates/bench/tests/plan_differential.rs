@@ -63,7 +63,7 @@ fn default_plan_is_the_historic_escalation_schedule_for_every_benchmark() {
                 b.name
             );
         }
-        // Fingerprint determinism: the journal resumes on this.
+        // Fingerprint determinism: `plan --explain` and the golden plans print it.
         let again = plan_compilation(&prog, &opts).unwrap();
         assert_eq!(plan.fingerprint(), again.fingerprint(), "{}", b.name);
     }

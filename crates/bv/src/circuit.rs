@@ -302,6 +302,23 @@ impl Circuit {
         self.intern(Node::Mux { cond, t, f })
     }
 
+    /// `options[sel]` for a value-width selector `sel`, and the **last**
+    /// option when `sel` is past the end — a hardware mux whose control
+    /// lines have more codes than inputs. Built as a chain of `Eq` tests
+    /// and muxes from the second-to-last option back to the first.
+    pub fn select(&mut self, sel: TermId, options: &[TermId]) -> TermId {
+        let (&last, rest) = options
+            .split_last()
+            .expect("select needs at least one option");
+        let mut acc = last;
+        for (i, &opt) in rest.iter().enumerate().rev() {
+            let idx = self.constant(i as u64);
+            let is_i = self.binop(BvOp::Eq, sel, idx);
+            acc = self.mux(is_i, opt, acc);
+        }
+        acc
+    }
+
     /// Zero-extend a width-1 boolean to the circuit's value width.
     pub fn zext(&mut self, t: TermId) -> TermId {
         assert_eq!(self.term_width(t), 1, "zext takes a width-1 term");
@@ -433,6 +450,14 @@ pub(crate) fn eval_binop(op: BvOp, a: u64, b: u64, width: u8) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn select_of_one_option_is_that_option() {
+        let mut c = Circuit::new(4);
+        let sel = c.input("sel");
+        let only = c.constant(7);
+        assert_eq!(c.select(sel, &[only]), only);
+    }
 
     #[test]
     fn constants_fold() {

@@ -48,15 +48,14 @@
 //! `plan --explain` prints the compilation schedule that `compile` with
 //! the same flags would execute — one line per synthesis attempt
 //! (depth × strategy × solver budget), the group structure, and the plan
-//! fingerprint the daemon journals for crash-resumable jobs — without
-//! solving anything. `compile --portfolio` / `submit --portfolio` race
-//! the hole-restriction strategies at each depth and keep the first
-//! *certified* winner; `submit --priority P` (0–9) pops ahead of
-//! lower-priority jobs in the daemon's queue.
+//! fingerprint — without solving anything. `compile --portfolio` /
+//! `submit --portfolio` race the hole-restriction strategies at each
+//! depth and keep the first *certified* winner; `submit --priority P`
+//! (0–9) pops ahead of lower-priority jobs in the daemon's queue.
 //!
 //! Overload control: `submit --deadline-ms N` gives the job an
-//! end-to-end deadline the daemon propagates into per-step solver
-//! budgets (and the retrying client will not sleep past); `serve
+//! end-to-end deadline the daemon propagates down to the solver's
+//! wall-clock polls (and the retrying client will not sleep past); `serve
 //! --default-deadline-ms` applies one to every job that does not bring
 //! its own. `serve --brownout-p95-ms N` degrades service when the
 //! queue-wait p95 crosses N ms — cache hits still serve, but fresh work
@@ -320,34 +319,11 @@ fn cmd_compile(args: &Args) -> Result<(), String> {
         out.resources.total_alus
     );
     if args.has("json") {
-        // `fields` / `states` name the indices of `field_to_container`
-        // (hash calls add metadata fields, so this can be longer than the
-        // source's field list) — same shape as a serve result document.
+        // The serve daemon's result document: `fields` / `states` name the
+        // indices of `field_to_container` (hash calls add metadata fields,
+        // so this can be longer than the source's field list).
         let (fields, states) = layout_names(&prog);
-        let names = |ns: Vec<String>| Json::Arr(ns.into_iter().map(Json::from).collect());
-        let doc = Json::obj([
-            (
-                "grid",
-                Json::obj([
-                    ("stages", Json::from(out.grid.stages)),
-                    ("slots", Json::from(out.grid.slots)),
-                ]),
-            ),
-            ("resources", out.resources.to_json()),
-            ("fields", names(fields)),
-            ("states", names(states)),
-            (
-                "field_to_container",
-                Json::Arr(
-                    out.decoded
-                        .field_to_container
-                        .iter()
-                        .map(|&c| Json::from(c))
-                        .collect(),
-                ),
-            ),
-            ("pipeline", out.decoded.pipeline.to_json()),
-        ]);
+        let doc = chipmunk_serve::protocol::result_doc(&out, &fields, &states);
         println!("{}", doc.to_pretty());
     }
     Ok(())

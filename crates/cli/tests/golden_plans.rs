@@ -1,8 +1,7 @@
 //! Golden-plan tests: `chipmunkc plan --explain` is a stable contract.
 //!
-//! The explain rendering is what operators read, what the docs quote, and
-//! — via the embedded fingerprint — what the serve journal keys resumable
-//! progress on. These tests diff the binary's output verbatim against
+//! The explain rendering is what operators read and what the docs quote.
+//! These tests diff the binary's output verbatim against
 //! committed goldens in `tests/golden_plans/`; an intentional planner
 //! change must update the goldens in the same commit, which makes plan
 //! drift (new strategies, reordered steps, budget changes) reviewable

@@ -35,7 +35,8 @@ use crate::sketch::{DecodedConfig, Sketch, SketchOptions};
 #[derive(Clone, Debug)]
 pub struct CompilerOptions {
     /// Largest pipeline depth to try (Tofino has 12 stages; the paper's
-    /// benchmarks fit well under that).
+    /// benchmarks fit well under that). At least 1: a zero depth plans no
+    /// attempt and is refused.
     pub max_stages: usize,
     /// PHV containers / ALUs per stage. Defaults to
     /// `max(#fields, #states, 1)` — the smallest grid the program can
@@ -218,6 +219,11 @@ fn resolve_program(
     prog: &Program,
     opts: &CompilerOptions,
 ) -> Result<ResolvedProgram, CodegenError> {
+    if opts.max_stages == 0 {
+        return Err(CodegenError::InvalidOptions(
+            "max_stages must be at least 1".to_string(),
+        ));
+    }
     for (name, value, ceiling) in [
         ("max_stages", opts.max_stages, CompilerOptions::MAX_STAGES),
         ("slots", opts.slots.unwrap_or(0), CompilerOptions::MAX_SLOTS),
@@ -268,14 +274,14 @@ fn plan_for(resolved: &ResolvedProgram, opts: &CompilerOptions) -> CompilePlan {
 
 /// Produce the [`CompilePlan`] that [`compile`] would execute for this
 /// program, without running it — the `chipmunkc plan --explain` entry
-/// point, and what the serving layer fingerprints for resumable jobs.
+/// point.
 ///
 /// Hash calls are eliminated and the grid width resolved exactly as in
 /// [`compile`], so the plan's step shapes match the attempts a real run
 /// would make. Fails with [`CodegenError::TooLarge`] when no grid fits,
-/// and with [`CodegenError::InvalidOptions`] when `max_stages` or `slots`
-/// is above its ceiling ([`CompilerOptions::MAX_STAGES`],
-/// [`CompilerOptions::MAX_SLOTS`]).
+/// and with [`CodegenError::InvalidOptions`] when `max_stages` is 0 or
+/// `max_stages` or `slots` is above its ceiling
+/// ([`CompilerOptions::MAX_STAGES`], [`CompilerOptions::MAX_SLOTS`]).
 pub fn plan_compilation(
     prog: &Program,
     opts: &CompilerOptions,
@@ -362,19 +368,15 @@ fn remap_stateless_ops(
 }
 
 /// Execution knobs for [`compile_with_control`] beyond the options: the
-/// serving layer's cancellation flag, journal-driven resume offset, and
-/// per-step progress observer.
+/// serving layer's cancellation flag and per-step progress observer.
 #[derive(Default)]
 pub struct PlanControl<'a> {
     /// Cooperative cancellation: when another thread sets the flag, the
     /// search stops at the next solver checkpoint. Works in every plan
     /// mode (a racing group's monitor forwards it to the group's flag).
     pub cancel: Option<Arc<AtomicBool>>,
-    /// Skip plan steps with `index < resume_from` — they already completed
-    /// (without winning) in a previous run of the same plan.
-    pub resume_from: usize,
     /// Invoked once per executed step with its outcome; the serving layer
-    /// journals progress and attributes per-strategy metrics here.
+    /// attributes per-strategy metrics here.
     pub observer: Option<Observer<'a>>,
 }
 
@@ -386,10 +388,9 @@ pub fn compile(prog: &Program, opts: &CompilerOptions) -> Result<CodegenSuccess,
     compile_with_control(prog, opts, PlanControl::default())
 }
 
-/// [`compile`] with full plan-execution control: cancellation, resuming a
-/// half-executed plan at its first unfinished step, and a per-step
-/// observer. This is the primitive the serve daemon drives; `compile` is
-/// a thin wrapper.
+/// [`compile`] with full plan-execution control: cancellation and a
+/// per-step observer. This is the primitive the serve daemon drives;
+/// `compile` is a thin wrapper.
 ///
 /// A raised cancel flag stops the search at the next solver checkpoint
 /// and reports [`CodegenError::Timeout`] — the serving layer uses this
@@ -416,8 +417,8 @@ pub fn compile_with_control(
     let prog = &resolved.prog;
     // One job-wide wall-clock deadline: the sooner of the coarse timeout
     // and any caller-supplied (wire `deadline_ms`) CEGIS deadline. The
-    // plan executor derives remaining-time budgets from it, and the
-    // budget account pushes it down to every solver's own polling.
+    // plan executor stops escalating past it, and the budget account
+    // pushes it down to every solver's own polling.
     let deadline = match (opts.timeout.map(|t| start + t), opts.cegis.deadline) {
         (Some(a), Some(b)) => Some(a.min(b)),
         (a, b) => a.or(b),
@@ -526,7 +527,6 @@ pub fn compile_with_control(
         ExecControl {
             cancel: ctl.cancel,
             deadline,
-            resume_from: ctl.resume_from,
             observer: ctl.observer,
             // Auto-detect: a group's steps race only when the machine has
             // spare cores; otherwise they run one at a time in plan order.
@@ -554,13 +554,8 @@ pub fn compile_with_control(
         }
         Err(e) => {
             let err = match e {
-                // The executor adopted the deepest group's record; only a
-                // plan that ran no group has none.
-                ExecError::Infeasible(cert) => {
-                    CodegenError::Infeasible(cert.unwrap_or_else(|| {
-                        InfeasibleCert::unchecked("no certification record retained")
-                    }))
-                }
+                // The record the executor adopted from the deepest group.
+                ExecError::Infeasible(cert) => CodegenError::Infeasible(cert),
                 // External cancellation keeps its historic wire meaning:
                 // the caller's budget ran out either way.
                 ExecError::Timeout | ExecError::Cancelled => CodegenError::Timeout,
@@ -772,26 +767,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn resume_skips_completed_steps() {
-        let prog = parse("state s; s = s + pkt.x; pkt.y = s;").unwrap();
-        let mut opts = CompilerOptions::small_for_tests();
-        opts.max_stages = 3;
-        let full = compile(&prog, &opts).expect("fits");
-        // Resuming past the winning depth must still find a (deeper)
-        // solution, proving skipped steps are really skipped.
-        let resumed = compile_with_control(
-            &prog,
-            &opts,
-            PlanControl {
-                resume_from: full.grid.stages,
-                ..PlanControl::default()
-            },
-        )
-        .expect("resume fits deeper");
-        assert!(resumed.grid.stages > full.grid.stages);
-    }
-
     /// The `p cnf` header of a shipped proof: (variables, clauses).
     fn proof_header(cert: &InfeasibleCert) -> (usize, usize) {
         let text = cert
@@ -847,7 +822,8 @@ mod tests {
     }
 
     /// Size-shaped options are refused before anything is planned or
-    /// built; at their ceilings they still plan.
+    /// built, and so is a zero depth, which would plan no step; at their
+    /// ceilings they still plan.
     #[test]
     fn size_options_above_their_ceilings_are_refused() {
         let prog = parse("pkt.x = pkt.a;").unwrap();
@@ -858,8 +834,10 @@ mod tests {
             ) && matches!(compile(&prog, opts), Err(CodegenError::InvalidOptions(_)))
         };
         let mut opts = CompilerOptions::small_for_tests();
-        opts.max_stages = 100_000;
-        assert!(invalid(&opts), "max_stages");
+        for max_stages in [0, 100_000] {
+            opts.max_stages = max_stages;
+            assert!(invalid(&opts), "max_stages {max_stages}");
+        }
         opts.max_stages = CompilerOptions::MAX_STAGES;
         let plan = plan_compilation(&prog, &opts).expect("the ceiling plans");
         assert_eq!(plan.steps.len(), CompilerOptions::MAX_STAGES);

@@ -290,8 +290,8 @@ impl Sketch {
             // Stateless ALUs.
             let mut dest: Vec<TermId> = Vec::with_capacity(w);
             for j in 0..w {
-                let a = select(c, h(format!("stage{s}_slot{j}_mux_a")), &containers);
-                let b = select(c, h(format!("stage{s}_slot{j}_mux_b")), &containers);
+                let a = c.select(h(format!("stage{s}_slot{j}_mux_a")), &containers);
+                let b = c.select(h(format!("stage{s}_slot{j}_mux_b")), &containers);
                 let imm = h(format!("stage{s}_slot{j}_imm"));
                 let opcode = h(format!("stage{s}_slot{j}_opcode"));
                 dest.push(stateless::symbolic_alu(
@@ -317,7 +317,7 @@ impl Sketch {
                     c.binop(BvOp::Eq, stage_hole, s_const)
                 };
                 let pkts: Vec<TermId> = (0..self.grid.stateful.num_pkt_operands)
-                    .map(|k| select(c, h(format!("stage{s}_slot{j}_pkt_mux{k}")), &containers))
+                    .map(|k| c.select(h(format!("stage{s}_slot{j}_pkt_mux{k}")), &containers))
                     .collect();
                 let sf_holes: Vec<TermId> = self
                     .grid
@@ -339,7 +339,7 @@ impl Sketch {
             for (j, &d) in dest.iter().enumerate() {
                 let mut options = salu_out.clone();
                 options.push(d);
-                next.push(select(c, h(format!("stage{s}_omux{j}")), &options));
+                next.push(c.select(h(format!("stage{s}_omux{j}")), &options));
             }
             containers = next;
         }
@@ -472,19 +472,6 @@ impl Sketch {
             field_to_container,
         }
     }
-}
-
-/// Mux select over `options` with out-of-range defaulting to the last,
-/// matching both [`chipmunk_pisa`]'s concrete executor and the decode
-/// clamping.
-fn select(c: &mut Circuit, sel: TermId, options: &[TermId]) -> TermId {
-    let mut acc = options[options.len() - 1];
-    for (i, &opt) in options.iter().enumerate().rev().skip(1) {
-        let idx = c.constant(i as u64);
-        let is_i = c.binop(BvOp::Eq, sel, idx);
-        acc = c.mux(is_i, opt, acc);
-    }
-    acc
 }
 
 #[cfg(test)]

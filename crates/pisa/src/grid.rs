@@ -314,7 +314,7 @@ pub fn resources_of(spec: &GridSpec, config: &PipelineConfig) -> ResourceUsage {
         for (j, om) in st.out_mux.iter().enumerate() {
             if *om == OutMuxSel::Stateless {
                 let sl = &st.stateless[j];
-                let op = crate::symutil::select_concrete(sl.opcode, &spec.stateless.ops);
+                let op = crate::stateless::select_concrete(sl.opcode, &spec.stateless.ops);
                 let identity = op == crate::stateless::StatelessOp::PassA && sl.mux_a == j;
                 if !identity {
                     used_here += 1;

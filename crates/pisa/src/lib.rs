@@ -33,7 +33,6 @@
 pub mod grid;
 pub mod stateful;
 pub mod stateless;
-pub(crate) mod symutil;
 
 pub use grid::{
     GridSpec, OutMuxSel, Pipeline, PipelineConfig, ResourceUsage, StageConfig, StatefulConfig,

@@ -19,8 +19,7 @@
 
 use chipmunk_bv::{BvOp, Circuit, TermId};
 
-use crate::stateless::bits_for;
-use crate::symutil::{select_chain, select_concrete};
+use crate::stateless::{bits_for, select_concrete};
 
 /// Relational operators selectable inside templates.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -399,7 +398,7 @@ fn sym_expr(
                 .iter()
                 .map(|a| sym_expr(a, c, holes, state, new_state, pkts))
                 .collect();
-            select_chain(c, holes[*hole], &options)
+            c.select(holes[*hole], &options)
         }
         AluExpr::IfElse { cond, then_, else_ } => {
             let p = sym_pred(cond, c, holes, state, new_state, pkts);

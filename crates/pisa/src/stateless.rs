@@ -14,8 +14,6 @@
 
 use chipmunk_bv::{BvOp, Circuit, TermId};
 
-use crate::symutil::select_chain;
-
 /// One stateless ALU operation over operands `a`, `b` and immediate `imm`.
 ///
 /// Predicates produce 0/1. Logical operations treat nonzero as true.
@@ -267,20 +265,40 @@ pub fn symbolic_alu(
         .iter()
         .map(|&op| symbolic_op(c, op, a, b, imm))
         .collect();
-    select_chain(c, opcode_hole, &options)
+    c.select(opcode_hole, &options)
 }
 
 /// Concrete stateless ALU with an encoded opcode value (out-of-range codes
 /// clamp to the last opcode, mirroring [`symbolic_alu`]).
 pub fn eval_alu(spec: &StatelessAluSpec, opcode: u64, a: u64, b: u64, imm: u64, mask: u64) -> u64 {
-    let op = crate::symutil::select_concrete(opcode, &spec.ops);
+    let op = select_concrete(opcode, &spec.ops);
     eval_op(op, a, b, imm, mask)
+}
+
+/// Concrete analogue of [`Circuit::select`]: `options[sel]`, and the last
+/// option when `sel` is past the end.
+pub(crate) fn select_concrete<T: Copy>(sel: u64, options: &[T]) -> T {
+    let i = (sel as usize).min(options.len() - 1);
+    options[i]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use chipmunk_bv::InputId;
+
+    #[test]
+    fn circuit_select_matches_select_concrete() {
+        let mut c = Circuit::new(4);
+        let sel = c.input("sel");
+        let opts: Vec<TermId> = (0..3).map(|i| c.constant(10 + i)).collect();
+        let out = c.select(sel, &opts);
+        for s in 0..16u64 {
+            let got = c.eval(out, &move |_: InputId| s);
+            let want = 10 + select_concrete(s, &[0u64, 1, 2]);
+            assert_eq!(got, want, "sel={s}");
+        }
+    }
 
     #[test]
     fn banzai_spec_has_unique_ops() {

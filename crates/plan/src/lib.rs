@@ -19,10 +19,9 @@
 //!
 //! The split is what makes portfolio search possible (no single
 //! hole-restriction strategy dominates across benchmarks, so racing them —
-//! the K2 insight — wins on wall-clock), and it makes plans *resumable*:
-//! a [`CompilePlan::fingerprint`] plus a completed-step index journaled by
-//! the serving layer is enough to restart a half-executed plan at its
-//! first unfinished step after a crash.
+//! the K2 insight — wins on wall-clock). A plan always runs from its
+//! first step: a job replayed after a daemon crash is compiled exactly as
+//! a fresh submission would be.
 //!
 //! This crate knows nothing about sketches or CEGIS: [`execute`] is
 //! generic over a *runner* callback that maps one step to a synthesis
@@ -69,7 +68,7 @@ pub enum Strategy {
 
 impl Strategy {
     /// Stable wire/display name (used by `plan --explain`, golden plans,
-    /// the journal, and metrics labels).
+    /// and metrics labels).
     pub fn name(self) -> &'static str {
         match self {
             Strategy::CanonicalAllocation => "canonical-allocation",
@@ -89,7 +88,7 @@ impl Strategy {
 /// to attack it with.
 #[derive(Clone, Copy, Debug)]
 pub struct PlanStep {
-    /// Position in [`CompilePlan::steps`] — the unit of journaled progress.
+    /// Position in [`CompilePlan::steps`].
     pub index: usize,
     /// Grid depth (pipeline stages) of this attempt.
     pub stages: usize,
@@ -152,8 +151,7 @@ pub struct CompilePlan {
 impl CompilePlan {
     /// Deterministic 64-bit fingerprint of the plan structure, rendered as
     /// 16 hex digits. Two plans with the same fingerprint schedule the
-    /// same attempts in the same order — the property the serving layer's
-    /// journal relies on to resume a half-executed plan after a restart.
+    /// same attempts in the same order.
     pub fn fingerprint(&self) -> String {
         let mut text = String::new();
         for g in &self.groups {
@@ -350,8 +348,8 @@ pub enum StepError<C> {
 }
 
 /// How one executed step ended — fed to the progress observer so the
-/// serving layer can journal completed steps and attribute per-strategy
-/// metrics (a cancelled racing loser must not be recorded as a failure).
+/// serving layer can attribute per-strategy metrics (a cancelled racing
+/// loser must not be recorded as a failure).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum StepOutcome {
     /// The step synthesized a result (it may still lose the race).
@@ -371,7 +369,7 @@ pub enum StepOutcome {
 }
 
 impl StepOutcome {
-    /// Stable display name (journal records, metrics labels).
+    /// Stable display name (trace events, metrics labels).
     pub fn name(self) -> &'static str {
         match self {
             StepOutcome::Success => "success",
@@ -404,14 +402,14 @@ pub struct StepReport {
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum ExecError<C> {
     /// Every depth was conclusively infeasible. Carries the record the
-    /// deepest group adopted (see [`execute`]), or `None` when the plan
-    /// ran no group at all (no steps, or every step resumed past).
-    Infeasible(Option<C>),
+    /// deepest group adopted (see [`execute`]).
+    Infeasible(C),
     /// Budgets or deadlines ran out before a verdict.
     Timeout,
     /// The external cancellation flag stopped the plan.
     Cancelled,
-    /// Deterministic caller error, reported from the first step.
+    /// Deterministic caller error, reported from the first step, or a
+    /// plan with no steps.
     InvalidOptions(String),
     /// A step panicked and no other step decided the plan. Carries a
     /// bounded panic message naming the step's depth.
@@ -445,10 +443,6 @@ pub struct ExecControl<'a> {
     /// deadline ends the plan instead of escalating, and a step that would
     /// start past it is reported `Timeout` without running.
     pub deadline: Option<Instant>,
-    /// Skip steps with `index < resume_from` — they already completed
-    /// (without success) in a previous run of the same plan, per the
-    /// serving layer's journal.
-    pub resume_from: usize,
     /// Progress observer.
     pub observer: Option<Observer<'a>>,
     /// OS threads a group may occupy; `None` auto-detects the machine's
@@ -474,46 +468,6 @@ impl ExecControl<'_> {
     }
 }
 
-/// Assumed worst-case solver throughput used to convert remaining
-/// wall-clock into resource ceilings. Deliberately generous — the
-/// wall-clock deadline stays the primary bound; the derived budget only
-/// cuts off a solver so deep in a hard instance that it stopped hitting
-/// the deadline polls (e.g. one monster conflict analysis).
-pub const DEADLINE_CONFLICTS_PER_SEC: u64 = 100_000;
-/// See [`DEADLINE_CONFLICTS_PER_SEC`].
-pub const DEADLINE_PROPAGATIONS_PER_SEC: u64 = 100_000_000;
-/// A live deadline always buys at least this many conflicts, so a job
-/// admitted with milliseconds to spare still makes observable progress
-/// instead of being zero-budgeted into a spurious `Timeout`.
-pub const DEADLINE_MIN_CONFLICTS: u64 = 64;
-/// See [`DEADLINE_MIN_CONFLICTS`].
-pub const DEADLINE_MIN_PROPAGATIONS: u64 = 100_000;
-
-/// Convert the time remaining until a job's deadline into per-step
-/// solver ceilings, min-merged with the explicitly configured budget so
-/// an operator's `--budget-*` caps still hold when they are tighter.
-///
-/// Derivation happens at *execution* time (the runner wrapper in
-/// [`execute`]), never in the planner: plan fingerprints must not
-/// depend on how much of the deadline the queue already consumed, or
-/// crash-recovery replay would see a different plan than it journaled.
-pub fn budget_for_remaining(remaining: Duration, explicit: ResourceBudget) -> ResourceBudget {
-    let millis = u64::try_from(remaining.as_millis()).unwrap_or(u64::MAX);
-    let conflicts =
-        (millis.saturating_mul(DEADLINE_CONFLICTS_PER_SEC) / 1000).max(DEADLINE_MIN_CONFLICTS);
-    let propagations = (millis.saturating_mul(DEADLINE_PROPAGATIONS_PER_SEC) / 1000)
-        .max(DEADLINE_MIN_PROPAGATIONS);
-    ResourceBudget {
-        conflicts: Some(explicit.conflicts.map_or(conflicts, |c| c.min(conflicts))),
-        propagations: Some(
-            explicit
-                .propagations
-                .map_or(propagations, |p| p.min(propagations)),
-        ),
-        clause_bytes: explicit.clause_bytes,
-    }
-}
-
 /// Run `plan`. `runner` maps one step to a synthesis attempt; `certify`
 /// accepts or rejects a candidate win (its `Err` carries the reason).
 ///
@@ -532,7 +486,7 @@ pub fn budget_for_remaining(remaining: Duration, explicit: ResourceBudget) -> Re
 /// so the choice does not depend on which racer finished first. An
 /// incomplete strategy's record is never adopted. When every group ends
 /// infeasible, [`ExecError::Infeasible`] carries the deepest group's
-/// record.
+/// record. A plan with no groups answers [`ExecError::InvalidOptions`].
 pub fn execute<T, C, R, V>(
     plan: &CompilePlan,
     runner: R,
@@ -545,35 +499,10 @@ where
     R: Fn(&PlanStep, Option<Arc<AtomicBool>>) -> Result<T, StepError<C>> + Sync,
     V: Fn(&PlanStep, &T) -> Result<(), String> + Sync,
 {
-    // Deadline-aware budget tightening: when the plan has a wall-clock
-    // deadline, every step launch re-derives its solver budget from the
-    // time *remaining at that moment*, so a job never burns conflicts
-    // past its client's patience. Steps launched later in the plan get
-    // proportionally smaller ceilings; explicit budgets still cap.
-    let deadline = ctl.deadline;
-    let runner = |step: &PlanStep, cancel: Option<Arc<AtomicBool>>| -> Result<T, StepError<C>> {
-        match deadline {
-            Some(d) => {
-                let remaining = d.saturating_duration_since(Instant::now());
-                let tightened = PlanStep {
-                    budget: budget_for_remaining(remaining, step.budget),
-                    ..*step
-                };
-                runner(&tightened, cancel)
-            }
-            None => runner(step, cancel),
-        }
-    };
     let mut saw_timeout = false;
     let mut panicked: Option<String> = None;
     let mut infeasible: Option<C> = None;
     for group in &plan.groups {
-        // Resume: a group whose steps all completed in a previous run of
-        // this plan is skipped wholesale (the journal only records steps
-        // that finished *without* winning).
-        if group.steps.iter().all(|&si| si < ctl.resume_from) {
-            continue;
-        }
         if ctl.cancelled() {
             return Err(ExecError::Cancelled);
         }
@@ -593,13 +522,13 @@ where
             }
         }
     }
-    if saw_timeout {
-        Err(ExecError::Timeout)
-    } else if let Some(msg) = panicked {
-        Err(ExecError::Internal(msg))
-    } else {
-        Err(ExecError::Infeasible(infeasible))
-    }
+    Err(match (saw_timeout, panicked, infeasible) {
+        (true, _, _) => ExecError::Timeout,
+        (false, Some(msg), _) => ExecError::Internal(msg),
+        (false, None, Some(record)) => ExecError::Infeasible(record),
+        // Every group of a non-empty plan ends one of the ways above.
+        (false, None, None) => ExecError::InvalidOptions("the plan has no steps".to_string()),
+    })
 }
 
 enum GroupVerdict<T, C> {
@@ -655,7 +584,7 @@ fn keep_earliest<C>(slot: &mut Option<(usize, C)>, step: usize, record: C) {
     }
 }
 
-/// Run the unfinished steps (`index >= resume_from`) of one group.
+/// Run the steps of one group.
 ///
 /// The steps go out in plan order to N workers: N is the number of steps
 /// when [`ExecControl::race_threads`] is above one, and 1 otherwise. One
@@ -692,12 +621,7 @@ where
     R: Fn(&PlanStep, Option<Arc<AtomicBool>>) -> Result<T, StepError<C>> + Sync,
     V: Fn(&PlanStep, &T) -> Result<(), String> + Sync,
 {
-    let steps: Vec<&PlanStep> = group
-        .steps
-        .iter()
-        .map(|&si| &plan.steps[si])
-        .filter(|step| step.index >= ctl.resume_from)
-        .collect();
+    let steps: Vec<&PlanStep> = group.steps.iter().map(|&si| &plan.steps[si]).collect();
     let settled = Arc::new(AtomicBool::new(false));
     let tally = Mutex::new(Tally {
         winner: None,
@@ -902,7 +826,7 @@ mod tests {
 
     /// The plan failed infeasible with step `step`'s record.
     fn infeasible_from(step: usize, certified: bool) -> ExecError<Rec> {
-        ExecError::Infeasible(Some(Rec { step, certified }))
+        ExecError::Infeasible(Rec { step, certified })
     }
 
     fn ok_at<'a>(
@@ -1443,14 +1367,11 @@ mod tests {
     }
 
     #[test]
-    fn a_plan_that_runs_no_group_has_no_record() {
-        let p = plan(&inputs(2));
-        let ctl = ExecControl {
-            resume_from: 2,
-            ..ExecControl::default()
-        };
-        let err = execute(&p, ok_at(1), certify_all, ctl).unwrap_err();
-        assert_eq!(err, ExecError::Infeasible(None));
+    fn an_empty_plan_is_invalid_options() {
+        let p = plan(&inputs(0));
+        assert!(p.groups.is_empty());
+        let err = execute(&p, ok_at(1), certify_all, ExecControl::default()).unwrap_err();
+        assert!(matches!(err, ExecError::InvalidOptions(_)), "{err:?}");
     }
 
     #[test]
@@ -1463,63 +1384,6 @@ mod tests {
         assert_eq!(panic_text(payload.as_ref()), "short");
         let payload: Box<dyn std::any::Any + Send> = Box::new(42u32);
         assert_eq!(panic_text(payload.as_ref()), "non-string panic payload");
-    }
-
-    #[test]
-    fn resume_skips_completed_groups() {
-        let p = plan(&inputs(4));
-        let ran: Mutex<Vec<usize>> = Mutex::new(Vec::new());
-        let runner = |step: &PlanStep, _: Option<Arc<AtomicBool>>| {
-            ran.lock().unwrap().push(step.index);
-            if step.stages == 4 {
-                Ok(step.index)
-            } else {
-                Err(infeasible(step, true))
-            }
-        };
-        let won = execute(
-            &p,
-            runner,
-            certify_all,
-            ExecControl {
-                resume_from: 2,
-                ..ExecControl::default()
-            },
-        )
-        .expect("wins");
-        assert_eq!(p.steps[won.step].stages, 4);
-        assert_eq!(*ran.lock().unwrap(), vec![2, 3], "steps 0 and 1 skipped");
-
-        // A resumed strategies group skips its finished prefix too, raced
-        // or not: step 0 (opcode-restricted) never runs again.
-        let p = plan(&PlanInputs {
-            portfolio: true,
-            ..inputs(1)
-        });
-        for race_threads in [Some(3), Some(1)] {
-            let ran: Mutex<Vec<usize>> = Mutex::new(Vec::new());
-            let runner = |step: &PlanStep, _: Option<Arc<AtomicBool>>| {
-                ran.lock().unwrap().push(step.index);
-                match step.strategy {
-                    Strategy::CanonicalAllocation => Ok(step.index),
-                    _ => Err::<_, Step>(StepError::Timeout),
-                }
-            };
-            let won = execute(
-                &p,
-                runner,
-                certify_all,
-                ExecControl {
-                    resume_from: 1,
-                    race_threads,
-                    ..ExecControl::default()
-                },
-            )
-            .expect("wins");
-            assert_eq!(p.steps[won.step].strategy, Strategy::CanonicalAllocation);
-            let ran = ran.into_inner().unwrap();
-            assert!(!ran.contains(&0), "race_threads {race_threads:?}: {ran:?}");
-        }
     }
 
     #[test]
@@ -1584,91 +1448,28 @@ mod tests {
         assert_eq!(err, ExecError::Uncertified("diverges".to_string()));
     }
 
-    /// Tiny xorshift so the property sweep is deterministic without
-    /// pulling in a dependency.
-    fn xorshift(state: &mut u64) -> u64 {
-        *state ^= *state << 13;
-        *state ^= *state >> 7;
-        *state ^= *state << 17;
-        *state
-    }
-
     #[test]
-    fn deadline_budget_is_monotone_never_zero_and_saturates() {
-        let mut rng = 0x51ab_2026_u64;
-        for _ in 0..500 {
-            let lo_ms = xorshift(&mut rng) % 600_000;
-            let hi_ms = lo_ms + xorshift(&mut rng) % 600_000;
-            let explicit = ResourceBudget {
-                conflicts: xorshift(&mut rng)
-                    .is_multiple_of(2)
-                    .then(|| 1 + xorshift(&mut rng) % 10_000_000),
-                propagations: xorshift(&mut rng)
-                    .is_multiple_of(2)
-                    .then(|| 1 + xorshift(&mut rng) % 1_000_000_000),
-                clause_bytes: xorshift(&mut rng)
-                    .is_multiple_of(2)
-                    .then(|| xorshift(&mut rng)),
+    fn a_step_under_a_deadline_sees_the_plans_own_budget() {
+        let limited = ResourceBudget {
+            conflicts: Some(1_000),
+            ..ResourceBudget::UNLIMITED
+        };
+        for budget in [ResourceBudget::UNLIMITED, limited] {
+            let p = plan(&PlanInputs {
+                budget,
+                ..inputs(1)
+            });
+            let seen = Mutex::new(Vec::new());
+            let runner = |step: &PlanStep, _: Option<Arc<AtomicBool>>| -> Result<usize, Step> {
+                seen.lock().unwrap().push(step.budget);
+                Ok(step.index)
             };
-            let lo = budget_for_remaining(Duration::from_millis(lo_ms), explicit);
-            let hi = budget_for_remaining(Duration::from_millis(hi_ms), explicit);
-
-            // Never zero for a live deadline: even zero remaining time
-            // buys the floor, so a near-expired job still does work and
-            // gets cut by the wall-clock poll, not a zero budget.
-            assert!(lo.conflicts.unwrap() >= 1);
-            assert!(lo.propagations.unwrap() >= 1);
-
-            // Monotone in remaining time.
-            assert!(hi.conflicts.unwrap() >= lo.conflicts.unwrap());
-            assert!(hi.propagations.unwrap() >= lo.propagations.unwrap());
-
-            // Saturates at the explicit ceilings when both are set, and
-            // never invents a clause-bytes cap.
-            for b in [&lo, &hi] {
-                if let Some(c) = explicit.conflicts {
-                    assert!(b.conflicts.unwrap() <= c);
-                }
-                if let Some(p) = explicit.propagations {
-                    assert!(b.propagations.unwrap() <= p);
-                }
-                assert_eq!(b.clause_bytes, explicit.clause_bytes);
-            }
+            let ctl = ExecControl {
+                deadline: Some(Instant::now() + Duration::from_secs(1)),
+                ..ExecControl::default()
+            };
+            execute(&p, runner, certify_all, ctl).unwrap();
+            assert_eq!(seen.into_inner().unwrap(), [budget]);
         }
-        // Large remaining time with no explicit cap reaches exactly the
-        // derived rate product (no overflow, no silent clamping).
-        let wide = budget_for_remaining(Duration::from_secs(300), ResourceBudget::UNLIMITED);
-        assert_eq!(wide.conflicts, Some(300 * DEADLINE_CONFLICTS_PER_SEC));
-        assert_eq!(wide.propagations, Some(300 * DEADLINE_PROPAGATIONS_PER_SEC));
-    }
-
-    #[test]
-    fn executor_tightens_step_budgets_under_a_deadline() {
-        let p = plan(&inputs(1));
-        let seen = Mutex::new(Vec::new());
-        let runner = |step: &PlanStep, _: Option<Arc<AtomicBool>>| -> Result<usize, Step> {
-            seen.lock().unwrap().push(step.budget);
-            Ok(step.index)
-        };
-        let ctl = ExecControl {
-            deadline: Some(Instant::now() + Duration::from_secs(5)),
-            ..ExecControl::default()
-        };
-        execute(&p, runner, certify_all, ctl).unwrap();
-        let seen = seen.into_inner().unwrap();
-        assert_eq!(seen.len(), 1);
-        // The plan said UNLIMITED, but the executed step carried derived
-        // ceilings bounded by the 5s window.
-        let b = seen[0];
-        assert!(b.conflicts.unwrap() <= 5 * DEADLINE_CONFLICTS_PER_SEC);
-        assert!(b.propagations.unwrap() <= 5 * DEADLINE_PROPAGATIONS_PER_SEC);
-        // No deadline → budget untouched.
-        let seen2 = Mutex::new(Vec::new());
-        let runner2 = |step: &PlanStep, _: Option<Arc<AtomicBool>>| -> Result<usize, Step> {
-            seen2.lock().unwrap().push(step.budget);
-            Ok(step.index)
-        };
-        execute(&p, runner2, certify_all, ExecControl::default()).unwrap();
-        assert_eq!(seen2.into_inner().unwrap()[0], ResourceBudget::UNLIMITED);
     }
 }

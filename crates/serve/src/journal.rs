@@ -6,14 +6,15 @@
 //! restarts, replays the journal, and re-enqueues every job that was
 //! accepted but never completed; the recompiled results land in the
 //! result cache, where the original submitter collects them with the
-//! `poll` protocol op.
+//! `poll` protocol op. A replayed job compiles exactly as a fresh
+//! submission with the same options would: its whole plan, from the
+//! first step.
 //!
 //! Format: `journal.jsonl` in the journal directory, one record per line:
 //!
 //! ```text
 //! {"rec":"accepted","key":"<16 hex>","program":<string>,"options":{…},
-//!  "trace":<string>?,"priority":<int>?,"plan":"<16 hex>"?}
-//! {"rec":"step","key":"<16 hex>","plan":"<16 hex>","step":<int>}
+//!  "trace":<string>?,"priority":<int>?}
 //! {"rec":"completed","key":"<16 hex>","trace":<string>?}
 //! ```
 //!
@@ -24,17 +25,9 @@
 //! still names it. `priority` rides the accepted record so a replayed
 //! job keeps its queue position class.
 //!
-//! **Plan progress.** `plan` on the accepted record is the fingerprint of
-//! the job's [`CompilePlan`](chipmunk::plan::CompilePlan); each `step`
-//! record marks one plan step that finished *without producing the
-//! answer* (the winning step writes `completed` instead). On replay, the
-//! contiguous prefix of journaled steps becomes
-//! [`PendingJob::resume_from`], so a kill-restart resumes a half-executed
-//! plan at its first unfinished step instead of redoing solved depths —
-//! but only when the replaying daemon re-derives the *same* fingerprint
-//! (the server checks; a planner change restarts the plan from step 0).
-//! Step records are flushed but not fsync'd: losing one merely repeats a
-//! step, the same at-least-once discipline as `completed`.
+//! Journals written by daemons that resumed plans mid-way also hold
+//! `step` records and a `plan` field on `accepted` records. Loading reads
+//! past both, and the next compaction drops them.
 //!
 //! Records are keyed by the job's content-addressed cache key, so twin
 //! submissions collapse into one pending entry and one replay. A
@@ -54,7 +47,7 @@
 //! pending jobs in memory, and re-attaches the way the cache does, with
 //! every pending job back on disk.
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::path::Path;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
@@ -75,32 +68,6 @@ pub struct PendingJob {
     pub trace: Option<String>,
     /// Queue priority of the original submission (0 when not journaled).
     pub priority: u8,
-    /// Fingerprint of the plan the previous daemon was executing.
-    pub plan: Option<String>,
-    /// First plan step not journaled as finished — where to resume,
-    /// *provided* the replaying daemon re-derives the same `plan`
-    /// fingerprint.
-    pub resume_from: usize,
-}
-
-/// Journaled per-plan progress of one pending job.
-#[derive(Default)]
-struct StepProgress {
-    /// Completed (non-winning) step indices, deduplicated.
-    done: BTreeSet<usize>,
-}
-
-impl StepProgress {
-    /// Length of the contiguous completed prefix `0..n` — the safe
-    /// resume offset (a hole means that step never finished; everything
-    /// after it must re-run because groups execute in order).
-    fn resume_from(&self) -> usize {
-        let mut n = 0;
-        while self.done.contains(&n) {
-            n += 1;
-        }
-        n
-    }
 }
 
 /// The journal's in-memory view: what the live records say.
@@ -108,21 +75,9 @@ impl StepProgress {
 struct State {
     /// Pending `accepted` records by key (the full record document).
     pending: HashMap<String, Json>,
-    /// Per-key plan progress (only meaningful while the key is pending;
-    /// keyed by (job key → plan fingerprint, finished steps)).
-    steps: HashMap<String, (String, StepProgress)>,
     /// Keys in first-accepted order, possibly holding completed stragglers
     /// (filtered against `pending` when used).
     order: Vec<String>,
-}
-
-fn step_record(key: &str, plan: &str, step: usize) -> Json {
-    Json::obj([
-        ("rec", Json::from("step")),
-        ("key", Json::from(key)),
-        ("plan", Json::from(plan)),
-        ("step", Json::from(step as u64)),
-    ])
 }
 
 impl State {
@@ -135,15 +90,12 @@ impl State {
         }
     }
 
-    /// Forget `key`'s pending record and its progress, returning the
-    /// record.
-    fn complete(&mut self, key: &str) -> Option<Json> {
-        self.steps.remove(key);
-        self.pending.remove(key)
-    }
-
-    /// Fold one record read back from the file into the state.
-    fn load(&mut self, doc: Json) {
+    /// Fold one record read back from the file into the state. Older
+    /// daemons' `step` records and `plan` fields are read past.
+    fn load(&mut self, mut doc: Json) {
+        if let Json::Obj(pairs) = &mut doc {
+            pairs.retain(|(name, _)| name != "plan");
+        }
         let (Some(rec), Some(key)) = (
             doc.get("rec").and_then(Json::as_str),
             doc.get("key").and_then(Json::as_str),
@@ -152,53 +104,19 @@ impl State {
         };
         match rec {
             "accepted" => self.accept(key, &doc),
-            "step" => {
-                let (Some(plan), Some(step)) = (
-                    doc.get("plan").and_then(Json::as_str),
-                    doc.get("step")
-                        .and_then(Json::as_u64)
-                        .and_then(|v| usize::try_from(v).ok()),
-                ) else {
-                    return;
-                };
-                // Progress only counts against the plan it was made under;
-                // a fingerprint change voids it.
-                let entry = self
-                    .steps
-                    .entry(key.to_string())
-                    .or_insert_with(|| (plan.to_string(), StepProgress::default()));
-                if entry.0 == plan {
-                    entry.1.done.insert(step);
-                }
-            }
             "completed" => {
-                self.complete(key);
+                self.pending.remove(key);
             }
             _ => {}
         }
     }
 
-    /// Lines a compacted file holds: the pending `accepted` records plus
-    /// their step records.
-    fn live(&self) -> usize {
-        let steps: usize = self.steps.values().map(|(_, p)| p.done.len()).sum();
-        self.pending.len() + steps
-    }
-
-    /// The live records in file order; step progress follows its
-    /// `accepted` record, so a compaction keeps a later crash resumable.
+    /// The live records in file order: the pending `accepted` records.
     fn records(&self) -> Vec<Json> {
-        let mut records = Vec::new();
-        for key in &self.order {
-            let Some(accepted) = self.pending.get(key) else {
-                continue;
-            };
-            records.push(accepted.clone());
-            if let Some((plan, prog)) = self.steps.get(key) {
-                records.extend(prog.done.iter().map(|&step| step_record(key, plan, step)));
-            }
-        }
-        records
+        self.order
+            .iter()
+            .filter_map(|key| self.pending.get(key).cloned())
+            .collect()
     }
 
     /// The pending job journaled under `key`, or `None` when its record
@@ -210,13 +128,6 @@ impl State {
             None | Some(Json::Null) => JobOptions::default(),
             Some(o) => JobOptions::from_json(o).ok()?,
         };
-        let journaled_plan = doc.get("plan").and_then(Json::as_str);
-        let (plan, resume_from) = match (journaled_plan, self.steps.get(key)) {
-            // Progress is only trusted when the step records' fingerprint
-            // matches the accepted record's.
-            (Some(p), Some((sp, prog))) if p == sp => (Some(p.to_string()), prog.resume_from()),
-            (p, _) => (p.map(str::to_string), 0),
-        };
         Some(PendingJob {
             key: key.to_string(),
             program,
@@ -227,8 +138,6 @@ impl State {
                 .and_then(Json::as_u64)
                 .and_then(|v| u8::try_from(v).ok())
                 .unwrap_or(0),
-            plan,
-            resume_from,
         })
     }
 }
@@ -249,7 +158,6 @@ impl Journal {
     pub fn open(dir: &Path) -> std::io::Result<(Journal, Vec<PendingJob>)> {
         let mut state = State::default();
         let log = DurableLog::open(&dir.join("journal.jsonl"), |doc| state.load(doc))?;
-        state.steps.retain(|k, _| state.pending.contains_key(k));
         // A completed-then-reaccepted key appears in `order` once per
         // accept; replay must see it once, and only while it is pending.
         let mut seen = HashSet::new();
@@ -263,7 +171,7 @@ impl Journal {
             .collect();
         // Completed history and damaged lines are dead weight the next
         // start would re-read: compact them away now.
-        let dead = log.lines() > state.live() as u64;
+        let dead = log.lines() > state.pending.len() as u64;
         let journal = Journal {
             state: Mutex::new(state),
             log,
@@ -282,7 +190,7 @@ impl Journal {
     /// the log asks. The caller holds the state lock, which the log's
     /// lock always follows.
     fn write(&self, state: &mut State, doc: &Json, sync: bool) {
-        if self.log.append(doc, sync, state.live()) {
+        if self.log.append(doc, sync, state.pending.len()) {
             let _ = self.rewrite(state);
         }
     }
@@ -297,8 +205,7 @@ impl Journal {
     /// trace id (when given) rides the record so the replayed job keeps
     /// its correlation across the restart; for twin submissions sharing a
     /// key, the first accept's trace id wins. `priority` keeps the job's
-    /// queue class across a restart; `plan` is the compile-plan
-    /// fingerprint later `step` records will be checked against.
+    /// queue class across a restart.
     pub fn accepted(
         &self,
         key: &str,
@@ -306,7 +213,6 @@ impl Journal {
         options: &JobOptions,
         trace: Option<&str>,
         priority: u8,
-        plan: Option<&str>,
     ) {
         let mut pairs = vec![
             ("rec", Json::from("accepted")),
@@ -320,44 +226,17 @@ impl Journal {
         if priority > 0 {
             pairs.push(("priority", Json::from(u64::from(priority))));
         }
-        if let Some(p) = plan {
-            pairs.push(("plan", Json::from(p)));
-        }
         let doc = Json::obj(pairs);
         let mut state = self.lock();
         state.accept(key, &doc);
         self.write(&mut state, &doc, true);
     }
 
-    /// Progress record: plan step `step` of the plan fingerprinted `plan`
-    /// finished without producing the answer. Flushed but not fsync'd —
-    /// losing one repeats a step, which is safe. Ignored for keys that are
-    /// not pending or whose journaled fingerprint disagrees (a replan
-    /// voids old progress).
-    pub fn step(&self, key: &str, plan: &str, step: usize) {
-        let mut state = self.lock();
-        if !state.pending.contains_key(key) {
-            return;
-        }
-        let entry = state
-            .steps
-            .entry(key.to_string())
-            .or_insert_with(|| (plan.to_string(), StepProgress::default()));
-        if entry.0 != plan {
-            // New plan for the same key: previous progress is void.
-            *entry = (plan.to_string(), StepProgress::default());
-        }
-        if !entry.1.done.insert(step) {
-            return; // already journaled
-        }
-        self.write(&mut state, &step_record(key, plan, step), false);
-    }
-
     /// Terminal record: `key` has been answered (by any outcome). The
     /// record echoes the trace id journaled by the matching `accepted`.
     pub fn completed(&self, key: &str) {
         let mut state = self.lock();
-        let Some(accepted) = state.complete(key) else {
+        let Some(accepted) = state.pending.remove(key) else {
             return; // unknown or already-completed key: nothing owed
         };
         let mut pairs = vec![("rec", Json::from("completed")), ("key", Json::from(key))];
@@ -435,17 +314,9 @@ mod tests {
                 &opts_with_width(6),
                 Some("t-abc"),
                 0,
-                None,
             );
-            j.accepted("k2", "pkt.c = pkt.d;", &opts_with_width(7), None, 0, None);
-            j.accepted(
-                "k3",
-                "pkt.e = pkt.f;",
-                &JobOptions::default(),
-                None,
-                0,
-                None,
-            );
+            j.accepted("k2", "pkt.c = pkt.d;", &opts_with_width(7), None, 0);
+            j.accepted("k3", "pkt.e = pkt.f;", &JobOptions::default(), None, 0);
             j.completed("k2");
         }
         let (j, replay) = Journal::open(&dir).unwrap();
@@ -468,8 +339,8 @@ mod tests {
         let dir = tmpdir("dup");
         {
             let (j, _) = Journal::open(&dir).unwrap();
-            j.accepted("k", "pkt.a = pkt.b;", &JobOptions::default(), None, 0, None);
-            j.accepted("k", "pkt.a = pkt.b;", &JobOptions::default(), None, 0, None);
+            j.accepted("k", "pkt.a = pkt.b;", &JobOptions::default(), None, 0);
+            j.accepted("k", "pkt.a = pkt.b;", &JobOptions::default(), None, 0);
         }
         let (_, replay) = Journal::open(&dir).unwrap();
         assert_eq!(replay.len(), 1);
@@ -494,14 +365,7 @@ mod tests {
         assert_eq!(replay.len(), 1);
         assert_eq!(replay[0].key, "k1");
         // Journal still accepts new records after the damage.
-        j.accepted(
-            "k3",
-            "pkt.x = pkt.y;",
-            &JobOptions::default(),
-            None,
-            0,
-            None,
-        );
+        j.accepted("k3", "pkt.x = pkt.y;", &JobOptions::default(), None, 0);
         assert_eq!(j.pending_len(), 2);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -526,14 +390,7 @@ mod tests {
             let (j, replay) = Journal::open(&dir).unwrap();
             let keys: Vec<&str> = replay.iter().map(|p| p.key.as_str()).collect();
             assert_eq!(keys, ["k1"]);
-            j.accepted(
-                "k3",
-                "pkt.x = pkt.y;",
-                &JobOptions::default(),
-                None,
-                0,
-                None,
-            );
+            j.accepted("k3", "pkt.x = pkt.y;", &JobOptions::default(), None, 0);
         }
         let (_, replay) = Journal::open(&dir).unwrap();
         let keys: Vec<&str> = replay.iter().map(|p| p.key.as_str()).collect();
@@ -554,7 +411,7 @@ mod tests {
         let dir = tmpdir("reopen");
         let (j, _) = Journal::open(&dir).unwrap();
         let opts = JobOptions::default();
-        j.accepted("k1", "pkt.a = pkt.b;", &opts, None, 0, None);
+        j.accepted("k1", "pkt.a = pkt.b;", &opts, None, 0);
         // Occurrence 0 is the rewrite's temp file, 1 the reopen.
         crate::faults::install("disk_io@1").unwrap();
         let failed = j.compact();
@@ -562,7 +419,7 @@ mod tests {
         assert!(failed.is_err(), "the failed reopen must surface");
         assert!(j.degraded());
         assert_eq!(j.errors(), 1);
-        j.accepted("k2", "pkt.c = pkt.d;", &opts, None, 0, None);
+        j.accepted("k2", "pkt.c = pkt.d;", &opts, None, 0);
         j.compact().unwrap();
         assert!(!j.degraded());
         drop(j);
@@ -579,14 +436,7 @@ mod tests {
         let (j, _) = Journal::open(&dir).unwrap();
         for i in 0..40 {
             let key = format!("k{i}");
-            j.accepted(
-                &key,
-                "pkt.a = pkt.b;",
-                &JobOptions::default(),
-                None,
-                0,
-                None,
-            );
+            j.accepted(&key, "pkt.a = pkt.b;", &JobOptions::default(), None, 0);
             j.completed(&key);
         }
         assert!(j.compactions() >= 1);
@@ -607,7 +457,6 @@ mod tests {
                 &JobOptions::default(),
                 Some("t-1"),
                 3,
-                None,
             );
             // Twin submission: the first accept's trace id wins.
             j.accepted(
@@ -616,7 +465,6 @@ mod tests {
                 &JobOptions::default(),
                 Some("t-2"),
                 0,
-                None,
             );
             j.completed("k1");
         }
@@ -651,7 +499,7 @@ mod tests {
         };
         {
             let (j, _) = Journal::open(&dir).unwrap();
-            j.accepted("k", "pkt.a = pkt.b;", &opts, None, 0, None);
+            j.accepted("k", "pkt.a = pkt.b;", &opts, None, 0);
         }
         let (_, replay) = Journal::open(&dir).unwrap();
         let got = &replay[0].options;
@@ -667,7 +515,7 @@ mod tests {
     }
 
     #[test]
-    fn priority_and_plan_ride_the_accepted_record() {
+    fn priority_rides_the_accepted_record() {
         let _f = crate::faults::test_lock();
         let dir = tmpdir("prio");
         {
@@ -678,156 +526,46 @@ mod tests {
                 &JobOptions::default(),
                 Some("t-p"),
                 7,
-                Some("deadbeefdeadbeef"),
             );
         }
         let (_, replay) = Journal::open(&dir).unwrap();
         assert_eq!(replay.len(), 1);
         assert_eq!(replay[0].priority, 7);
-        assert_eq!(replay[0].plan.as_deref(), Some("deadbeefdeadbeef"));
-        assert_eq!(replay[0].resume_from, 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Journals from daemons that resumed plans mid-way carry `step`
+    /// records and a `plan` fingerprint on `accepted`: the job replays
+    /// as written, and a compaction leaves neither behind.
     #[test]
-    fn journaled_steps_become_the_resume_offset() {
+    fn step_records_and_plan_fields_are_ignored_on_load_and_compacted_away() {
         let _f = crate::faults::test_lock();
-        let dir = tmpdir("resume");
+        let dir = tmpdir("stepcompat");
+        std::fs::create_dir_all(&dir).unwrap();
         let fp = "0123456789abcdef";
-        {
-            let (j, _) = Journal::open(&dir).unwrap();
-            j.accepted(
-                "k",
-                "pkt.a = pkt.b;",
-                &JobOptions::default(),
-                None,
-                0,
-                Some(fp),
-            );
-            j.step("k", fp, 0);
-            j.step("k", fp, 1);
-            j.step("k", fp, 1); // duplicate: journaled once
+        let mut text = format!(
+            "{{\"rec\":\"accepted\",\"key\":\"k\",\"program\":\"pkt.a = pkt.b;\",\
+             \"options\":{{\"width\":6}},\"trace\":\"t-s\",\"priority\":2,\"plan\":\"{fp}\"}}\n"
+        );
+        for step in 0..3 {
+            text.push_str(&format!(
+                "{{\"rec\":\"step\",\"key\":\"k\",\"plan\":\"{fp}\",\"step\":{step}}}\n"
+            ));
         }
-        let (_, replay) = Journal::open(&dir).unwrap();
-        assert_eq!(replay[0].resume_from, 2, "contiguous prefix 0..2 done");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn a_hole_in_the_step_sequence_stops_the_resume_prefix() {
-        let _f = crate::faults::test_lock();
-        let dir = tmpdir("hole");
-        let fp = "0123456789abcdef";
-        {
-            let (j, _) = Journal::open(&dir).unwrap();
-            j.accepted(
-                "k",
-                "pkt.a = pkt.b;",
-                &JobOptions::default(),
-                None,
-                0,
-                Some(fp),
-            );
-            j.step("k", fp, 0);
-            j.step("k", fp, 2); // step 1 never finished
-        }
-        let (_, replay) = Journal::open(&dir).unwrap();
-        assert_eq!(replay[0].resume_from, 1);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn mismatched_plan_fingerprint_voids_journaled_progress() {
-        let _f = crate::faults::test_lock();
-        let dir = tmpdir("fpmismatch");
-        {
-            let (j, _) = Journal::open(&dir).unwrap();
-            j.accepted(
-                "k",
-                "pkt.a = pkt.b;",
-                &JobOptions::default(),
-                None,
-                0,
-                Some("aaaaaaaaaaaaaaaa"),
-            );
-            // Step records from some other plan (e.g. a planner change
-            // between accept and crash): must not be trusted.
-            j.step("k", "bbbbbbbbbbbbbbbb", 0);
-            j.step("k", "bbbbbbbbbbbbbbbb", 1);
-        }
-        let (_, replay) = Journal::open(&dir).unwrap();
-        assert_eq!(replay[0].resume_from, 0);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn step_progress_survives_compaction() {
-        let _f = crate::faults::test_lock();
-        let dir = tmpdir("stepcompact");
-        let fp = "0123456789abcdef";
-        {
-            let (j, _) = Journal::open(&dir).unwrap();
-            j.accepted(
-                "k",
-                "pkt.a = pkt.b;",
-                &JobOptions::default(),
-                None,
-                0,
-                Some(fp),
-            );
-            j.step("k", fp, 0);
-            // Force churn so a compaction definitely runs.
-            for i in 0..40 {
-                let key = format!("churn{i}");
-                j.accepted(
-                    &key,
-                    "pkt.c = pkt.d;",
-                    &JobOptions::default(),
-                    None,
-                    0,
-                    None,
-                );
-                j.completed(&key);
-            }
-            assert!(j.compactions() >= 1);
-        }
-        let (_, replay) = Journal::open(&dir).unwrap();
+        std::fs::write(dir.join("journal.jsonl"), text).unwrap();
+        let (j, replay) = Journal::open(&dir).unwrap();
         assert_eq!(replay.len(), 1);
-        assert_eq!(replay[0].resume_from, 1, "step lost in compaction");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn completion_clears_step_progress() {
-        let _f = crate::faults::test_lock();
-        let dir = tmpdir("stepclear");
-        let fp = "0123456789abcdef";
-        {
-            let (j, _) = Journal::open(&dir).unwrap();
-            j.accepted(
-                "k",
-                "pkt.a = pkt.b;",
-                &JobOptions::default(),
-                None,
-                0,
-                Some(fp),
-            );
-            j.step("k", fp, 0);
-            j.completed("k");
-            // Re-accept the same key: old progress must not leak into the
-            // fresh job.
-            j.accepted(
-                "k",
-                "pkt.a = pkt.b;",
-                &JobOptions::default(),
-                None,
-                0,
-                Some(fp),
-            );
-        }
-        let (_, replay) = Journal::open(&dir).unwrap();
-        assert_eq!(replay.len(), 1);
-        assert_eq!(replay[0].resume_from, 0);
+        assert_eq!(replay[0].program, "pkt.a = pkt.b;");
+        assert_eq!(replay[0].options.width, Some(6));
+        assert_eq!(replay[0].trace.as_deref(), Some("t-s"));
+        assert_eq!(replay[0].priority, 2);
+        j.compact().unwrap();
+        assert_eq!(j.lines(), 1);
+        let text = std::fs::read_to_string(dir.join("journal.jsonl")).unwrap();
+        let doc = Json::parse(text.trim_end()).unwrap();
+        assert_eq!(doc.get("rec").and_then(Json::as_str), Some("accepted"));
+        assert_eq!(doc.get("plan"), None, "{text}");
+        assert!(!text.contains("\"step\""), "{text}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -78,9 +78,9 @@
 //! admission and covering queue wait, synthesis, and certification. The
 //! daemon defaults it from `--default-deadline-ms` when absent. Unlike
 //! `timeout_ms` (which bounds only the compile step), the deadline also
-//! expires jobs still in the queue, and the plan executor converts the
-//! *remaining* time into per-step solver budgets. Like `timeout_ms` it
-//! is excluded from the cache key. A `busy` or `queue_full` rejection
+//! expires jobs still in the queue; the compile's solvers poll the
+//! *remaining* time and the plan executor escalates no further past it.
+//! Like `timeout_ms` it is excluded from the cache key. A `busy` or `queue_full` rejection
 //! issued during brownout may carry `retry_after_ms`, the daemon's
 //! estimate of when capacity will return; retrying clients should wait
 //! at least that long.
@@ -574,8 +574,8 @@ pub fn codegen_error_code(e: &CodegenError) -> &'static str {
     }
 }
 
-/// Serialize a successful compilation: the decoded configuration in the
-/// same shape as `chipmunkc compile --json`.
+/// Serialize a successful compilation: the decoded configuration, also
+/// what `chipmunkc compile --json` prints.
 ///
 /// `fields` / `states` are the compiled program's name lists in index
 /// order (see [`chipmunk::layout_names`]); they make the document

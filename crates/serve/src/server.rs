@@ -42,8 +42,8 @@ use std::time::{Duration, Instant};
 use chipmunk::cegis::CHECK_PROPAGATION_LIMIT;
 use chipmunk::plan::{panic_text, StepOutcome, Strategy};
 use chipmunk::{
-    cache_key, certify_config, compile_with_control, layout_names, plan_compilation, Certificate,
-    CertifyRequest, CheckBudget, CodegenError, CompilerOptions, InfeasibleCert, PlanControl,
+    cache_key, certify_config, compile_with_control, layout_names, Certificate, CertifyRequest,
+    CheckBudget, CodegenError, CompilerOptions, InfeasibleCert, PlanControl,
 };
 use chipmunk_lang::{parse, Program};
 use chipmunk_pisa::GridSpec;
@@ -468,12 +468,6 @@ struct Job {
     /// replayed job) recovered from the journal. Stamped on the
     /// `serve.job` span so nested compile spans correlate with it.
     trace: String,
-    /// Fingerprint of the job's compile plan (None when planning failed —
-    /// the worker will surface the same error).
-    plan_fp: Option<String>,
-    /// First plan step to execute: 0 for fresh jobs; for a replayed job,
-    /// the journaled progress of the *same* (fingerprint-checked) plan.
-    resume_from: usize,
     /// Absolute wall-clock deadline (admission time + the request's
     /// `deadline_ms`, or the server default). `None` = the client waits
     /// forever. Replayed jobs get a fresh full window from replay time —
@@ -813,12 +807,14 @@ fn start_metrics_endpoint(shared: &Arc<Shared>, config: &ServerConfig) {
 }
 
 /// Re-queue every journaled job a previous process accepted but never
-/// answered. Replayed jobs carry a *discard* reply handle (their client
-/// is gone — the receiver half of a fresh channel is dropped immediately),
-/// so the compile runs for its cache side effect; the original submitter
-/// collects the result with the `poll` op. Each replayed job counts as
-/// `recovered`, and as `submitted` when it enters the queue, so the
-/// conservation invariant keeps holding: a worker answers it as usual.
+/// answered. A replayed job compiles exactly as a fresh submission with
+/// the same options would, from the first step of its plan. It carries a
+/// *discard* reply handle (its client is gone — the receiver half of a
+/// fresh channel is dropped immediately), so the compile runs for its
+/// cache side effect; the original submitter collects the result with
+/// the `poll` op. Each replayed job counts as `recovered`, and as
+/// `submitted` when it enters the queue, so the conservation invariant
+/// keeps holding: a worker answers it as usual.
 fn replay_journal(shared: &Arc<Shared>, replay: Vec<crate::journal::PendingJob>) {
     for pending in replay {
         let Some(journal) = &shared.journal else {
@@ -841,31 +837,12 @@ fn replay_journal(shared: &Arc<Shared>, replay: Vec<crate::journal::PendingJob>)
         // recorded one), so telemetry from the recompile correlates with
         // the pre-crash submission.
         let trace = pending.trace.clone().unwrap_or_else(next_trace_id);
-        // Journaled plan progress is honored only when this daemon derives
-        // the *same* plan fingerprint the previous one journaled — a
-        // planner (or options) change restarts the plan from step 0.
-        let plan_fp = plan_compilation(&req.program, &req.opts)
-            .ok()
-            .map(|p| p.fingerprint());
-        let resume_from = match (&plan_fp, &pending.plan) {
-            (Some(derived), Some(journaled)) if derived == journaled => pending.resume_from,
-            _ => 0,
-        };
-        if resume_from > 0 {
-            chipmunk_trace::event!(
-                "serve.journal.resume",
-                key = pending.key.as_str(),
-                step = resume_from as u64,
-            );
-        }
         let priority = pending.priority;
         let (tx, _rx) = mpsc::channel::<Json>();
         let family = family_of(&req.states);
         let job = Job {
             req,
             trace,
-            plan_fp,
-            resume_from,
             reply: ReplyHandle {
                 tx,
                 pending: Arc::new(AtomicUsize::new(1)),
@@ -1445,17 +1422,9 @@ fn start_compile(
     // Reserve the in-flight slot before the push: the matching decrement
     // runs when the [`ReplyHandle`] answers, on whichever path that is.
     pending.fetch_add(1, Ordering::AcqRel);
-    // The plan fingerprint is journaled with the accept so a restarted
-    // daemon can check journaled step progress against the plan *it*
-    // derives before resuming mid-plan.
-    let plan_fp = plan_compilation(&req.program, &req.opts)
-        .ok()
-        .map(|p| p.fingerprint());
     let job = Job {
         req,
         trace: trace.clone(),
-        plan_fp,
-        resume_from: 0,
         reply: ReplyHandle {
             tx: tx.clone(),
             pending: pending.clone(),
@@ -1477,14 +1446,7 @@ fn start_compile(
     // does, or a crash between the two loses it. The trace id rides the
     // record so a replay keeps the correlation.
     if let Some(journal) = &shared.journal {
-        journal.accepted(
-            &job.req.key,
-            source,
-            options,
-            Some(&job.trace),
-            priority,
-            job.plan_fp.as_deref(),
-        );
+        journal.accepted(&job.req.key, source, options, Some(&job.trace), priority);
     }
     let (job, refusal) = match shared
         .queue
@@ -1644,9 +1606,8 @@ fn run_job(shared: &Arc<Shared>, job: Job) -> bool {
     }
     // Thread the remaining wall-clock window into the compile: the CEGIS
     // deadline min-merges with any timeout-derived one inside the
-    // compiler, flows into the shared budget account, and the plan
-    // executor derives remaining-time-aware per-step resource budgets
-    // from it at each step launch.
+    // compiler, flows into the shared budget account, whose solvers poll
+    // it, and stops the plan executor from escalating past it.
     job.req.opts.cegis.deadline = match (job.req.opts.cegis.deadline, job.deadline) {
         (Some(a), Some(b)) => Some(a.min(b)),
         (a, b) => a.or(b),
@@ -1685,35 +1646,23 @@ fn run_job(shared: &Arc<Shared>, job: Job) -> bool {
     );
     let started = Instant::now();
     // The plan observer runs on this thread once per executed step. It
-    // journals finished (non-winning) steps so a kill-restart resumes
-    // mid-plan, and counts cancelled portfolio losers separately from
-    // failures.
+    // counts cancelled portfolio losers separately from failures: a racing
+    // loser another strategy beat is spent search, not a failure, so it
+    // gets its own outcome label and counter.
     let observer = |report: &chipmunk::plan::StepReport| {
-        match report.outcome {
-            StepOutcome::Cancelled => {
-                // A racing loser another strategy beat: spent search, not
-                // a failure — it gets its own outcome label and counter.
-                shared
-                    .stats
-                    .portfolio_cancelled
-                    .fetch_add(1, Ordering::Relaxed);
-                chipmunk_trace::counter_add!("serve.portfolio.cancelled", 1);
-                shared.telemetry.record_strat(
-                    Stage::Compile,
-                    Outcome::Cancelled,
-                    family,
-                    strat_of(report.strategy),
-                    report.elapsed.as_micros() as u64,
-                );
-            }
-            StepOutcome::Infeasible | StepOutcome::Timeout => {
-                // Finished without winning: journal it so a restart
-                // resumes at the first unfinished step.
-                if let (Some(journal), Some(fp)) = (&shared.journal, job.plan_fp.as_deref()) {
-                    journal.step(&job.req.key, fp, report.step);
-                }
-            }
-            _ => {}
+        if report.outcome == StepOutcome::Cancelled {
+            shared
+                .stats
+                .portfolio_cancelled
+                .fetch_add(1, Ordering::Relaxed);
+            chipmunk_trace::counter_add!("serve.portfolio.cancelled", 1);
+            shared.telemetry.record_strat(
+                Stage::Compile,
+                Outcome::Cancelled,
+                family,
+                strat_of(report.strategy),
+                report.elapsed.as_micros() as u64,
+            );
         }
     };
     // Message-preserving panic isolation around the compile itself: a
@@ -1735,7 +1684,6 @@ fn run_job(shared: &Arc<Shared>, job: Job) -> bool {
             &job.req.opts,
             PlanControl {
                 cancel: Some(cancel.clone()),
-                resume_from: job.resume_from,
                 observer: Some(&observer),
             },
         )

@@ -320,7 +320,7 @@ fn journal_degrades_on_disk_error_and_reattaches() {
     assert!(replay.is_empty());
     let accept = |i: u64| {
         let opts = JobOptions::default();
-        journal.accepted(&format!("k{i}"), "pkt.a = pkt.b;", &opts, None, 0, None);
+        journal.accepted(&format!("k{i}"), "pkt.a = pkt.b;", &opts, None, 0);
     };
 
     accept(0);

@@ -728,7 +728,7 @@ fn compile_errors_are_reported_not_fatal() {
 /// Size-shaped options above their ceilings are answered `bad_request`
 /// before the daemon plans anything: one request must not make it build a
 /// plan step per requested stage, or a sketch per requested slot or
-/// initial input.
+/// initial input. A zero depth, which plans no step, is refused too.
 #[test]
 fn options_above_their_ceilings_are_bad_requests() {
     let handle = server::start(&ServerConfig {
@@ -741,6 +741,7 @@ fn options_above_their_ceilings_are_bad_requests() {
     let mut client = Client::connect(handle.local_addr()).unwrap();
     let initial_inputs = chipmunk::CegisOptions::MAX_INITIAL_INPUTS as u64 + 1;
     for (key, value) in [
+        ("max_stages", 0),
         ("max_stages", 100_000),
         ("slots", 100_000),
         ("num_initial_inputs", initial_inputs),
@@ -1143,4 +1144,95 @@ fn overlong_request_line_is_refused_and_closed() {
     assert!(ok(&client.status().unwrap()));
     client.shutdown(false).unwrap();
     handle.join();
+}
+
+/// A journal from a daemon that resumed plans mid-way: the `accepted`
+/// record carries the plan fingerprint, and a `step` record marks every
+/// plan step finished — what that daemon left when every step ended
+/// `Timeout` and it died before writing `completed`. A replayed job
+/// compiles as a fresh submission would, from the plan's first step, so
+/// the poll finds the same depth a fresh compile gives and nothing is
+/// answered infeasible.
+#[test]
+fn a_replayed_job_recompiles_its_whole_plan() {
+    use std::time::{Duration, Instant};
+
+    let dir = tmpdir("replay-whole-plan");
+    let journal_dir = dir.join("journal");
+    std::fs::create_dir_all(&journal_dir).unwrap();
+    let source = "pkt.x = pkt.a + pkt.b;";
+    let options = chipmunk_serve::JobOptions::from_json(&fast_options()).unwrap();
+    let program = chipmunk_lang::parse(source).unwrap();
+    let opts = options.to_compiler_options().unwrap();
+    let fresh = chipmunk::compile(&program, &opts).expect("a fresh compile fits");
+    let plan = chipmunk::plan_compilation(&program, &opts).unwrap();
+    let key = chipmunk::cache_key(&program, &opts);
+    let fp = plan.fingerprint();
+    let mut journal = Json::obj([
+        ("rec", Json::from("accepted")),
+        ("key", Json::from(key.as_str())),
+        ("program", Json::from(source)),
+        ("options", options.to_json()),
+        ("trace", Json::from("t-replay")),
+        ("plan", Json::from(fp.as_str())),
+    ])
+    .to_compact();
+    for step in &plan.steps {
+        let record = Json::obj([
+            ("rec", Json::from("step")),
+            ("key", Json::from(key.as_str())),
+            ("plan", Json::from(fp.as_str())),
+            ("step", Json::from(step.index)),
+        ]);
+        journal.push('\n');
+        journal.push_str(&record.to_compact());
+    }
+    journal.push('\n');
+    std::fs::write(journal_dir.join("journal.jsonl"), journal).unwrap();
+
+    let handle = server::start(&ServerConfig {
+        workers: 1,
+        queue_capacity: 4,
+        cache_dir: Some(dir.join("cache")),
+        journal_dir: Some(journal_dir),
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let mut client = Client::connect(handle.local_addr()).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let result = loop {
+        let polled = client.poll(source, fast_options()).unwrap();
+        if polled.get("found").and_then(Json::as_bool) == Some(true) {
+            break polled
+                .get("result")
+                .cloned()
+                .expect("a found poll has a result");
+        }
+        let stats = client.stats().unwrap();
+        assert_eq!(
+            stats.get("infeasible_unchecked").and_then(Json::as_u64),
+            Some(0),
+            "{stats}"
+        );
+        assert!(
+            Instant::now() < deadline,
+            "the replayed job never answered: {stats}"
+        );
+        std::thread::sleep(Duration::from_millis(50));
+    };
+    let stages = result
+        .get("grid")
+        .and_then(|g| g.get("stages"))
+        .and_then(Json::as_u64);
+    assert_eq!(stages, Some(fresh.grid.stages as u64), "{result}");
+    let stats = client.stats().unwrap();
+    assert_eq!(stats.get("recovered").and_then(Json::as_u64), Some(1));
+    assert_eq!(
+        stats.get("infeasible_unchecked").and_then(Json::as_u64),
+        Some(0),
+        "{stats}"
+    );
+    client.shutdown(false).unwrap();
+    handle.join();
+    let _ = std::fs::remove_dir_all(&dir);
 }

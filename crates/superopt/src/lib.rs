@@ -268,8 +268,8 @@ fn cegis_at_len(
     let mut regs: Vec<TermId> = input_terms.clone();
     for i in 0..len {
         let h = |k: usize| hole_terms[4 * i + k];
-        let a = select(&mut c, h(1), &regs);
-        let b = select(&mut c, h(2), &regs);
+        let a = c.select(h(1), &regs);
+        let b = c.select(h(2), &regs);
         let out = stateless::symbolic_alu(&opts.alu, &mut c, a, b, h(3), h(0));
         regs.push(out);
     }
@@ -387,16 +387,6 @@ fn cegis_at_len(
             }
         }
     }
-}
-
-fn select(c: &mut Circuit, sel: TermId, options: &[TermId]) -> TermId {
-    let mut acc = options[options.len() - 1];
-    for (i, &opt) in options.iter().enumerate().rev().skip(1) {
-        let idx = c.constant(i as u64);
-        let is_i = c.binop(BvOp::Eq, sel, idx);
-        acc = c.mux(is_i, opt, acc);
-    }
-    acc
 }
 
 fn decode(hv: &[u64], num_inputs: usize, len: usize, alu: &StatelessAluSpec) -> Vec<Instr> {
