@@ -9,6 +9,7 @@ use chipmunk_bench::{
 };
 
 fn main() {
+    chipmunk_trace::init_from_env();
     let mut cfg = ExperimentConfig::default();
     let mut load: Option<String> = None;
     let mut args = std::env::args().skip(1);

@@ -36,6 +36,7 @@ fn parse_args() -> (ExperimentConfig, Option<String>) {
 }
 
 fn main() {
+    chipmunk_trace::init_from_env();
     let (cfg, json) = parse_args();
     eprintln!(
         "Running Table 2 sweep: {} mutations/program, width {}, timeout {}s …",

@@ -27,7 +27,11 @@
 //! grid-size escalation) as JSON Lines; `trace-report` renders a per-phase
 //! time and work breakdown from such a file. Setting the `CHIPMUNK_TRACE`
 //! environment variable (a path, or `stderr`) enables the same tracing for
-//! every subcommand.
+//! every subcommand: `main` calls `chipmunk_trace::init_from_env` first,
+//! and a `--trace` flag parsed later replaces that sink. `serve` takes its
+//! daemon's fault-injection plan from `CHIPMUNK_FAULTS` (the syntax of
+//! `chipmunk_serve::faults`) and refuses to start with an invalid one.
+//! The libraries never read the environment on their own.
 //!
 //! `compile`, `plan`, `run` and `submit` read the compile flags through
 //! one parser, and an absent flag takes the daemon's service default.
@@ -241,6 +245,7 @@ fn usage() -> String {
 }
 
 fn main() -> ExitCode {
+    chipmunk_trace::init_from_env();
     let mut argv = std::env::args().skip(1);
     let cmd = match argv.next() {
         Some(c) => c,
@@ -440,6 +445,26 @@ fn cmd_plan(args: &Args) -> Result<(), String> {
 /// Default address shared by `serve` and `submit`.
 const SERVE_ADDR: &str = "127.0.0.1:7919";
 
+/// Connect to the daemon at `addr`, naming the likely cause on failure.
+fn connect(addr: &str) -> Result<chipmunk_serve::Client, String> {
+    chipmunk_serve::Client::connect(addr)
+        .map_err(|e| format!("connect {addr}: {e} (is `chipmunkc serve` running?)"))
+}
+
+/// `response` when the daemon answered `ok`; otherwise its refusal,
+/// rendered as the command's error.
+fn accepted(response: Json) -> Result<Json, String> {
+    if response.get("ok").and_then(Json::as_bool) == Some(true) {
+        return Ok(response);
+    }
+    let text = |key, default| response.get(key).and_then(Json::as_str).unwrap_or(default);
+    Err(format!(
+        "server: {} ({})",
+        text("message", "request failed"),
+        text("error", "unknown")
+    ))
+}
+
 fn cmd_serve(args: &Args) -> Result<(), String> {
     if let Some(path) = args.get("trace") {
         chipmunk_trace::init_jsonl(path).map_err(|e| format!("--trace {path}: {e}"))?;
@@ -482,9 +507,12 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         },
         shed_below_priority: args.num("shed-below-priority", defaults.shed_below_priority)?,
         watchdog_escalate_ms: args.num("watchdog-escalate-ms", defaults.watchdog_escalate_ms)?,
+        faults: std::env::var("CHIPMUNK_FAULTS")
+            .ok()
+            .filter(|spec| !spec.trim().is_empty()),
     };
     let handle =
-        chipmunk_serve::start(&config).map_err(|e| format!("bind {}: {e}", config.addr))?;
+        chipmunk_serve::start(&config).map_err(|e| format!("serve on {}: {e}", config.addr))?;
     eprintln!(
         "chipmunk-serve listening on {} ({} worker(s), queue {} deep, cache {})",
         handle.local_addr(),
@@ -649,23 +677,10 @@ fn cmd_cache(args: &Args) -> Result<(), String> {
         (false, true) => "clear",
         (false, false) => "stats",
     };
-    let mut client = chipmunk_serve::Client::connect(addr)
-        .map_err(|e| format!("connect {addr}: {e} (is `chipmunkc serve` running?)"))?;
-    let response = client.cache(action).map_err(|e| format!("{addr}: {e}"))?;
-    if response.get("ok").and_then(Json::as_bool) != Some(true) {
-        return Err(format!(
-            "server: {} ({})",
-            response
-                .get("message")
-                .and_then(Json::as_str)
-                .unwrap_or("request failed"),
-            response
-                .get("error")
-                .and_then(Json::as_str)
-                .unwrap_or("unknown"),
-        ));
-    }
-    println!("{}", response.to_pretty());
+    let response = connect(addr)?
+        .cache(action)
+        .map_err(|e| format!("{addr}: {e}"))?;
+    println!("{}", accepted(response)?.to_pretty());
     Ok(())
 }
 
@@ -681,8 +696,7 @@ fn cmd_submit(args: &Args) -> Result<(), String> {
     {
         // Control ops are not retried: probing or stopping a server that
         // is down should say so immediately.
-        let mut client = chipmunk_serve::Client::connect(addr)
-            .map_err(|e| format!("connect {addr}: {e} (is `chipmunkc serve` running?)"))?;
+        let mut client = connect(addr)?;
         if args.has("status") {
             client.status()
         } else if args.has("stats") {
@@ -703,8 +717,7 @@ fn cmd_submit(args: &Args) -> Result<(), String> {
             // A caller-chosen trace id pins one submission to one server
             // span tree, so retrying under the same id would conflate
             // attempts — this path submits exactly once.
-            let mut client = chipmunk_serve::Client::connect(addr)
-                .map_err(|e| format!("connect {addr}: {e} (is `chipmunkc serve` running?)"))?;
+            let mut client = connect(addr)?;
             client.set_priority(priority);
             client
                 .compile_traced(&source, options, Some(trace_id))
@@ -722,19 +735,7 @@ fn cmd_submit(args: &Args) -> Result<(), String> {
             resp
         }
     };
-    if response.get("ok").and_then(Json::as_bool) != Some(true) {
-        return Err(format!(
-            "server: {} ({})",
-            response
-                .get("message")
-                .and_then(Json::as_str)
-                .unwrap_or("request failed"),
-            response
-                .get("error")
-                .and_then(Json::as_str)
-                .unwrap_or("unknown"),
-        ));
-    }
+    let response = accepted(response)?;
     if let Some(cached) = response.get("cached").and_then(Json::as_bool) {
         eprintln!(
             "{} in {} ms (queued {} ms), key {}, trace {}",
@@ -796,22 +797,10 @@ fn cmd_trace(args: &Args) -> Result<(), String> {
     let trace_id = args
         .get("job")
         .ok_or_else(|| "trace needs --job <trace-id>".to_string())?;
-    let mut client = chipmunk_serve::Client::connect(addr)
-        .map_err(|e| format!("connect {addr}: {e} (is `chipmunkc serve` running?)"))?;
-    let response = client.trace(trace_id).map_err(|e| format!("{addr}: {e}"))?;
-    if response.get("ok").and_then(Json::as_bool) != Some(true) {
-        return Err(format!(
-            "server: {} ({})",
-            response
-                .get("message")
-                .and_then(Json::as_str)
-                .unwrap_or("request failed"),
-            response
-                .get("error")
-                .and_then(Json::as_str)
-                .unwrap_or("unknown"),
-        ));
-    }
+    let response = connect(addr)?
+        .trace(trace_id)
+        .map_err(|e| format!("{addr}: {e}"))?;
+    let response = accepted(response)?;
     if response.get("found").and_then(Json::as_bool) != Some(true) {
         return Err(format!(
             "no buffered spans for trace id `{trace_id}` (expired from the ring, or never seen)"
@@ -912,22 +901,10 @@ fn cmd_top(args: &Args) -> Result<(), String> {
     let addr = args.get("addr").unwrap_or(SERVE_ADDR);
     let watch: u64 = args.num("watch", 0)?;
     loop {
-        let mut client = chipmunk_serve::Client::connect(addr)
-            .map_err(|e| format!("connect {addr}: {e} (is `chipmunkc serve` running?)"))?;
-        let response = client.telemetry().map_err(|e| format!("{addr}: {e}"))?;
-        if response.get("ok").and_then(Json::as_bool) != Some(true) {
-            return Err(format!(
-                "server: {} ({})",
-                response
-                    .get("message")
-                    .and_then(Json::as_str)
-                    .unwrap_or("request failed"),
-                response
-                    .get("error")
-                    .and_then(Json::as_str)
-                    .unwrap_or("unknown"),
-            ));
-        }
+        let response = connect(addr)?
+            .telemetry()
+            .map_err(|e| format!("{addr}: {e}"))?;
+        let response = accepted(response)?;
         if args.has("json") {
             println!("{}", response.to_pretty());
         } else {

@@ -5,9 +5,10 @@
 //! (`submitted == completed + failed + drained + panicked`) must hold on
 //! the restarted daemon with the replayed job accounted as `recovered`.
 //! Every daemon is killed and reaped when its test ends, on every exit
-//! path ([`Daemon`]).
+//! path ([`Daemon`]). A daemon given an invalid fault plan refuses to
+//! start.
 
-use std::io::{BufRead, BufReader};
+use std::io::{BufRead, BufReader, Read};
 use std::ops::{Deref, DerefMut};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
@@ -247,4 +248,39 @@ fn shutdown_ack_survives_journal_replay() {
         assert!(status.success(), "round {round}: exit {status}");
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// An invalid `CHIPMUNK_FAULTS` plan is refused: the daemon exits non-zero
+/// within seconds and names the clause it could not read, instead of
+/// serving with no faults (which would let a typo test nothing).
+#[test]
+fn an_invalid_fault_plan_is_refused() {
+    let mut daemon = Daemon(
+        Command::new(env!("CARGO_BIN_EXE_chipmunkc"))
+            .args(["serve", "--addr", "127.0.0.1:0"])
+            .env("CHIPMUNK_FAULTS", "frobnicate@1")
+            .env_remove("CHIPMUNK_TRACE")
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("serve spawns"),
+    );
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let status = loop {
+        if let Some(status) = daemon.try_wait().expect("daemon status") {
+            break status;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "a daemon with an invalid fault plan kept running"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    let mut stderr = String::new();
+    let _ = daemon
+        .stderr
+        .take()
+        .expect("stderr piped")
+        .read_to_string(&mut stderr);
+    assert!(!status.success(), "{stderr}");
+    assert!(stderr.contains("frobnicate"), "{stderr}");
 }

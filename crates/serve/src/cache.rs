@@ -36,6 +36,7 @@ use std::sync::Mutex;
 use chipmunk_trace::json::Json;
 
 use crate::durable::DurableLog;
+use crate::faults::FaultPlan;
 
 /// One retained result plus its recency stamp.
 struct Entry {
@@ -121,9 +122,10 @@ pub struct ResultCache {
 }
 
 impl ResultCache {
-    /// Open an unbounded cache (see [`ResultCache::open_bounded`]).
+    /// Open an unbounded cache with no fault plan (see
+    /// [`ResultCache::open_bounded`]).
     pub fn open(dir: Option<&Path>) -> std::io::Result<ResultCache> {
-        ResultCache::open_bounded(dir, None)
+        ResultCache::open_bounded(dir, None, FaultPlan::default())
     }
 
     /// Open a cache holding at most `max_entries` results (`None` =
@@ -134,21 +136,26 @@ impl ResultCache {
     /// durable log ([`crate::durable`]) describes. If the file holds
     /// anything the retained set does not (damage, duplicate keys,
     /// entries past the bound), it is compacted at once so the waste is
-    /// not reloaded forever.
+    /// not reloaded forever. The disk tier draws its faults from `faults`.
     pub fn open_bounded(
         dir: Option<&Path>,
         max_entries: Option<usize>,
+        faults: FaultPlan,
     ) -> std::io::Result<ResultCache> {
         let mut mem = Mem::new();
         let log = match dir {
             None => None,
-            Some(dir) => Some(DurableLog::open(&dir.join("results.jsonl"), |doc| {
-                if let (Some(key), Some(result)) =
-                    (doc.get("key").and_then(Json::as_str), doc.get("result"))
-                {
-                    mem.insert_fresh(key, result);
-                }
-            })?),
+            Some(dir) => Some(DurableLog::open(
+                &dir.join("results.jsonl"),
+                faults,
+                |doc| {
+                    if let (Some(key), Some(result)) =
+                        (doc.get("key").and_then(Json::as_str), doc.get("result"))
+                    {
+                        mem.insert_fresh(key, result);
+                    }
+                },
+            )?),
         };
         let evictions = max_entries.map_or(0, |max| mem.evict_to(max));
         let cache = ResultCache {
@@ -371,7 +378,6 @@ mod tests {
 
     #[test]
     fn disk_cache_survives_reopen() {
-        let _f = crate::faults::test_lock();
         let dir = tmpdir("reopen");
         let doc = Json::obj([("stages", Json::from(3u64))]);
         {
@@ -386,7 +392,6 @@ mod tests {
 
     #[test]
     fn corrupt_lines_are_skipped_on_load() {
-        let _f = crate::faults::test_lock();
         let dir = tmpdir("corrupt");
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(
@@ -408,7 +413,6 @@ mod tests {
     /// line) must not abort `open` — keep what parsed, stay appendable.
     #[test]
     fn unreadable_line_stops_the_load_but_not_the_cache() {
-        let _f = crate::faults::test_lock();
         let dir = tmpdir("unreadable");
         std::fs::create_dir_all(&dir).unwrap();
         let mut bytes = b"{\"key\":\"aa\",\"result\":{\"v\":1}}\n".to_vec();
@@ -431,7 +435,6 @@ mod tests {
 
     #[test]
     fn duplicate_puts_write_one_disk_line() {
-        let _f = crate::faults::test_lock();
         let dir = tmpdir("dedup");
         let doc = Json::obj([("v", Json::from(1u64))]);
         {
@@ -450,7 +453,6 @@ mod tests {
     /// First write wins in *both* tiers.
     #[test]
     fn duplicate_put_leaves_both_tiers_agreeing() {
-        let _f = crate::faults::test_lock();
         let dir = tmpdir("fww");
         {
             let c = ResultCache::open(Some(&dir)).unwrap();
@@ -467,7 +469,6 @@ mod tests {
     /// tiers agree on it after a reopen.
     #[test]
     fn racing_duplicate_puts_keep_tiers_consistent() {
-        let _f = crate::faults::test_lock();
         let dir = tmpdir("race");
         let winner = {
             let c = std::sync::Arc::new(ResultCache::open(Some(&dir)).unwrap());
@@ -490,7 +491,7 @@ mod tests {
 
     #[test]
     fn lru_eviction_respects_recency() {
-        let c = ResultCache::open_bounded(None, Some(2)).unwrap();
+        let c = ResultCache::open_bounded(None, Some(2), FaultPlan::default()).unwrap();
         c.put("a", &doc(1));
         c.put("b", &doc(2));
         assert!(c.get("a").is_some()); // refresh a: b is now LRU
@@ -504,10 +505,9 @@ mod tests {
 
     #[test]
     fn compaction_drops_evicted_entries_from_disk() {
-        let _f = crate::faults::test_lock();
         let dir = tmpdir("compact");
         {
-            let c = ResultCache::open_bounded(Some(&dir), Some(2)).unwrap();
+            let c = ResultCache::open_bounded(Some(&dir), Some(2), FaultPlan::default()).unwrap();
             for (i, k) in ["a", "b", "c", "d"].iter().enumerate() {
                 c.put(k, &doc(i as u64));
             }
@@ -522,7 +522,7 @@ mod tests {
             c.put("e", &doc(9));
             assert_eq!(c.disk_lines(), 3);
         }
-        let c = ResultCache::open_bounded(Some(&dir), Some(3)).unwrap();
+        let c = ResultCache::open_bounded(Some(&dir), Some(3), FaultPlan::default()).unwrap();
         assert_eq!(c.len(), 3);
         assert!(c.peek("a").is_none());
         assert!(c.peek("b").is_none());
@@ -534,7 +534,6 @@ mod tests {
 
     #[test]
     fn startup_compaction_shrinks_an_over_bound_file() {
-        let _f = crate::faults::test_lock();
         let dir = tmpdir("startbound");
         std::fs::create_dir_all(&dir).unwrap();
         let mut text = String::new();
@@ -543,7 +542,7 @@ mod tests {
         }
         text.push_str("{\"key\":\"k0\",\"result\":{\"v\":99}}\n"); // duplicate
         std::fs::write(dir.join("results.jsonl"), text).unwrap();
-        let c = ResultCache::open_bounded(Some(&dir), Some(3)).unwrap();
+        let c = ResultCache::open_bounded(Some(&dir), Some(3), FaultPlan::default()).unwrap();
         assert_eq!(c.len(), 3);
         assert_eq!(c.evictions(), 2);
         assert_eq!(c.disk_lines(), 3);
@@ -559,7 +558,6 @@ mod tests {
 
     #[test]
     fn clear_empties_both_tiers() {
-        let _f = crate::faults::test_lock();
         let dir = tmpdir("clear");
         {
             let c = ResultCache::open(Some(&dir)).unwrap();
@@ -576,7 +574,6 @@ mod tests {
 
     #[test]
     fn remove_quarantines_from_both_tiers() {
-        let _f = crate::faults::test_lock();
         let dir = tmpdir("quarantine");
         {
             let c = ResultCache::open(Some(&dir)).unwrap();
@@ -597,7 +594,7 @@ mod tests {
         assert!(c.get("good").is_some());
         // LRU index stays coherent after the removal: filling past a
         // bound still evicts cleanly.
-        let bounded = ResultCache::open_bounded(None, Some(2)).unwrap();
+        let bounded = ResultCache::open_bounded(None, Some(2), FaultPlan::default()).unwrap();
         bounded.put("a", &doc(1));
         bounded.put("b", &doc(2));
         assert!(bounded.remove("a"));
@@ -609,9 +606,8 @@ mod tests {
 
     #[test]
     fn auto_compaction_bounds_the_disk_tier() {
-        let _f = crate::faults::test_lock();
         let dir = tmpdir("autocompact");
-        let c = ResultCache::open_bounded(Some(&dir), Some(4)).unwrap();
+        let c = ResultCache::open_bounded(Some(&dir), Some(4), FaultPlan::default()).unwrap();
         for i in 0..200u64 {
             c.put(&format!("k{i}"), &doc(i));
         }

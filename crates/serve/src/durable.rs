@@ -46,8 +46,9 @@
 //!
 //! An owner takes its own state lock before the log's, so a rewrite sees
 //! a consistent live set. Every disk fault is injected here
-//! ([`FaultKind::DiskIo`]), and this is the one module allowed to fsync or
-//! rename a file (`clippy.toml`).
+//! ([`FaultKind::DiskIo`], counted on the fault plan the owner passes to
+//! `open`: the daemon's, shared by its cache and its journal), and this is
+//! the one module allowed to fsync or rename a file (`clippy.toml`).
 
 #![allow(clippy::disallowed_methods)]
 
@@ -59,19 +60,11 @@ use std::sync::{Mutex, PoisonError};
 
 use chipmunk_trace::json::Json;
 
-use crate::faults::{self, FaultKind};
+use crate::faults::{FaultKind, FaultPlan};
 
 /// While degraded, every this-many-th skipped append asks the owner for a
 /// rewrite: the re-attach probe.
 pub const REATTACH_EVERY: u64 = 16;
-
-/// The one injection point for every disk operation of every log.
-fn injected_fault() -> std::io::Result<()> {
-    if faults::armed() && faults::fired(FaultKind::DiskIo) {
-        return Err(std::io::Error::other("injected disk_io fault"));
-    }
-    Ok(())
-}
 
 /// Fsync the directory holding `path`, so a create or rename in it
 /// survives a power cut (see the module docs).
@@ -100,13 +93,19 @@ pub(crate) struct DurableLog {
     skipped: AtomicU64,
     errors: AtomicU64,
     rewrites: AtomicU64,
+    faults: FaultPlan,
 }
 
 impl DurableLog {
     /// Open (or create) the log at `path`, creating its directory, and
     /// pass each complete record in the file to `each`, oldest first. The
     /// directory is fsync'd, so a newly created file survives a power cut.
-    pub fn open(path: &Path, mut each: impl FnMut(Json)) -> std::io::Result<DurableLog> {
+    /// Disk faults are drawn from `faults`.
+    pub fn open(
+        path: &Path,
+        faults: FaultPlan,
+        mut each: impl FnMut(Json),
+    ) -> std::io::Result<DurableLog> {
         if let Some(dir) = path.parent() {
             std::fs::create_dir_all(dir)?;
         }
@@ -145,7 +144,16 @@ impl DurableLog {
             skipped: AtomicU64::new(0),
             errors: AtomicU64::new(0),
             rewrites: AtomicU64::new(0),
+            faults,
         })
+    }
+
+    /// The one injection point for every disk operation of the log.
+    fn injected_fault(&self) -> std::io::Result<()> {
+        if self.faults.fired(FaultKind::DiskIo) {
+            return Err(std::io::Error::other("injected disk_io fault"));
+        }
+        Ok(())
     }
 
     /// Append `record`, fsync'd when `sync` is set. Never fails: an I/O
@@ -162,7 +170,7 @@ impl DurableLog {
         let mut line = record.to_compact();
         line.push('\n');
         let appended = (|| -> std::io::Result<u64> {
-            injected_fault()?;
+            self.injected_fault()?;
             let mut file = self.file.lock().unwrap_or_else(PoisonError::into_inner);
             let file = file
                 .as_mut()
@@ -190,7 +198,7 @@ impl DurableLog {
         let mut file = self.file.lock().unwrap_or_else(PoisonError::into_inner);
         let before = self.lines();
         let rewritten = (|| -> std::io::Result<u64> {
-            injected_fault()?;
+            self.injected_fault()?;
             let tmp_path = self.path.with_extension("jsonl.tmp");
             let mut tmp = BufWriter::new(File::create(&tmp_path)?);
             let mut after = 0u64;
@@ -205,7 +213,7 @@ impl DurableLog {
             *file = None;
             self.lines.store(after, Ordering::Relaxed);
             sync_dir(&self.path)?;
-            injected_fault()?;
+            self.injected_fault()?;
             *file = Some(OpenOptions::new().append(true).open(&self.path)?);
             Ok(after)
         })();
@@ -265,7 +273,7 @@ mod tests {
 
     fn open(path: &Path) -> (DurableLog, Vec<Json>) {
         let mut docs = Vec::new();
-        let log = DurableLog::open(path, |doc| docs.push(doc)).unwrap();
+        let log = DurableLog::open(path, FaultPlan::default(), |doc| docs.push(doc)).unwrap();
         (log, docs)
     }
 
@@ -278,7 +286,6 @@ mod tests {
     /// rewrite gives the next append a line of its own.
     #[test]
     fn a_record_without_its_newline_is_torn() {
-        let _f = faults::test_lock();
         let path = tmpfile("newline");
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
         std::fs::write(&path, "{\"v\":1}\nnot json\n{\"v\":2}").unwrap();
@@ -298,7 +305,6 @@ mod tests {
     /// set, with a floor of 16 lines.
     #[test]
     fn appends_ask_for_a_rewrite_past_twice_the_live_set() {
-        let _f = faults::test_lock();
         let path = tmpfile("trigger");
         let (log, _) = open(&path);
         for i in 0..16 {

@@ -17,9 +17,9 @@
 //! * **cache corruption** — a cached result document is bit-flipped just
 //!   before it would be served, exercising result certification and
 //!   cache quarantine,
-//! * **metrics I/O errors** — the telemetry HTTP listener drops a scrape
-//!   connection, proving a broken metrics socket degrades to stats-only
-//!   without touching compile traffic,
+//! * **metrics I/O errors** — the metrics endpoint fails to bind,
+//!   proving a broken metrics socket degrades to stats-only without
+//!   touching compile traffic,
 //! * **proof I/O errors** — the materialization of an infeasibility
 //!   proof fails as it is attached to a result document, proving a lost
 //!   proof degrades to an explicitly-unchecked verdict instead of a
@@ -45,20 +45,18 @@
 //! * Kinds: `panic`, `worker_death`, `disk_io`, `stall`, `reset`,
 //!   `corrupt`, `metrics_io`, `proof_io`, `clock_stall`.
 //!
-//! Plans are installed from the `CHIPMUNK_FAULTS` environment variable at
-//! server start ([`init_from_env`], which prints the active plan and seed
-//! to stderr so any failure is reproducible), or programmatically with
-//! [`install`]. With no plan installed the only cost at each injection
-//! site is one load of an atomic bool ([`armed`]); release builds with
-//! the env var unset pay a single predictable branch.
-//!
-//! The plan is process-global: occurrence counters are shared across
-//! threads, so a test that installs a plan, and every test that reaches
-//! an injection site, must serialize: the crate's unit tests hold one
-//! `test_lock`, and each integration test binary keeps its own lock.
+//! A plan belongs to one daemon. `ServerConfig::faults` holds its spec;
+//! `server::start` parses it into one [`FaultPlan`], refuses an invalid
+//! one, and prints it with its seed so any failure is reproducible. Every
+//! injection site of that daemon (its result cache's and journal's durable
+//! logs, its metrics endpoint, its connection writers and its workers)
+//! shares the plan's occurrence counters and seeded stream, and no other
+//! daemon in the process sees them, so tests that arm plans run in
+//! parallel. `chipmunkc serve` reads the spec from `CHIPMUNK_FAULTS`. With
+//! no plan, each site costs one branch on an empty handle.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
 use chipmunk_trace::rng::Xoshiro256;
@@ -80,7 +78,8 @@ pub enum FaultKind {
     ConnReset,
     /// Bit-flip a cached result document before it is served.
     CacheCorrupt,
-    /// Drop a metrics-endpoint scrape connection before the response.
+    /// Fail the metrics endpoint's bind, degrading the daemon to
+    /// stats-only.
     MetricsIo,
     /// Fail the materialization of an infeasibility proof as it is
     /// attached to a result document, exercising the degrade to an
@@ -98,20 +97,6 @@ pub enum FaultKind {
 const NUM_KINDS: usize = 9;
 
 impl FaultKind {
-    fn index(self) -> usize {
-        match self {
-            FaultKind::CompilePanic => 0,
-            FaultKind::WorkerDeath => 1,
-            FaultKind::DiskIo => 2,
-            FaultKind::SolverStall => 3,
-            FaultKind::ConnReset => 4,
-            FaultKind::CacheCorrupt => 5,
-            FaultKind::MetricsIo => 6,
-            FaultKind::ProofIo => 7,
-            FaultKind::ClockStall => 8,
-        }
-    }
-
     fn from_name(s: &str) -> Option<FaultKind> {
         Some(match s {
             "panic" => FaultKind::CompilePanic,
@@ -128,78 +113,114 @@ impl FaultKind {
     }
 }
 
-struct Plan {
+/// A parsed plan and its run-time state.
+struct Schedule {
     seed: u64,
     /// Sorted explicit occurrence indices, per kind.
     explicit: [Vec<u64>; NUM_KINDS],
     /// Per-occurrence firing probability, per kind (0.0 = never).
     prob: [f64; NUM_KINDS],
     stall: Duration,
-    rng: Xoshiro256,
+    /// Times each kind's injection site has been reached.
+    counters: [AtomicU64; NUM_KINDS],
+    rng: Mutex<Xoshiro256>,
 }
 
-struct State {
-    plan: Option<Plan>,
-}
+/// One daemon's fault plan (see the module docs). The default plan is
+/// empty and fires nothing. Clones share one schedule: the daemon hands a
+/// clone to each of its injection sites.
+#[derive(Clone, Default)]
+pub struct FaultPlan(Option<Arc<Schedule>>);
 
-/// Fast-path switch: false means no plan is installed and every
-/// injection site reduces to this single load.
-static ARMED: AtomicBool = AtomicBool::new(false);
-static STATE: Mutex<State> = Mutex::new(State { plan: None });
-/// Occurrence counters live outside the mutex so `fired` can bump them
-/// without blocking when the probability path is unused.
-static COUNTERS: [AtomicU64; NUM_KINDS] = [
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-];
-static ENV_INIT: AtomicBool = AtomicBool::new(false);
-
-/// Returns true if a fault plan is installed. This is the only cost paid
-/// at injection sites when fault injection is off.
-#[inline]
-pub fn armed() -> bool {
-    ARMED.load(Ordering::Relaxed)
-}
-
-/// Record one occurrence of `kind`'s injection site and report whether
-/// the installed plan says this occurrence should fault. Always false
-/// when no plan is installed ([`armed`] is the cheap pre-check).
-pub fn fired(kind: FaultKind) -> bool {
-    if !armed() {
-        return false;
+impl FaultPlan {
+    /// Parse a plan spec (see the module docs for the syntax). An error
+    /// names the clause it could not read.
+    pub fn parse(spec: &str) -> Result<FaultPlan, String> {
+        let mut seed = 0u64;
+        let mut explicit: [Vec<u64>; NUM_KINDS] = Default::default();
+        let mut prob = [0.0f64; NUM_KINDS];
+        let mut stall = Duration::from_millis(50);
+        for clause in spec.split(';') {
+            let clause = clause.trim();
+            if clause.is_empty() {
+                continue;
+            }
+            if let Some(v) = clause.strip_prefix("seed=") {
+                seed = v
+                    .parse()
+                    .map_err(|_| format!("bad seed in clause `{clause}`"))?;
+            } else if let Some(v) = clause.strip_prefix("stall_ms=") {
+                let ms: u64 = v
+                    .parse()
+                    .map_err(|_| format!("bad stall_ms in clause `{clause}`"))?;
+                stall = Duration::from_millis(ms);
+            } else if let Some((name, idxs)) = clause.split_once('@') {
+                let kind = FaultKind::from_name(name)
+                    .ok_or_else(|| format!("unknown fault kind `{name}` in clause `{clause}`"))?;
+                for part in idxs.split(',') {
+                    let i: u64 = part.trim().parse().map_err(|_| {
+                        format!("bad occurrence index `{part}` in clause `{clause}`")
+                    })?;
+                    explicit[kind as usize].push(i);
+                }
+            } else if let Some((name, p)) = clause.split_once('%') {
+                let kind = FaultKind::from_name(name)
+                    .ok_or_else(|| format!("unknown fault kind `{name}` in clause `{clause}`"))?;
+                let p: f64 = p
+                    .parse()
+                    .map_err(|_| format!("bad probability in clause `{clause}`"))?;
+                if !(0.0..=1.0).contains(&p) {
+                    return Err(format!("probability out of [0,1] in clause `{clause}`"));
+                }
+                prob[kind as usize] = p;
+            } else {
+                return Err(format!("unrecognized clause `{clause}`"));
+            }
+        }
+        for idxs in &mut explicit {
+            idxs.sort_unstable();
+            idxs.dedup();
+        }
+        Ok(FaultPlan(Some(Arc::new(Schedule {
+            seed,
+            explicit,
+            prob,
+            stall,
+            counters: Default::default(),
+            rng: Mutex::new(Xoshiro256::seed_from_u64(seed)),
+        }))))
     }
-    let k = kind.index();
-    let occurrence = COUNTERS[k].fetch_add(1, Ordering::Relaxed);
-    let mut st = match STATE.lock() {
-        Ok(g) => g,
-        Err(p) => p.into_inner(),
-    };
-    let Some(plan) = st.plan.as_mut() else {
-        return false;
-    };
-    if plan.explicit[k].binary_search(&occurrence).is_ok() {
-        return true;
-    }
-    let p = plan.prob[k];
-    p > 0.0 && plan.rng.gen_bool(p)
-}
 
-/// Duration of an injected solver stall under the current plan.
-pub fn stall_duration() -> Duration {
-    let st = match STATE.lock() {
-        Ok(g) => g,
-        Err(p) => p.into_inner(),
-    };
-    st.plan
-        .as_ref()
-        .map_or(Duration::from_millis(50), |p| p.stall)
+    /// Record one occurrence of `kind`'s injection site and report whether
+    /// the plan says this occurrence should fault. Always false for the
+    /// empty plan.
+    pub fn fired(&self, kind: FaultKind) -> bool {
+        let Some(s) = &self.0 else {
+            return false;
+        };
+        let k = kind as usize;
+        let occurrence = s.counters[k].fetch_add(1, Ordering::Relaxed);
+        if s.explicit[k].binary_search(&occurrence).is_ok() {
+            return true;
+        }
+        let p = s.prob[k];
+        p > 0.0
+            && s.rng
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .gen_bool(p)
+    }
+
+    /// Duration of an injected stall (`stall_ms`, default 50 ms; zero for
+    /// the empty plan, which never stalls).
+    pub fn stall(&self) -> Duration {
+        self.0.as_ref().map_or(Duration::ZERO, |s| s.stall)
+    }
+
+    /// The seed of the plan's probability stream (0 when none was given).
+    pub fn seed(&self) -> u64 {
+        self.0.as_ref().map_or(0, |s| s.seed)
+    }
 }
 
 /// Deterministically bit-flip one value of a cached result document — the
@@ -265,174 +286,36 @@ pub fn corrupt_doc(doc: &chipmunk_trace::json::Json) -> chipmunk_trace::json::Js
     flip_first_int(doc).0
 }
 
-/// Parse `spec` and install it as the process-wide fault plan, resetting
-/// all occurrence counters. See the module docs for the syntax.
-pub fn install(spec: &str) -> Result<(), String> {
-    let plan = parse_plan(spec)?;
-    let mut st = match STATE.lock() {
-        Ok(g) => g,
-        Err(p) => p.into_inner(),
-    };
-    for c in &COUNTERS {
-        c.store(0, Ordering::Relaxed);
-    }
-    st.plan = Some(plan);
-    ARMED.store(true, Ordering::Relaxed);
-    Ok(())
-}
-
-/// Remove any installed fault plan and reset occurrence counters. After
-/// this, every injection site is a single never-taken branch again.
-pub fn disarm() {
-    let mut st = match STATE.lock() {
-        Ok(g) => g,
-        Err(p) => p.into_inner(),
-    };
-    ARMED.store(false, Ordering::Relaxed);
-    st.plan = None;
-    for c in &COUNTERS {
-        c.store(0, Ordering::Relaxed);
-    }
-}
-
-/// Install a plan from the `CHIPMUNK_FAULTS` environment variable, if
-/// set. Called once at server start; later calls are no-ops. Prints the
-/// active plan (including the seed) to stderr so a failure observed
-/// under an injected schedule can be reproduced exactly.
-///
-/// The environment is a *fallback*, not an override: if a plan was
-/// already installed programmatically (a test harness arms its own
-/// schedule before starting an in-process server), that plan stands.
-/// Harnesses that want the environment to influence their schedule fold
-/// it in themselves (the chaos suite appends the env's `seed=` clause).
-pub fn init_from_env() {
-    if ENV_INIT.swap(true, Ordering::SeqCst) {
-        return;
-    }
-    if armed() {
-        return;
-    }
-    let Ok(spec) = std::env::var("CHIPMUNK_FAULTS") else {
-        return;
-    };
-    if spec.trim().is_empty() {
-        return;
-    }
-    match install(&spec) {
-        Ok(()) => {
-            let seed = STATE
-                .lock()
-                .map(|st| st.plan.as_ref().map_or(0, |p| p.seed))
-                .unwrap_or(0);
-            eprintln!(
-                "chipmunk-serve: fault injection armed: CHIPMUNK_FAULTS={spec} (seed={seed})"
-            );
-        }
-        Err(e) => {
-            eprintln!("chipmunk-serve: ignoring invalid CHIPMUNK_FAULTS={spec}: {e}");
-        }
-    }
-}
-
-fn parse_plan(spec: &str) -> Result<Plan, String> {
-    let mut seed = 0u64;
-    let mut explicit: [Vec<u64>; NUM_KINDS] = Default::default();
-    let mut prob = [0.0f64; NUM_KINDS];
-    let mut stall = Duration::from_millis(50);
-    for clause in spec.split(';') {
-        let clause = clause.trim();
-        if clause.is_empty() {
-            continue;
-        }
-        if let Some(v) = clause.strip_prefix("seed=") {
-            seed = v
-                .parse()
-                .map_err(|_| format!("bad seed in clause `{clause}`"))?;
-        } else if let Some(v) = clause.strip_prefix("stall_ms=") {
-            let ms: u64 = v
-                .parse()
-                .map_err(|_| format!("bad stall_ms in clause `{clause}`"))?;
-            stall = Duration::from_millis(ms);
-        } else if let Some((name, idxs)) = clause.split_once('@') {
-            let kind = FaultKind::from_name(name)
-                .ok_or_else(|| format!("unknown fault kind `{name}` in clause `{clause}`"))?;
-            for part in idxs.split(',') {
-                let i: u64 = part
-                    .trim()
-                    .parse()
-                    .map_err(|_| format!("bad occurrence index `{part}` in clause `{clause}`"))?;
-                explicit[kind.index()].push(i);
-            }
-        } else if let Some((name, p)) = clause.split_once('%') {
-            let kind = FaultKind::from_name(name)
-                .ok_or_else(|| format!("unknown fault kind `{name}` in clause `{clause}`"))?;
-            let p: f64 = p
-                .parse()
-                .map_err(|_| format!("bad probability in clause `{clause}`"))?;
-            if !(0.0..=1.0).contains(&p) {
-                return Err(format!("probability out of [0,1] in clause `{clause}`"));
-            }
-            prob[kind.index()] = p;
-        } else {
-            return Err(format!("unrecognized clause `{clause}`"));
-        }
-    }
-    for idxs in &mut explicit {
-        idxs.sort_unstable();
-        idxs.dedup();
-    }
-    Ok(Plan {
-        seed,
-        explicit,
-        prob,
-        stall,
-        rng: Xoshiro256::seed_from_u64(seed),
-    })
-}
-
-/// Serializes the crate's unit tests on the process-global fault state:
-/// every test that installs a plan or reaches an injection site holds it,
-/// so no test consumes or fires another test's armed occurrence.
-#[cfg(test)]
-pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
-    static TEST_LOCK: Mutex<()> = Mutex::new(());
-    TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn disarmed_fires_nothing() {
-        let _g = test_lock();
-        disarm();
-        assert!(!armed());
-        assert!(!fired(FaultKind::CompilePanic));
-        assert!(!fired(FaultKind::DiskIo));
+    fn the_empty_plan_fires_nothing() {
+        let plan = FaultPlan::default();
+        assert!(!plan.fired(FaultKind::CompilePanic));
+        assert!(!plan.fired(FaultKind::DiskIo));
     }
 
     #[test]
     fn explicit_indices_fire_exactly_once_each() {
-        let _g = test_lock();
-        install("panic@0,2").unwrap();
-        assert!(fired(FaultKind::CompilePanic)); // occurrence 0
-        assert!(!fired(FaultKind::CompilePanic)); // 1
-        assert!(fired(FaultKind::CompilePanic)); // 2
-        assert!(!fired(FaultKind::CompilePanic)); // 3
-                                                  // Other kinds are untouched by the panic clause.
-        assert!(!fired(FaultKind::ConnReset));
-        disarm();
+        let plan = FaultPlan::parse("panic@0,2").unwrap();
+        assert!(plan.fired(FaultKind::CompilePanic)); // occurrence 0
+        assert!(!plan.fired(FaultKind::CompilePanic)); // 1
+        assert!(plan.fired(FaultKind::CompilePanic)); // 2
+        assert!(!plan.fired(FaultKind::CompilePanic)); // 3
+
+        // Other kinds are untouched by the panic clause.
+        assert!(!plan.fired(FaultKind::ConnReset));
     }
 
     #[test]
     fn probability_schedule_is_reproducible_from_seed() {
-        let _g = test_lock();
         let run = || {
-            install("seed=99;disk_io%0.5").unwrap();
-            let v: Vec<bool> = (0..32).map(|_| fired(FaultKind::DiskIo)).collect();
-            disarm();
-            v
+            let plan = FaultPlan::parse("seed=99;disk_io%0.5").unwrap();
+            (0..32)
+                .map(|_| plan.fired(FaultKind::DiskIo))
+                .collect::<Vec<bool>>()
         };
         let a = run();
         let b = run();
@@ -443,53 +326,54 @@ mod tests {
 
     #[test]
     fn stall_duration_comes_from_plan() {
-        let _g = test_lock();
-        install("stall@0;stall_ms=7").unwrap();
-        assert_eq!(stall_duration(), Duration::from_millis(7));
-        disarm();
+        let plan = FaultPlan::parse("stall@0;stall_ms=7").unwrap();
+        assert_eq!(plan.stall(), Duration::from_millis(7));
     }
 
     #[test]
     fn corrupt_kind_parses_and_fires() {
-        let _g = test_lock();
-        install("corrupt@0").unwrap();
-        assert!(fired(FaultKind::CacheCorrupt));
-        assert!(!fired(FaultKind::CacheCorrupt));
-        disarm();
+        let plan = FaultPlan::parse("corrupt@0").unwrap();
+        assert!(plan.fired(FaultKind::CacheCorrupt));
+        assert!(!plan.fired(FaultKind::CacheCorrupt));
     }
 
     #[test]
     fn metrics_io_kind_parses_and_fires() {
-        let _g = test_lock();
-        install("metrics_io@0").unwrap();
-        assert!(fired(FaultKind::MetricsIo));
-        assert!(!fired(FaultKind::MetricsIo));
+        let plan = FaultPlan::parse("metrics_io@0").unwrap();
+        assert!(plan.fired(FaultKind::MetricsIo));
+        assert!(!plan.fired(FaultKind::MetricsIo));
         // Independent of the compile-path kinds.
-        assert!(!fired(FaultKind::CompilePanic));
-        disarm();
+        assert!(!plan.fired(FaultKind::CompilePanic));
     }
 
     #[test]
     fn proof_io_kind_parses_and_fires() {
-        let _g = test_lock();
-        install("proof_io@0").unwrap();
-        assert!(fired(FaultKind::ProofIo));
-        assert!(!fired(FaultKind::ProofIo));
+        let plan = FaultPlan::parse("proof_io@0").unwrap();
+        assert!(plan.fired(FaultKind::ProofIo));
+        assert!(!plan.fired(FaultKind::ProofIo));
         // Independent of the compile-path kinds.
-        assert!(!fired(FaultKind::CompilePanic));
-        disarm();
+        assert!(!plan.fired(FaultKind::CompilePanic));
     }
 
     #[test]
     fn clock_stall_kind_parses_and_fires() {
-        let _g = test_lock();
-        install("clock_stall@0;stall_ms=5").unwrap();
-        assert!(fired(FaultKind::ClockStall));
-        assert!(!fired(FaultKind::ClockStall));
-        assert_eq!(stall_duration(), Duration::from_millis(5));
+        let plan = FaultPlan::parse("clock_stall@0;stall_ms=5").unwrap();
+        assert!(plan.fired(FaultKind::ClockStall));
+        assert!(!plan.fired(FaultKind::ClockStall));
+        assert_eq!(plan.stall(), Duration::from_millis(5));
         // Independent of the cancellable pre-compile stall.
-        assert!(!fired(FaultKind::SolverStall));
-        disarm();
+        assert!(!plan.fired(FaultKind::SolverStall));
+    }
+
+    /// Clones share one schedule (the daemon's sites), and separately
+    /// parsed plans share nothing (two daemons).
+    #[test]
+    fn clones_share_occurrences_and_parsed_plans_do_not() {
+        let a = FaultPlan::parse("panic@1").unwrap();
+        let b = FaultPlan::parse("panic@1").unwrap();
+        assert!(!a.clone().fired(FaultKind::CompilePanic)); // a's occurrence 0
+        assert!(a.fired(FaultKind::CompilePanic)); // a's occurrence 1
+        assert!(!b.fired(FaultKind::CompilePanic)); // b's occurrence 0
     }
 
     #[test]
@@ -518,7 +402,6 @@ mod tests {
 
     #[test]
     fn bad_specs_are_rejected() {
-        let _g = test_lock();
         for bad in [
             "frobnicate@1",
             "panic@x",
@@ -527,7 +410,10 @@ mod tests {
             "stall_ms=ten",
             "justnoise",
         ] {
-            assert!(parse_plan(bad).is_err(), "spec `{bad}` should be rejected");
+            assert!(
+                FaultPlan::parse(bad).is_err(),
+                "spec `{bad}` should be rejected"
+            );
         }
     }
 }

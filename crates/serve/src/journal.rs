@@ -54,6 +54,7 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 use chipmunk_trace::json::Json;
 
 use crate::durable::DurableLog;
+use crate::faults::FaultPlan;
 use crate::protocol::JobOptions;
 
 /// A journaled job that was accepted but never answered: replay it.
@@ -75,8 +76,8 @@ pub struct PendingJob {
 struct State {
     /// Pending `accepted` records by key (the full record document).
     pending: HashMap<String, Json>,
-    /// Keys in first-accepted order, possibly holding completed stragglers
-    /// (filtered against `pending` when used).
+    /// Keys in first-accepted order, possibly holding completed keys and
+    /// repeats (a key completed and accepted again) until [`State::prune`].
     order: Vec<String>,
 }
 
@@ -109,6 +110,14 @@ impl State {
             }
             _ => {}
         }
+    }
+
+    /// Drop completed keys and repeats from `order`, keeping
+    /// first-accepted order, so each pending job has one entry.
+    fn prune(&mut self) {
+        let mut seen = HashSet::new();
+        self.order
+            .retain(|k| self.pending.contains_key(k) && seen.insert(k.clone()));
     }
 
     /// The live records in file order: the pending `accepted` records.
@@ -155,15 +164,11 @@ impl Journal {
     /// every job accepted by a previous process but never completed, in
     /// first-accepted order. The file is compacted down to those pending
     /// records so completed history does not accumulate across restarts.
-    pub fn open(dir: &Path) -> std::io::Result<(Journal, Vec<PendingJob>)> {
+    /// Disk faults are drawn from `faults`.
+    pub fn open(dir: &Path, faults: FaultPlan) -> std::io::Result<(Journal, Vec<PendingJob>)> {
         let mut state = State::default();
-        let log = DurableLog::open(&dir.join("journal.jsonl"), |doc| state.load(doc))?;
-        // A completed-then-reaccepted key appears in `order` once per
-        // accept; replay must see it once, and only while it is pending.
-        let mut seen = HashSet::new();
-        state
-            .order
-            .retain(|k| state.pending.contains_key(k) && seen.insert(k.clone()));
+        let log = DurableLog::open(&dir.join("journal.jsonl"), faults, |doc| state.load(doc))?;
+        state.prune();
         let replay = state
             .order
             .iter()
@@ -196,7 +201,7 @@ impl Journal {
     }
 
     fn rewrite(&self, state: &mut State) -> std::io::Result<()> {
-        state.order.retain(|k| state.pending.contains_key(k));
+        state.prune();
         self.log.rewrite(state.records()).map(drop)
     }
 
@@ -294,6 +299,11 @@ mod tests {
         d
     }
 
+    /// Open `dir`'s journal with no fault plan.
+    fn open(dir: &Path) -> (Journal, Vec<PendingJob>) {
+        Journal::open(dir, FaultPlan::default()).unwrap()
+    }
+
     fn opts_with_width(w: u8) -> JobOptions {
         JobOptions {
             width: Some(w),
@@ -303,10 +313,9 @@ mod tests {
 
     #[test]
     fn unfinished_jobs_replay_in_accept_order() {
-        let _f = crate::faults::test_lock();
         let dir = tmpdir("replay");
         {
-            let (j, replay) = Journal::open(&dir).unwrap();
+            let (j, replay) = open(&dir);
             assert!(replay.is_empty());
             j.accepted(
                 "k1",
@@ -319,7 +328,7 @@ mod tests {
             j.accepted("k3", "pkt.e = pkt.f;", &JobOptions::default(), None, 0);
             j.completed("k2");
         }
-        let (j, replay) = Journal::open(&dir).unwrap();
+        let (j, replay) = open(&dir);
         let keys: Vec<&str> = replay.iter().map(|p| p.key.as_str()).collect();
         assert_eq!(keys, ["k1", "k3"]);
         assert_eq!(replay[0].program, "pkt.a = pkt.b;");
@@ -335,21 +344,19 @@ mod tests {
 
     #[test]
     fn duplicate_accepts_replay_once() {
-        let _f = crate::faults::test_lock();
         let dir = tmpdir("dup");
         {
-            let (j, _) = Journal::open(&dir).unwrap();
+            let (j, _) = open(&dir);
             j.accepted("k", "pkt.a = pkt.b;", &JobOptions::default(), None, 0);
             j.accepted("k", "pkt.a = pkt.b;", &JobOptions::default(), None, 0);
         }
-        let (_, replay) = Journal::open(&dir).unwrap();
+        let (_, replay) = open(&dir);
         assert_eq!(replay.len(), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn torn_lines_and_stray_completions_are_tolerated() {
-        let _f = crate::faults::test_lock();
         let dir = tmpdir("torn");
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(
@@ -361,7 +368,7 @@ mod tests {
             ),
         )
         .unwrap();
-        let (j, replay) = Journal::open(&dir).unwrap();
+        let (j, replay) = open(&dir);
         assert_eq!(replay.len(), 1);
         assert_eq!(replay[0].key, "k1");
         // Journal still accepts new records after the damage.
@@ -377,7 +384,6 @@ mod tests {
     /// the next replay.
     #[test]
     fn a_tail_torn_inside_a_multibyte_character_does_not_swallow_later_records() {
-        let _f = crate::faults::test_lock();
         let dir = tmpdir("tornutf8");
         std::fs::create_dir_all(&dir).unwrap();
         let mut bytes =
@@ -387,12 +393,12 @@ mod tests {
         bytes.extend(&torn.as_bytes()[..cut]);
         std::fs::write(dir.join("journal.jsonl"), &bytes).unwrap();
         {
-            let (j, replay) = Journal::open(&dir).unwrap();
+            let (j, replay) = open(&dir);
             let keys: Vec<&str> = replay.iter().map(|p| p.key.as_str()).collect();
             assert_eq!(keys, ["k1"]);
             j.accepted("k3", "pkt.x = pkt.y;", &JobOptions::default(), None, 0);
         }
-        let (_, replay) = Journal::open(&dir).unwrap();
+        let (_, replay) = open(&dir);
         let keys: Vec<&str> = replay.iter().map(|p| p.key.as_str()).collect();
         assert_eq!(
             keys,
@@ -407,15 +413,13 @@ mod tests {
     /// accepted meanwhile is on disk after the next successful rewrite.
     #[test]
     fn a_failed_reopen_after_a_rewrite_degrades_until_the_next_rewrite() {
-        let _f = crate::faults::test_lock();
         let dir = tmpdir("reopen");
-        let (j, _) = Journal::open(&dir).unwrap();
+        // Occurrence 0 is k1's write-ahead append, 1 the rewrite's temp
+        // file, 2 the reopen.
+        let (j, _) = Journal::open(&dir, FaultPlan::parse("disk_io@2").unwrap()).unwrap();
         let opts = JobOptions::default();
         j.accepted("k1", "pkt.a = pkt.b;", &opts, None, 0);
-        // Occurrence 0 is the rewrite's temp file, 1 the reopen.
-        crate::faults::install("disk_io@1").unwrap();
         let failed = j.compact();
-        crate::faults::disarm();
         assert!(failed.is_err(), "the failed reopen must surface");
         assert!(j.degraded());
         assert_eq!(j.errors(), 1);
@@ -423,17 +427,31 @@ mod tests {
         j.compact().unwrap();
         assert!(!j.degraded());
         drop(j);
-        let (_, replay) = Journal::open(&dir).unwrap();
+        let (_, replay) = open(&dir);
         let keys: Vec<&str> = replay.iter().map(|p| p.key.as_str()).collect();
         assert_eq!(keys, ["k1", "k2"]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A key accepted, completed and accepted again before a compaction
+    /// is one pending job with one `accepted` line after it.
+    #[test]
+    fn a_reaccepted_key_compacts_to_one_line() {
+        let dir = tmpdir("reaccept");
+        let (j, _) = open(&dir);
+        let opts = JobOptions::default();
+        j.accepted("k", "pkt.a = pkt.b;", &opts, None, 0);
+        j.completed("k");
+        j.accepted("k", "pkt.a = pkt.b;", &opts, None, 0);
+        j.compact().unwrap();
+        assert_eq!((j.lines(), j.pending_len()), (1, 1));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn completion_heavy_journals_self_compact() {
-        let _f = crate::faults::test_lock();
         let dir = tmpdir("selfcompact");
-        let (j, _) = Journal::open(&dir).unwrap();
+        let (j, _) = open(&dir);
         for i in 0..40 {
             let key = format!("k{i}");
             j.accepted(&key, "pkt.a = pkt.b;", &JobOptions::default(), None, 0);
@@ -447,10 +465,9 @@ mod tests {
 
     #[test]
     fn completed_records_echo_the_accepted_trace_id() {
-        let _f = crate::faults::test_lock();
         let dir = tmpdir("traceecho");
         {
-            let (j, _) = Journal::open(&dir).unwrap();
+            let (j, _) = open(&dir);
             j.accepted(
                 "k1",
                 "pkt.a = pkt.b;",
@@ -484,7 +501,6 @@ mod tests {
 
     #[test]
     fn options_round_trip_through_the_journal() {
-        let _f = crate::faults::test_lock();
         let dir = tmpdir("opts");
         let opts = JobOptions {
             template: Some("raw".into()),
@@ -498,10 +514,10 @@ mod tests {
             ..JobOptions::default()
         };
         {
-            let (j, _) = Journal::open(&dir).unwrap();
+            let (j, _) = open(&dir);
             j.accepted("k", "pkt.a = pkt.b;", &opts, None, 0);
         }
-        let (_, replay) = Journal::open(&dir).unwrap();
+        let (_, replay) = open(&dir);
         let got = &replay[0].options;
         assert_eq!(got.template, opts.template);
         assert_eq!(got.imm, opts.imm);
@@ -516,10 +532,9 @@ mod tests {
 
     #[test]
     fn priority_rides_the_accepted_record() {
-        let _f = crate::faults::test_lock();
         let dir = tmpdir("prio");
         {
-            let (j, _) = Journal::open(&dir).unwrap();
+            let (j, _) = open(&dir);
             j.accepted(
                 "k",
                 "pkt.a = pkt.b;",
@@ -528,7 +543,7 @@ mod tests {
                 7,
             );
         }
-        let (_, replay) = Journal::open(&dir).unwrap();
+        let (_, replay) = open(&dir);
         assert_eq!(replay.len(), 1);
         assert_eq!(replay[0].priority, 7);
         let _ = std::fs::remove_dir_all(&dir);
@@ -539,7 +554,6 @@ mod tests {
     /// as written, and a compaction leaves neither behind.
     #[test]
     fn step_records_and_plan_fields_are_ignored_on_load_and_compacted_away() {
-        let _f = crate::faults::test_lock();
         let dir = tmpdir("stepcompat");
         std::fs::create_dir_all(&dir).unwrap();
         let fp = "0123456789abcdef";
@@ -553,7 +567,7 @@ mod tests {
             ));
         }
         std::fs::write(dir.join("journal.jsonl"), text).unwrap();
-        let (j, replay) = Journal::open(&dir).unwrap();
+        let (j, replay) = open(&dir);
         assert_eq!(replay.len(), 1);
         assert_eq!(replay[0].program, "pkt.a = pkt.b;");
         assert_eq!(replay[0].options.width, Some(6));

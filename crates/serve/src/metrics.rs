@@ -28,10 +28,9 @@
 //!
 //! The exposition endpoint is a deliberately tiny hand-rolled HTTP/1.1
 //! listener (`GET /metrics` → `text/plain; version=0.0.4`); everything
-//! else is 404. It runs on its own thread, degrades to stats-only when
-//! the socket cannot be bound (the daemon keeps serving — losing
-//! observability must never cost availability), and is exercised under
-//! fault injection by the `metrics_io` chaos kind.
+//! else is 404. It runs on its own thread, and the daemon degrades to
+//! stats-only when the socket cannot be bound (losing observability must
+//! never cost availability).
 
 use std::collections::VecDeque;
 use std::io::{Read, Write};
@@ -43,8 +42,6 @@ use std::time::{Duration, Instant};
 
 use chipmunk_trace::json::Json;
 use chipmunk_trace::metrics::{percentile_of, Histogram};
-
-use crate::faults::{self, FaultKind};
 
 /// The quantiles every summary exposes.
 pub const QUANTILES: [(f64, &str); 3] = [(50.0, "0.5"), (95.0, "0.95"), (99.0, "0.99")];
@@ -587,18 +584,11 @@ impl MetricsServer {
 
 /// Bind `addr` and serve `GET /metrics` from `render` on a dedicated
 /// thread. A bind failure is returned to the caller, who degrades to
-/// stats-only; the `metrics_io` fault kind injects one here so chaos
-/// tests can prove that degradation. Per-connection I/O errors just drop
-/// that connection.
+/// stats-only. Per-connection I/O errors just drop that connection.
 pub fn serve_exposition(
     addr: &str,
     render: Arc<dyn Fn() -> String + Send + Sync>,
 ) -> std::io::Result<MetricsServer> {
-    if faults::armed() && faults::fired(FaultKind::MetricsIo) {
-        return Err(std::io::Error::other(
-            "injected fault: metrics socket broken",
-        ));
-    }
     let listener = TcpListener::bind(addr)?;
     let bound = listener.local_addr()?;
     let stop = Arc::new(AtomicBool::new(false));
@@ -837,7 +827,6 @@ chipmunk_serve_cache_hit_rate 0.25
 
     #[test]
     fn http_listener_serves_metrics_and_404s_everything_else() {
-        let _f = crate::faults::test_lock();
         let render: Arc<dyn Fn() -> String + Send + Sync> =
             Arc::new(|| "chipmunk_serve_up 1\n".to_string());
         let server = serve_exposition("127.0.0.1:0", render).unwrap();

@@ -50,7 +50,7 @@ use chipmunk_pisa::GridSpec;
 use chipmunk_trace::json::Json;
 
 use crate::cache::ResultCache;
-use crate::faults::{self, FaultKind};
+use crate::faults::{self, FaultKind, FaultPlan};
 use crate::journal::Journal;
 use crate::metrics::{
     self, Family, MetricsServer, Outcome, Stage, Strat, Telemetry, OUTCOMES, STAGES,
@@ -100,8 +100,7 @@ pub struct ServerConfig {
     /// with the `poll` op. Stats report them as `recovered`.
     pub journal_dir: Option<PathBuf>,
     /// Bind address for the Prometheus text-exposition endpoint (`None`
-    /// consults the `CHIPMUNK_METRICS_ADDR` environment variable; empty /
-    /// unset = no endpoint). A bind failure degrades to stats-only — the
+    /// or empty = no endpoint). A bind failure degrades to stats-only — the
     /// daemon logs it and keeps serving.
     pub metrics_addr: Option<String>,
     /// Slow-job threshold in milliseconds: a job whose end-to-end time
@@ -128,6 +127,10 @@ pub struct ServerConfig {
     /// before the watchdog gives up on cooperation: the job is answered
     /// `expired`, the stuck worker abandoned, and a replacement spawned.
     pub watchdog_escalate_ms: u64,
+    /// Fault-injection plan spec for this daemon alone, in the syntax of
+    /// [`crate::faults`] (`None` = no faults). [`start`] refuses an
+    /// invalid spec with `InvalidInput`.
+    pub faults: Option<String>,
 }
 
 impl Default for ServerConfig {
@@ -151,6 +154,7 @@ impl Default for ServerConfig {
             brownout_p95_ms: None,
             shed_below_priority: 0,
             watchdog_escalate_ms: 2000,
+            faults: None,
         }
     }
 }
@@ -552,6 +556,8 @@ struct Shared {
     watch: Mutex<HashMap<u64, WatchEntry>>,
     /// Sequence for watch-registry ids.
     next_watch: AtomicU64,
+    /// This daemon's fault plan, shared by every injection site.
+    faults: FaultPlan,
 }
 
 fn lock_watch(shared: &Shared) -> std::sync::MutexGuard<'_, HashMap<u64, WatchEntry>> {
@@ -698,20 +704,42 @@ fn lock_metrics(shared: &Shared) -> std::sync::MutexGuard<'_, Option<MetricsServ
 }
 
 /// Bind, spawn the worker pool and the accept loop, and return immediately.
+/// An invalid fault plan is refused before anything is bound; an armed one
+/// is printed with its seed, so a failure under it can be reproduced.
 pub fn start(config: &ServerConfig) -> std::io::Result<ServerHandle> {
-    faults::init_from_env();
+    let faults = match &config.faults {
+        None => FaultPlan::default(),
+        Some(spec) => {
+            let plan = FaultPlan::parse(spec).map_err(|e| {
+                std::io::Error::new(
+                    std::io::ErrorKind::InvalidInput,
+                    format!("invalid fault plan: {e}"),
+                )
+            })?;
+            eprintln!(
+                "chipmunk-serve: fault injection armed: {spec} (seed={})",
+                plan.seed()
+            );
+            plan
+        }
+    };
     let listener = TcpListener::bind(&config.addr)?;
     let addr = listener.local_addr()?;
     let (journal, replay) = match &config.journal_dir {
         Some(dir) => {
-            let (j, replay) = Journal::open(dir)?;
+            let (j, replay) = Journal::open(dir, faults.clone())?;
             (Some(j), replay)
         }
         None => (None, Vec::new()),
     };
+    let cache = ResultCache::open_bounded(
+        config.cache_dir.as_deref(),
+        config.cache_max_entries,
+        faults.clone(),
+    )?;
     let shared = Arc::new(Shared {
         queue: Bounded::new(config.queue_capacity),
-        cache: ResultCache::open_bounded(config.cache_dir.as_deref(), config.cache_max_entries)?,
+        cache,
         journal,
         stats: Arc::new(Stats::default()),
         stopping: AtomicBool::new(false),
@@ -739,6 +767,7 @@ pub fn start(config: &ServerConfig) -> std::io::Result<ServerHandle> {
         wait_window: metrics::RollingWindow::new(Duration::from_secs(5), 512),
         watch: Mutex::new(HashMap::new()),
         next_watch: AtomicU64::new(0),
+        faults,
     });
     // The trace store sees the live record stream from here on: the
     // `trace` op, the slow-job log, and kill-restart correlation all read
@@ -773,26 +802,29 @@ pub fn start(config: &ServerConfig) -> std::io::Result<ServerHandle> {
     })
 }
 
-/// Bind and start the exposition endpoint when one is configured (flag
-/// first, then the `CHIPMUNK_METRICS_ADDR` environment variable). A bind
+/// Bind and start the exposition endpoint when one is configured. A bind
 /// failure — including an injected `metrics_io` fault — is a logged
 /// degradation to stats-only, never a startup error: losing observability
 /// must not cost availability. The render closure holds a weak reference
 /// so the endpoint does not keep a dead server's telemetry alive.
 fn start_metrics_endpoint(shared: &Arc<Shared>, config: &ServerConfig) {
-    let addr = config
-        .metrics_addr
-        .clone()
-        .or_else(|| std::env::var("CHIPMUNK_METRICS_ADDR").ok())
-        .filter(|a| !a.is_empty());
-    let Some(addr) = addr else { return };
+    let Some(addr) = config.metrics_addr.as_deref().filter(|a| !a.is_empty()) else {
+        return;
+    };
     let weak = Arc::downgrade(shared);
     let render: Arc<dyn Fn() -> String + Send + Sync> = Arc::new(move || {
         weak.upgrade()
             .map(|shared| render_exposition(&shared))
             .unwrap_or_default()
     });
-    match metrics::serve_exposition(&addr, render) {
+    let bound = if shared.faults.fired(FaultKind::MetricsIo) {
+        Err(std::io::Error::other(
+            "injected fault: metrics socket broken",
+        ))
+    } else {
+        metrics::serve_exposition(addr, render)
+    };
+    match bound {
         Ok(server) => {
             *lock_metrics(shared) = Some(server);
         }
@@ -986,6 +1018,7 @@ fn handle_connection(stream: TcpStream, guard: ConnGuard) {
     // after the reader sees EOF), so the slot frees only when every
     // accepted job has been answered or dropped.
     let unwritten = shared.unwritten.clone();
+    let faults = shared.faults.clone();
     let spawned = std::thread::Builder::new()
         .name("chipmunk-conn-write".to_string())
         .spawn(move || {
@@ -995,7 +1028,7 @@ fn handle_connection(stream: TcpStream, guard: ConnGuard) {
             // write, or drained after a failure — settles one unit of the
             // global unflushed count that `queue_response` raised.
             while let Ok(doc) = rx.recv() {
-                if faults::armed() && faults::fired(FaultKind::ConnReset) {
+                if faults.fired(FaultKind::ConnReset) {
                     // Simulate the connection dying just before this
                     // response hit the wire: tear the socket down (the
                     // reader's next read fails too) and drain like a real
@@ -1234,7 +1267,7 @@ fn recheck_infeasible(shared: &Shared, mut cert: InfeasibleCert) -> InfeasibleCe
         cert.proof = None;
         cert.reason = Some(why);
     }
-    if faults::armed() && faults::fired(FaultKind::ProofIo) {
+    if shared.faults.fired(FaultKind::ProofIo) {
         chipmunk_trace::counter_add!("serve.proof.io_failed", 1);
         degrade(
             &mut cert,
@@ -1321,7 +1354,7 @@ fn serve_cached(shared: &Shared, req: &Resolved, lookup: bool) -> Option<Served>
     } else {
         shared.cache.peek(&req.key).and_then(adapt)
     }?;
-    let doc = if faults::armed() && faults::fired(FaultKind::CacheCorrupt) {
+    let doc = if shared.faults.fired(FaultKind::CacheCorrupt) {
         faults::corrupt_doc(&doc)
     } else {
         doc
@@ -1525,7 +1558,7 @@ fn poll_response(shared: &Shared, source: &str, options: &JobOptions) -> Json {
 
 fn worker_loop(shared: &Arc<Shared>) {
     while let Some(job) = shared.queue.pop() {
-        if faults::armed() && faults::fired(FaultKind::WorkerDeath) {
+        if shared.faults.fired(FaultKind::WorkerDeath) {
             // Deliberately *outside* the isolation below: exercises the
             // real worker-death path — ReplyHandle::drop answers the job,
             // WorkerGuard fixes the live count, the watchdog respawns.
@@ -1601,8 +1634,8 @@ fn run_job(shared: &Arc<Shared>, job: Job) -> bool {
         settle(shared, &job.req.key, job.reply, verdict, response);
         return true;
     }
-    if faults::armed() && faults::fired(FaultKind::SolverStall) {
-        std::thread::sleep(faults::stall_duration());
+    if shared.faults.fired(FaultKind::SolverStall) {
+        std::thread::sleep(shared.faults.stall());
     }
     // Thread the remaining wall-clock window into the compile: the CEGIS
     // deadline min-merges with any timeout-derived one inside the
@@ -1669,15 +1702,15 @@ fn run_job(shared: &Arc<Shared>, job: Job) -> bool {
     // panicking synthesis pass becomes a structured `internal` response
     // carrying the (truncated) panic text.
     let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        if faults::armed() && faults::fired(FaultKind::CompilePanic) {
+        if shared.faults.fired(FaultKind::CompilePanic) {
             panic!("injected fault: compile panic");
         }
-        if faults::armed() && faults::fired(FaultKind::ClockStall) {
+        if shared.faults.fired(FaultKind::ClockStall) {
             // A stall that never observes the cooperative cancel flag —
             // the shape of a wedged solver. Only the watchdog's
             // escalation path (answer, abandon worker, respawn) gets the
             // client an answer before this sleep ends.
-            std::thread::sleep(faults::stall_duration());
+            std::thread::sleep(shared.faults.stall());
         }
         compile_with_control(
             &job.req.program,

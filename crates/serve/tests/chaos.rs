@@ -4,40 +4,21 @@
 //! and the job conservation invariant (`submitted == completed + failed +
 //! drained + panicked + expired + shed`) holds under load.
 //!
-//! Fault state is process-global (`chipmunk_serve::faults`), so this suite
-//! lives in its own test binary and every test serializes on [`FAULT_LOCK`].
+//! A fault plan belongs to the daemon, cache or journal it is armed for, so
+//! no test's schedule reaches another's and the tests run in parallel.
 //! Each test prints its fault plan with `eprintln!` so a failure in CI shows
 //! the exact seed/schedule to reproduce it with.
 
 use chipmunk_serve::durable::REATTACH_EVERY;
+use chipmunk_serve::faults::FaultPlan;
 use chipmunk_serve::{
-    faults, server, Client, JobOptions, Journal, ResultCache, RetryPolicy, RetryingClient,
-    ServerConfig,
+    server, Client, JobOptions, Journal, ResultCache, RetryPolicy, RetryingClient, ServerConfig,
 };
 use chipmunk_trace::json::Json;
-use std::sync::Mutex;
+use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
-/// Serializes tests: fault plans and their occurrence counters are global.
-static FAULT_LOCK: Mutex<()> = Mutex::new(());
-
-fn lock() -> std::sync::MutexGuard<'static, ()> {
-    // A previous test's failed assert poisons the lock; the fault state it
-    // guards is re-installed by each test, so the poison carries no meaning.
-    FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Disarms fault injection when dropped, even if the test panics, so one
-/// failure does not leak an armed schedule into the next test.
-struct Disarm;
-
-impl Drop for Disarm {
-    fn drop(&mut self) {
-        faults::disarm();
-    }
-}
-
-/// Install `spec` and print it, returning the disarm guard.
+/// The effective plan spec for `spec`, printed.
 ///
 /// A `seed=N` clause in the `CHIPMUNK_FAULTS` environment variable
 /// overrides the spec's baked-in seed (the parser takes the last `seed=`
@@ -45,7 +26,7 @@ impl Drop for Disarm {
 /// timing of probabilistic faults while keeping every `kind@occurrence`
 /// schedule — and the assertions that depend on it — deterministic. The
 /// effective plan is printed so a failing run names its exact reproducer.
-fn arm(spec: &str) -> Disarm {
+fn arm(spec: &str) -> String {
     let mut spec = spec.to_string();
     if let Some(seed) = std::env::var("CHIPMUNK_FAULTS").ok().and_then(|env| {
         env.split(';')
@@ -55,8 +36,31 @@ fn arm(spec: &str) -> Disarm {
         spec.push_str(&format!(";seed={seed}"));
     }
     eprintln!("fault plan (reproduce with CHIPMUNK_FAULTS): {spec}");
-    faults::install(&spec).expect("fault spec parses");
-    Disarm
+    spec
+}
+
+/// [`arm`]'s plan, for a cache or journal the test opens itself.
+fn plan(spec: &str) -> FaultPlan {
+    FaultPlan::parse(&arm(spec)).expect("fault spec parses")
+}
+
+/// A daemon config with `spec`'s plan armed, if any. Every daemon in this
+/// suite binds an ephemeral metrics endpoint, so each schedule runs with
+/// the telemetry plane live.
+fn config(spec: Option<&str>) -> ServerConfig {
+    ServerConfig {
+        metrics_addr: Some("127.0.0.1:0".to_string()),
+        faults: spec.map(arm),
+        ..ServerConfig::default()
+    }
+}
+
+/// Send one request on fresh connections until one is answered: a plan's
+/// probabilistic resets last as long as its daemon.
+fn ask(addr: SocketAddr, op: impl Fn(&mut Client) -> std::io::Result<Json>) -> Json {
+    (0..20)
+        .find_map(|_| Client::connect(addr).and_then(|mut c| op(&mut c)).ok())
+        .expect("request never answered")
 }
 
 /// Small widths so a debug-build CEGIS run finishes in well under a second.
@@ -129,10 +133,10 @@ fn assert_conservation(telemetry: &Json) {
 /// lead the terminal counters for a while. Polls until both identities
 /// hold; a leaked job never balances, so after the bounded wait the last
 /// snapshot is returned for [`assert_conservation`] to fail on.
-fn settled_stats(control: &mut Client) -> Json {
+fn settled_stats(addr: SocketAddr) -> Json {
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
-        let telemetry = control.telemetry().unwrap();
+        let telemetry = ask(addr, Client::telemetry);
         if ledger_sides(&telemetry).iter().all(|(a, b)| a == b) || Instant::now() >= deadline {
             return telemetry;
         }
@@ -146,14 +150,12 @@ fn settled_stats(control: &mut Client) -> Json {
 /// further jobs, with conservation intact.
 #[test]
 fn injected_compile_panic_yields_internal_error_and_pool_survives() {
-    let _l = lock();
-    let _d = arm("seed=7;panic@0");
     let dir = tmpdir("acceptance");
     let handle = server::start(&ServerConfig {
         workers: 2,
         queue_capacity: 16,
         cache_dir: Some(dir.clone()),
-        ..ServerConfig::default()
+        ..config(Some("seed=7;panic@0"))
     })
     .expect("server starts");
     let mut client = Client::connect(handle.local_addr()).expect("client connects");
@@ -179,7 +181,6 @@ fn injected_compile_panic_yields_internal_error_and_pool_survives() {
 
     // Fault exhausted (only occurrence 0 panics): the very same program now
     // compiles — a panicked job really is safe to retry.
-    faults::disarm();
     let retried = client.compile(victim, fast_options()).unwrap();
     assert!(ok(&retried), "retry of panicked job failed: {retried}");
 
@@ -218,12 +219,10 @@ fn injected_compile_panic_yields_internal_error_and_pool_survives() {
 /// next dispatch.
 #[test]
 fn worker_death_answers_the_job_and_pool_respawns() {
-    let _l = lock();
-    let _d = arm("seed=11;worker_death@0");
     let handle = server::start(&ServerConfig {
         workers: 1,
         queue_capacity: 8,
-        ..ServerConfig::default()
+        ..config(Some("seed=11;worker_death@0"))
     })
     .expect("server starts");
     let mut client = Client::connect(handle.local_addr()).expect("client connects");
@@ -248,7 +247,6 @@ fn worker_death_answers_the_job_and_pool_respawns() {
 
     // The next dispatch trips the watchdog: a fresh worker is spawned and
     // runs the job to completion.
-    faults::disarm();
     let resp = client.compile("pkt.x = pkt.a;", fast_options()).unwrap();
     assert!(ok(&resp), "job after respawn failed: {resp}");
 
@@ -269,10 +267,9 @@ fn worker_death_answers_the_job_and_pool_respawns() {
 /// the full retained set — including everything put while degraded.
 #[test]
 fn cache_degrades_on_disk_error_and_reattaches() {
-    let _l = lock();
-    let _d = arm("seed=3;disk_io@0");
     let dir = tmpdir("degrade");
-    let cache = ResultCache::open(Some(dir.as_path())).expect("cache opens");
+    let cache = ResultCache::open_bounded(Some(dir.as_path()), None, plan("seed=3;disk_io@0"))
+        .expect("cache opens");
 
     let result = Json::obj([("pipeline", Json::from("p"))]);
     cache.put("k0", &result);
@@ -286,7 +283,6 @@ fn cache_degrades_on_disk_error_and_reattaches() {
 
     // Disk healthy again (fault exhausted); the 16th degraded put triggers
     // the re-attach probe, whose full rewrite recovers the tier.
-    faults::disarm();
     for i in 1..=REATTACH_EVERY {
         cache.put(&format!("k{i}"), &result);
     }
@@ -313,10 +309,9 @@ fn cache_degrades_on_disk_error_and_reattaches() {
 /// including the ones accepted while degraded.
 #[test]
 fn journal_degrades_on_disk_error_and_reattaches() {
-    let _l = lock();
-    let _d = arm("seed=3;disk_io@0");
     let dir = tmpdir("journal-degrade");
-    let (journal, replay) = Journal::open(dir.as_path()).expect("journal opens");
+    let (journal, replay) =
+        Journal::open(dir.as_path(), plan("seed=3;disk_io@0")).expect("journal opens");
     assert!(replay.is_empty());
     let accept = |i: u64| {
         let opts = JobOptions::default();
@@ -330,14 +325,13 @@ fn journal_degrades_on_disk_error_and_reattaches() {
 
     // Disk healthy again (fault exhausted); the 16th skipped append
     // triggers the re-attach probe.
-    faults::disarm();
     for i in 1..=REATTACH_EVERY {
         accept(i);
     }
     assert!(!journal.degraded(), "re-attach probe should have recovered");
 
     drop(journal);
-    let (_, replay) = Journal::open(dir.as_path()).expect("journal reopens");
+    let (_, replay) = Journal::open(dir.as_path(), FaultPlan::default()).expect("journal reopens");
     let keys: Vec<String> = replay.into_iter().map(|p| p.key).collect();
     let expected: Vec<String> = (0..=REATTACH_EVERY).map(|i| format!("k{i}")).collect();
     assert_eq!(
@@ -352,7 +346,6 @@ fn journal_degrades_on_disk_error_and_reattaches() {
 /// and the garbage temp file is not adopted.
 #[test]
 fn cache_kill_mid_compaction_reopens_cleanly() {
-    let _l = lock();
     let dir = tmpdir("midcompact");
     let result = Json::obj([("pipeline", Json::from("p"))]);
     {
@@ -362,7 +355,10 @@ fn cache_kill_mid_compaction_reopens_cleanly() {
     }
     // Simulate a crash between writing the temp file and the rename.
     std::fs::write(dir.join("results.jsonl.tmp"), b"GARBAGE {not json").unwrap();
-    let cache = ResultCache::open(Some(dir.as_path())).expect("reopen after crash");
+    // The plan fails the reopened cache's first disk operation: the
+    // compaction below.
+    let cache = ResultCache::open_bounded(Some(dir.as_path()), None, plan("seed=13;disk_io@0"))
+        .expect("reopen after crash");
     assert_eq!(
         cache.len(),
         2,
@@ -373,13 +369,11 @@ fn cache_kill_mid_compaction_reopens_cleanly() {
 
     // An I/O error *during* compaction: the error surfaces to the explicit
     // caller, the tier degrades, and the committed file is untouched.
-    let _d = arm("seed=13;disk_io@0");
     assert!(
         cache.compact().is_err(),
         "injected compaction fault must surface"
     );
     assert!(cache.degraded());
-    faults::disarm();
     drop(cache);
     let reopened = ResultCache::open(Some(dir.as_path())).expect("cache reopens");
     assert_eq!(reopened.len(), 2, "failed compaction must not lose entries");
@@ -393,14 +387,12 @@ fn cache_kill_mid_compaction_reopens_cleanly() {
 /// response for every program.
 #[test]
 fn pipeline_retries_through_connection_reset() {
-    let _l = lock();
-    let _d = arm("seed=5;reset@0");
     let dir = tmpdir("reset");
     let handle = server::start(&ServerConfig {
         workers: 2,
         queue_capacity: 16,
         cache_dir: Some(dir.clone()),
-        ..ServerConfig::default()
+        ..config(Some("seed=5;reset@0"))
     })
     .expect("server starts");
     let addr = handle.local_addr().to_string();
@@ -428,10 +420,8 @@ fn pipeline_retries_through_connection_reset() {
         "the injected reset must cost a retry"
     );
 
-    faults::disarm();
-    let mut control = Client::connect(handle.local_addr()).expect("control connects");
-    assert_conservation(&settled_stats(&mut control));
-    let ack = control.shutdown(false).unwrap();
+    assert_conservation(&settled_stats(handle.local_addr()));
+    let ack = ask(handle.local_addr(), |c| c.shutdown(false));
     assert!(ok(&ack));
     handle.join();
     let _ = std::fs::remove_dir_all(&dir);
@@ -444,14 +434,14 @@ fn pipeline_retries_through_connection_reset() {
 /// job conservation holds.
 #[test]
 fn chaos_load_conserves_jobs_and_server_survives() {
-    let _l = lock();
-    let _d = arm("seed=1234;panic@2;worker_death@5;disk_io@0;reset%0.08;stall@3;stall_ms=10");
     let dir = tmpdir("chaosload");
     let handle = server::start(&ServerConfig {
         workers: 3,
         queue_capacity: 32,
         cache_dir: Some(dir.clone()),
-        ..ServerConfig::default()
+        ..config(Some(
+            "seed=1234;panic@2;worker_death@5;disk_io@0;reset%0.08;stall@3;stall_ms=10",
+        ))
     })
     .expect("server starts");
     let addr = handle.local_addr().to_string();
@@ -504,19 +494,18 @@ fn chaos_load_conserves_jobs_and_server_survives() {
     // answers `internal`), but they are structured verdicts, counted above.
     eprintln!("chaos load: {not_ok} of 24 jobs answered with a structured error");
 
-    // Quiet phase: disarm and nudge the watchdog until the pool is back to
-    // full strength (respawn happens on dispatch, and the dead worker's
-    // unwind races our control requests).
-    faults::disarm();
-    let mut control = Client::connect(handle.local_addr()).expect("control connects");
+    // Quiet phase: nudge the watchdog until the pool is back to full
+    // strength (respawn happens on dispatch, and the dead worker's unwind
+    // races our control requests). The plan stays armed, so resets go on.
+    let addr = handle.local_addr();
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
-        let nudge = control.compile(sources[0], fast_options()).unwrap();
+        let nudge = ask(addr, |c| c.compile(sources[0], fast_options()));
         assert!(
             nudge.get("ok").and_then(Json::as_bool).is_some(),
             "non-terminal nudge response: {nudge}"
         );
-        let status = control.status().unwrap();
+        let status = ask(addr, Client::status);
         assert!(ok(&status), "server must stay up: {status}");
         assert_eq!(status.get("state").and_then(Json::as_str), Some("running"));
         if u64_field(&status, "live_workers") == 3 {
@@ -526,7 +515,7 @@ fn chaos_load_conserves_jobs_and_server_survives() {
         std::thread::sleep(Duration::from_millis(20));
     }
 
-    let stats = settled_stats(&mut control);
+    let stats = settled_stats(addr);
     assert_conservation(&stats);
     assert!(
         u64_field(&stats, "disk_errors") >= 1,
@@ -534,8 +523,8 @@ fn chaos_load_conserves_jobs_and_server_survives() {
     );
     assert!(stats.get("degraded").and_then(Json::as_bool).is_some());
 
-    let ack = control.shutdown(false).unwrap();
-    assert!(ok(&ack));
+    // A `shutdown` request's ack could be reset too: stop through the handle.
+    handle.shutdown(false);
     handle.join();
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -548,13 +537,14 @@ fn chaos_load_conserves_jobs_and_server_survives() {
 /// incident visible in stats.
 #[test]
 fn corrupted_cache_entry_is_quarantined_and_recompiled() {
-    let _l = lock();
     let dir = tmpdir("corrupt");
+    // The first cache-served document is bit-flipped before certification
+    // sees it: the first compile misses the cache, so that is the second.
     let handle = server::start(&ServerConfig {
         workers: 2,
         queue_capacity: 8,
         cache_dir: Some(dir.clone()),
-        ..ServerConfig::default()
+        ..config(Some("seed=5;corrupt@0"))
     })
     .expect("server starts");
     let mut client = Client::connect(handle.local_addr()).expect("client connects");
@@ -566,9 +556,6 @@ fn corrupted_cache_entry_is_quarantined_and_recompiled() {
     assert!(ok(&first), "baseline compile failed: {first}");
     assert_eq!(first.get("cached").and_then(Json::as_bool), Some(false));
 
-    // Now arm the corruption fault: the next cache-served document gets a
-    // bit flipped before certification sees it.
-    let _d = arm("seed=5;corrupt@0");
     let second = client.compile(victim, fast_options()).unwrap();
     assert!(
         ok(&second),
@@ -601,7 +588,6 @@ fn corrupted_cache_entry_is_quarantined_and_recompiled() {
 
     // Fault exhausted: the re-cached entry now serves as a normal
     // (certified) cache hit.
-    faults::disarm();
     let third = client.compile(victim, fast_options()).unwrap();
     assert!(ok(&third), "post-recovery hit failed: {third}");
     assert_eq!(third.get("cached").and_then(Json::as_bool), Some(true));
@@ -622,13 +608,10 @@ fn corrupted_cache_entry_is_quarantined_and_recompiled() {
 /// compiles keep being served.
 #[test]
 fn broken_metrics_socket_degrades_to_stats_only() {
-    let _l = lock();
-    let _d = arm("seed=9;metrics_io@0");
     let handle = server::start(&ServerConfig {
         workers: 1,
         queue_capacity: 8,
-        metrics_addr: Some("127.0.0.1:0".to_string()),
-        ..ServerConfig::default()
+        ..config(Some("seed=9;metrics_io@0"))
     })
     .expect("server must start despite the broken metrics socket");
     assert!(
@@ -668,13 +651,11 @@ fn broken_metrics_socket_degrades_to_stats_only() {
 /// again, and the job conservation law holds throughout.
 #[test]
 fn proof_io_fault_degrades_to_unchecked_infeasible_and_daemon_survives() {
-    let _l = lock();
-    let _d = arm("seed=13;proof_io@0");
     let handle = server::start(&ServerConfig {
         workers: 1,
         queue_capacity: 8,
         cache_dir: None,
-        ..ServerConfig::default()
+        ..config(Some("seed=13;proof_io@0"))
     })
     .expect("server starts");
     let mut client = Client::connect(handle.local_addr()).expect("client connects");
@@ -751,14 +732,12 @@ fn proof_io_fault_degrades_to_unchecked_infeasible_and_daemon_survives() {
 /// rides along to prove the two accounting planes stay separate.
 #[test]
 fn portfolio_losers_are_cancelled_not_failed_and_jobs_conserve() {
-    let _l = lock();
-    let _d = arm("seed=21;panic@1");
     let dir = tmpdir("portfolio");
     let handle = server::start(&ServerConfig {
         workers: 2,
         queue_capacity: 16,
         cache_dir: Some(dir.clone()),
-        ..ServerConfig::default()
+        ..config(Some("seed=21;panic@1"))
     })
     .expect("server starts");
     let mut client = Client::connect(handle.local_addr()).expect("client connects");
@@ -797,7 +776,6 @@ fn portfolio_losers_are_cancelled_not_failed_and_jobs_conserve() {
     }
     assert_eq!(internal, 1, "exactly the injected panic should fail");
 
-    faults::disarm();
     let stats = client.stats().unwrap();
     // Cancelled racing losers are spent search inside a *completed* job:
     // they never surface as job-level failures.
@@ -823,8 +801,6 @@ fn portfolio_losers_are_cancelled_not_failed_and_jobs_conserve() {
 /// conservation law holds on the new daemon.
 #[test]
 fn journal_replays_unfinished_jobs_into_the_next_daemon() {
-    let _l = lock();
-    faults::disarm();
     let dir = tmpdir("journal");
     let cache_dir = dir.join("cache");
     let journal_dir = dir.join("journal");
@@ -839,7 +815,7 @@ fn journal_replays_unfinished_jobs_into_the_next_daemon() {
             queue_capacity: 8,
             cache_dir: Some(cache_dir.clone()),
             journal_dir: Some(journal_dir.clone()),
-            ..ServerConfig::default()
+            ..config(None)
         })
         .expect("daemon A starts");
         let mut client = Client::connect(handle.local_addr()).expect("client connects");
@@ -870,7 +846,7 @@ fn journal_replays_unfinished_jobs_into_the_next_daemon() {
         queue_capacity: 8,
         cache_dir: Some(cache_dir.clone()),
         journal_dir: Some(journal_dir.clone()),
-        ..ServerConfig::default()
+        ..config(None)
     })
     .expect("daemon B starts");
     let mut client = Client::connect(handle.local_addr()).expect("client connects");
@@ -917,12 +893,10 @@ fn journal_replays_unfinished_jobs_into_the_next_daemon() {
 /// the daemon keeps serving and the abandoned result is never cached.
 #[test]
 fn clock_stall_escalates_to_worker_respawn_with_typed_error() {
-    let _l = lock();
     // Stall the first compile for 1500 ms, immune to cancellation. With a
     // 100 ms deadline, 100 ms grace, and a 100 ms escalation bound, the
     // watchdog cancels at ~200 ms and abandons the worker at ~300 ms —
     // long before the stall releases.
-    let _d = arm("seed=17;clock_stall@0;stall_ms=1500");
     let handle = server::start(&ServerConfig {
         workers: 1,
         queue_capacity: 8,
@@ -930,7 +904,7 @@ fn clock_stall_escalates_to_worker_respawn_with_typed_error() {
         default_deadline_ms: Some(100),
         deadline_grace_ms: 100,
         watchdog_escalate_ms: 100,
-        ..ServerConfig::default()
+        ..config(Some("seed=17;clock_stall@0;stall_ms=1500"))
     })
     .unwrap();
     let mut client = Client::connect(handle.local_addr()).unwrap();
@@ -999,4 +973,23 @@ fn clock_stall_escalates_to_worker_respawn_with_typed_error() {
     let ack = client.shutdown(false).unwrap();
     assert!(ok(&ack));
     handle.join();
+}
+
+/// A plan reaches only the daemon it was armed for: daemon B, with no plan,
+/// compiles first in the same process and answers `ok`; daemon A's
+/// `panic@0` then fires on A's own first compile of the same program.
+#[test]
+fn a_fault_plan_stays_in_its_daemon() {
+    let a = server::start(&config(Some("seed=29;panic@0"))).expect("daemon A starts");
+    let b = server::start(&config(None)).expect("daemon B starts");
+    for (handle, error) in [(b, None), (a, Some("internal"))] {
+        let mut client = Client::connect(handle.local_addr()).expect("client connects");
+        let resp = client
+            .compile("pkt.iso = pkt.a + pkt.b;", fast_options())
+            .unwrap();
+        assert_eq!(resp.get("error").and_then(Json::as_str), error, "{resp}");
+        assert_conservation(&client.telemetry().unwrap());
+        handle.shutdown(false);
+        handle.join();
+    }
 }

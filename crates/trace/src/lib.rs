@@ -20,8 +20,11 @@
 //! Tracing is off by default and costs one relaxed atomic load plus a
 //! branch per site. It is enabled by
 //!
-//! * the `CHIPMUNK_TRACE` environment variable — a file path for a JSONL
-//!   sink, or `stderr` / `pretty` for a human-readable stderr sink — or
+//! * [`init_from_env`], which reads the `CHIPMUNK_TRACE` environment
+//!   variable — a file path for a JSONL sink, or `stderr` / `pretty` for a
+//!   human-readable stderr sink. The library never reads the environment
+//!   on its own: `chipmunkc`, `table2` and `figure5` call this first thing
+//!   in `main`; or
 //! * an explicit [`init_jsonl`] / [`init_stderr`] call (the CLI's
 //!   `--trace FILE` flag), or
 //! * an in-process **tee** ([`add_tee`]): a live subscriber that receives
@@ -61,12 +64,11 @@ use std::time::Instant;
 
 use json::Json;
 
-const STATE_UNINIT: u8 = 0;
-const STATE_DISABLED: u8 = 1;
-const STATE_PRETTY: u8 = 2;
-const STATE_JSONL: u8 = 3;
+const STATE_DISABLED: u8 = 0;
+const STATE_PRETTY: u8 = 1;
+const STATE_JSONL: u8 = 2;
 
-static STATE: AtomicU8 = AtomicU8::new(STATE_UNINIT);
+static STATE: AtomicU8 = AtomicU8::new(STATE_DISABLED);
 static SINK: Mutex<Option<Box<dyn Write + Send>>> = Mutex::new(None);
 static NEXT_SPAN_ID: AtomicU64 = AtomicU64::new(1);
 
@@ -115,46 +117,26 @@ fn now_us() -> u64 {
     epoch().elapsed().as_micros() as u64
 }
 
-/// Is tracing enabled? One relaxed atomic load on the fast path; the first
-/// call reads `CHIPMUNK_TRACE` and installs the corresponding sink.
+/// Is tracing enabled? A sink or a tee is installed.
 #[inline]
 pub fn enabled() -> bool {
-    let sink_on = match STATE.load(Ordering::Relaxed) {
-        STATE_UNINIT => init_from_env(),
-        s => s >= STATE_PRETTY,
-    };
-    sink_on || TEE_ACTIVE.load(Ordering::Relaxed)
+    STATE.load(Ordering::Relaxed) >= STATE_PRETTY || TEE_ACTIVE.load(Ordering::Relaxed)
 }
 
-#[cold]
-fn init_from_env() -> bool {
+/// Install the sink the `CHIPMUNK_TRACE` environment variable names:
+/// `stderr` or `pretty` for the stderr tree, any other non-empty value a
+/// JSONL file path. A path that cannot be opened is reported on stderr and
+/// leaves tracing off. Binaries call this first thing in `main`, so a
+/// `--trace` flag parsed later replaces the sink.
+pub fn init_from_env() {
     match std::env::var("CHIPMUNK_TRACE") {
-        Ok(v) if v == "stderr" || v == "pretty" => {
-            init_stderr();
-            true
-        }
-        Ok(path) if !path.is_empty() => match init_jsonl(&path) {
-            Ok(()) => true,
-            Err(e) => {
+        Ok(v) if v == "stderr" || v == "pretty" => init_stderr(),
+        Ok(path) if !path.is_empty() => {
+            if let Err(e) = init_jsonl(&path) {
                 eprintln!("chipmunk-trace: cannot open CHIPMUNK_TRACE={path}: {e}");
-                // Store directly: `disable()` flushes, and `flush()` asks
-                // `enabled()`, which would re-enter this function while the
-                // state is still UNINIT — unbounded recursion.
-                STATE.store(STATE_DISABLED, Ordering::Relaxed);
-                false
             }
-        },
-        _ => {
-            // Lose the race benignly: if another thread initialized a real
-            // sink meanwhile, keep it.
-            let _ = STATE.compare_exchange(
-                STATE_UNINIT,
-                STATE_DISABLED,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            );
-            STATE.load(Ordering::Relaxed) >= STATE_PRETTY
         }
+        _ => {}
     }
 }
 
